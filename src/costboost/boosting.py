@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import confusion_rates, classification_asymmetry, nec
-from .stumps import ClassMasses, Stump, check_weights, predict_matrix, train_stump
+from .stumps import (ClassMasses, Stump, _cut_tables, _cut_threshold, check_weights,
+                     predict_matrix, train_stump)
 
 __all__ = [
     "ALGORITHM_IDS",
@@ -275,8 +276,6 @@ def _csa_select(features, labels, weights, costs: CostPair):
     flat arrays are laid out in (feature, threshold) order, so the first
     index among tied candidates realizes that hierarchy.
     """
-    from .stumps import _cut_tables, _cut_threshold  # shared cumulative machinery
-
     n_samples, n_features = features.shape
     xs, pos_below, neg_below, total_pos, total_neg, valid = _cut_tables(
         features, labels, weights
@@ -293,12 +292,7 @@ def _csa_select(features, labels, weights, costs: CostPair):
 
     fb_p, fd_p, fb_n, fd_n = _floor_mass_groups(b_p, d_p, b_n, d_n)
     alphas = _csa_alpha_arrays(fb_p, fd_p, fb_n, fd_n, costs)
-    losses = (
-        fb_p * np.exp(-alphas * costs.c_pos)
-        + fd_p * np.exp(alphas * costs.c_pos)
-        + fb_n * np.exp(-alphas * costs.c_neg)
-        + fd_n * np.exp(alphas * costs.c_neg)
-    )
+    losses = csa_loss(alphas, ClassMasses(fb_p, fd_p, fb_n, fd_n), costs)
     err_plus = d_p + d_n
     err_minus = b_p + b_n
 
@@ -447,15 +441,12 @@ def adjust_threshold(scores, labels, costs: CostPair, prior_pos: float = 0.5) ->
     return float(candidates[pick])
 
 
-def train_ensemble(
-    algorithm, features, labels, costs: CostPair, rounds: int, seed: int = 0
-):
+def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int):
     """Train one boosted ensemble and return (classifier, trace).
 
-    Deterministic given the inputs; ``seed`` is reserved for stochastic
-    weak learners and unused by the exhaustive stump search. The trace
-    stores per-round alpha, normalizer, training NEC and training
-    classification asymmetry (NaN when undefined).
+    Deterministic given the inputs. The trace stores per-round alpha,
+    normalizer, training NEC and training classification asymmetry (NaN
+    when undefined).
     """
     _check_algorithm(algorithm)
     if rounds < 1:

@@ -92,6 +92,13 @@ class DatasetSpec:
             raise ValueError("generator specs need positive class counts")
         if self.kind == "csv" and not self.path:
             raise ValueError("csv specs need a path")
+        # type(), not isinstance(): JSON true/false would pass as int 1/0
+        if type(self.rounds) is not int or self.rounds < 0:
+            raise ValueError("per-dataset rounds must be a nonnegative integer")
+        # the name is a CSV field and part of every trace file name
+        if set(self.resolved_name()) & set(",/\\\n\r"):
+            raise ValueError(f"dataset name {self.resolved_name()!r} may not contain "
+                             "a comma, a path separator or a line break")
 
     def resolved_name(self) -> str:
         if self.name:
@@ -144,11 +151,12 @@ class ExperimentConfig:
         for algorithm in self.algorithms:
             if algorithm not in ALGORITHM_IDS:
                 raise ValueError(f"unknown algorithm {algorithm!r}")
+        pairs = [CostPair(*cost) for cost in self.costs]
+        if len(set(pairs)) != len(pairs):
+            raise ValueError("cost pairs must be unique")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
-        if self.rounds != "dataset-size" and (
-            not isinstance(self.rounds, int) or self.rounds < 1
-        ):
+        if self.rounds != "dataset-size" and (type(self.rounds) is not int or self.rounds < 1):
             raise ValueError("rounds must be 'dataset-size' or a positive integer")
 
     @classmethod
@@ -220,51 +228,37 @@ class RunStore:
     def save(self, out_dir) -> Path:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "records.csv", "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(
-                "dataset,algorithm,c_pos,c_neg,fold,fnr,fpr,ce,nec,"
-                "effective_rounds,trained_rounds\n"
-            )
-            for rec in sorted(self.records, key=_record_sort_key):
-                handle.write(
-                    f"{rec.dataset},{rec.algorithm},{rec.cost.c_pos!r},{rec.cost.c_neg!r},"
-                    f"{rec.fold},{rec.rates.fnr!r},{rec.rates.fpr!r},{rec.rates.ce!r},"
-                    f"{rec.nec!r},{rec.effective_rounds},{rec.trained_rounds}\n"
-                )
+        records = sorted(self.records, key=_record_sort_key)
+        _write_csv(
+            out / "records.csv",
+            "dataset,algorithm,c_pos,c_neg,fold,fnr,fpr,ce,nec,effective_rounds,trained_rounds",
+            "%s,%s,%r,%r,%s,%r,%r,%r,%r,%s,%s\n",
+            ((r.dataset, r.algorithm, r.cost.c_pos, r.cost.c_neg, r.fold, r.rates.fnr,
+              r.rates.fpr, r.rates.ce, r.nec, r.effective_rounds, r.trained_rounds)
+             for r in records),
+        )
         # wall-clock seconds are inherently non-reproducible, so they are
         # quarantined here instead of the deterministic records file
-        with open(out / "timing.csv", "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("dataset,algorithm,c_pos,c_neg,fold,train_seconds\n")
-            for rec in sorted(self.records, key=_record_sort_key):
-                if rec.fold == ALL_FOLD:
-                    continue
-                handle.write(
-                    f"{rec.dataset},{rec.algorithm},{rec.cost.c_pos!r},{rec.cost.c_neg!r},"
-                    f"{rec.fold},{rec.train_seconds!r}\n"
-                )
+        _write_csv(
+            out / "timing.csv",
+            "dataset,algorithm,c_pos,c_neg,fold,train_seconds",
+            "%s,%s,%r,%r,%s,%r\n",
+            ((r.dataset, r.algorithm, r.cost.c_pos, r.cost.c_neg, r.fold, r.train_seconds)
+             for r in records if r.fold != ALL_FOLD),
+        )
         traces_dir = out / "traces"
         traces_dir.mkdir(exist_ok=True)
         for key in sorted(self.traces):
-            dataset, algorithm, c_pos, c_neg, fold = key
-            fname = f"{dataset}__{algorithm}__cp{c_pos}_cn{c_neg}__fold{fold}.csv"
-            with open(traces_dir / fname, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write("round,alpha,z,train_nec,train_ca\n")
-                for row in self.traces[key]:
-                    handle.write(
-                        f"{row[0]},{row[1]!r},{row[2]!r},{row[3]!r},{row[4]!r}\n"
-                    )
+            _write_csv(traces_dir / _trace_name(key), "round,alpha,z,train_nec,train_ca",
+                       "%s,%r,%r,%r,%r\n", self.traces[key])
         if self.failures:
-            with open(out / "failures.csv", "w", encoding="utf-8", newline="\n") as handle:
-                handle.write("dataset,algorithm,c_pos,c_neg,fold,message\n")
-                for failure in sorted(
-                    self.failures, key=lambda f: (f.dataset, f.algorithm, f.cost.c_pos,
-                                                  f.cost.c_neg, str(f.fold))
-                ):
-                    msg = failure.message.replace("\n", " ").replace(",", ";")
-                    handle.write(
-                        f"{failure.dataset},{failure.algorithm},{failure.cost.c_pos!r},"
-                        f"{failure.cost.c_neg!r},{failure.fold},{msg}\n"
-                    )
+            _write_csv(
+                out / "failures.csv",
+                "dataset,algorithm,c_pos,c_neg,fold,message",
+                "%s,%s,%r,%r,%s,%s\n",
+                sorted((f.dataset, f.algorithm, f.cost.c_pos, f.cost.c_neg, f.fold,
+                        " ".join(f.message.splitlines())) for f in self.failures),
+            )
         with open(out / "metadata.json", "w", encoding="utf-8", newline="\n") as handle:
             json.dump(
                 {"config": self.config, "environment": self.environment},
@@ -288,10 +282,12 @@ class RunStore:
         timing_path = run_dir / "timing.csv"
         if timing_path.exists():
             for parts in _read_csv_rows(timing_path):
-                timing[(parts[0], parts[1], parts[2], parts[3], parts[4])] = float(parts[5])
+                timing[tuple(parts[:5])] = float(parts[5])
 
+        traced = []
         for parts in _read_csv_rows(run_dir / "records.csv"):
-            dataset, algorithm, c_pos, c_neg, fold = parts[:5]
+            key = tuple(parts[:5])
+            dataset, algorithm, c_pos, c_neg, fold = key
             fnr, fpr, ce, rec_nec = (float(v) for v in parts[5:9])
             store.records.append(
                 ResultRecord(
@@ -301,27 +297,45 @@ class RunStore:
                     fold=fold,
                     rates=ConfusionRates(fnr=fnr, fpr=fpr, ce=ce),
                     nec=rec_nec,
-                    train_seconds=timing.get((dataset, algorithm, c_pos, c_neg, fold), 0.0),
+                    train_seconds=timing.get(key, 0.0),
                     effective_rounds=int(parts[9]),
                     trained_rounds=int(parts[10]),
                 )
             )
+            if fold not in (AVG_FOLD, ALL_FOLD):
+                traced.append(key)
 
+        # every fold record has its trace; the key names the file
         traces_dir = run_dir / "traces"
-        if traces_dir.exists():
-            for path in sorted(traces_dir.glob("*.csv")):
-                stem = path.stem
-                dataset, algorithm, costs_part, fold_part = stem.split("__")
-                c_pos, c_neg = costs_part[2:].split("_cn")
-                fold = fold_part[len("fold"):]
-                rows = []
-                for parts in _read_csv_rows(path):
-                    rows.append(
-                        (int(parts[0]), float(parts[1]), float(parts[2]),
-                         float(parts[3]), float(parts[4]))
-                    )
-                store.traces[(dataset, algorithm, c_pos, c_neg, fold)] = rows
+        for key in traced:
+            store.traces[key] = [
+                (int(p[0]), float(p[1]), float(p[2]), float(p[3]), float(p[4]))
+                for p in _read_csv_rows(traces_dir / _trace_name(key))
+            ]
+
+        failures_path = run_dir / "failures.csv"
+        if failures_path.exists():
+            # the message is the last column and may itself hold commas
+            for parts in _read_csv_rows(failures_path):
+                dataset, algorithm, c_pos, c_neg, fold = parts[:5]
+                store.failures.append(
+                    CellFailure(dataset, algorithm, CostPair(float(c_pos), float(c_neg)),
+                                fold, ",".join(parts[5:]))
+                )
         return store
+
+
+def _trace_name(key) -> str:
+    """File name of the trace of one (dataset, algorithm, c_pos, c_neg, fold) cell."""
+    return "%s__%s__cp%s_cn%s__fold%s.csv" % key
+
+
+def _write_csv(path: Path, header: str, fmt: str, rows) -> Path:
+    """Write a header line, then ``fmt % row`` for each row tuple."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        # one write of a joined list: faster than writelines over a generator
+        handle.write(header + "\n" + "".join([fmt % row for row in rows]))
+    return path
 
 
 def _read_csv_rows(path):
@@ -572,18 +586,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunStore:
 # -- report emission ----------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _write_rows(path: Path, header: str, rows) -> Path:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(header + "\n")
-        for row in rows:
-            handle.write(",".join(str(cell) for cell in row) + "\n")
-    return path
-
-
 def _delta_inputs(store: RunStore, attribute: str):
     """Fold-averaged per-scenario deviations from the best algorithm.
 
@@ -620,18 +622,14 @@ def emit_report(store: RunStore, kind: str, out_dir) -> list:
     if kind == "appendix_tables":
         datasets = sorted({rec.dataset for rec in store.records})
         for dataset in datasets:
-            rows = []
-            for rec in store.records:
-                if rec.dataset != dataset or rec.fold not in (AVG_FOLD, ALL_FOLD):
-                    continue
-                cost_label = f"[{_trim(rec.cost.c_pos)};{_trim(rec.cost.c_neg)}]"
-                rows.append(
-                    (cost_label, rec.algorithm, _fmt(rec.rates.fnr), _fmt(rec.rates.fpr),
-                     _fmt(rec.rates.ce), _fmt(rec.nec))
-                )
-            paths.append(
-                _write_rows(out / f"results_{dataset}.csv", "Cost,Alg,FNR,FPR,CE,NEC", rows)
+            rows = (
+                (_trim(rec.cost.c_pos), _trim(rec.cost.c_neg), rec.algorithm,
+                 rec.rates.fnr, rec.rates.fpr, rec.rates.ce, rec.nec)
+                for rec in store.records
+                if rec.dataset == dataset and rec.fold in (AVG_FOLD, ALL_FOLD)
             )
+            paths.append(_write_csv(out / f"results_{dataset}.csv", "Cost,Alg,FNR,FPR,CE,NEC",
+                                    "[%s;%s],%s,%r,%r,%r,%r\n", rows))
         return paths
 
     if kind in ("delta_global", "delta_by_cost"):
@@ -639,25 +637,25 @@ def emit_report(store: RunStore, kind: str, out_dir) -> list:
             by_alg, by_alg_cost = conditional_moments(_delta_inputs(store, attribute))
             if kind == "delta_global":
                 rows = [
-                    (alg, _fmt(stats["mean"]), _fmt(stats["variance"]))
+                    (alg, stats["mean"], stats["variance"])
                     for alg, stats in sorted(by_alg.items())
                 ]
                 paths.append(
-                    _write_rows(out / f"delta_{label}_global.csv",
-                                "algorithm,mean,variance", rows)
+                    _write_csv(out / f"delta_{label}_global.csv",
+                               "algorithm,mean,variance", "%s,%r,%r\n", rows)
                 )
             else:
                 rows = [
                     (alg, _trim(cost.c_pos), _trim(cost.c_neg),
-                     _fmt(stats["mean"]), _fmt(stats["variance"]))
+                     stats["mean"], stats["variance"])
                     for (alg, cost), stats in sorted(
                         by_alg_cost.items(),
                         key=lambda item: (item[0][0], item[0][1].c_pos, item[0][1].c_neg),
                     )
                 ]
                 paths.append(
-                    _write_rows(out / f"delta_{label}_by_cost.csv",
-                                "algorithm,c_pos,c_neg,mean,variance", rows)
+                    _write_csv(out / f"delta_{label}_by_cost.csv",
+                               "algorithm,c_pos,c_neg,mean,variance", "%s,%s,%s,%r,%r\n", rows)
                 )
         return paths
 
@@ -676,11 +674,11 @@ def emit_report(store: RunStore, kind: str, out_dir) -> list:
             dataset, algorithm, c_pos, c_neg, round_no = key
             rows.append(
                 (dataset, algorithm, _trim(c_pos), _trim(c_neg), round_no,
-                 _fmt(float(np.mean(values))))
+                 float(np.mean(values)))
             )
         paths.append(
-            _write_rows(out / "ca_surface.csv",
-                        "dataset,algorithm,c_pos,c_neg,round,train_ca", rows)
+            _write_csv(out / "ca_surface.csv", "dataset,algorithm,c_pos,c_neg,round,train_ca",
+                       "%s,%s,%s,%s,%s,%r\n", rows)
         )
         return paths
 
@@ -695,22 +693,19 @@ def emit_report(store: RunStore, kind: str, out_dir) -> list:
         per_alg_cost.setdefault((rec.algorithm, rec.cost), []).append(rec.train_seconds)
     means = {alg: float(np.mean(vals)) for alg, vals in per_alg.items()}
     base = means.get("CGA")
-    rows = []
-    for alg in sorted(means):
-        ratio = _fmt(means[alg] / base) if base else ""
-        rows.append((alg, _fmt(means[alg]), ratio))
-    paths.append(
-        _write_rows(out / "timing_grand.csv", "algorithm,mean_seconds,ratio_to_cga", rows)
-    )
+    rows = [(alg, means[alg], repr(means[alg] / base) if base else "") for alg in sorted(means)]
+    paths.append(_write_csv(out / "timing_grand.csv", "algorithm,mean_seconds,ratio_to_cga",
+                            "%s,%r,%s\n", rows))
     rows = [
-        (alg, _trim(cost.c_pos), _trim(cost.c_neg), _fmt(float(np.mean(vals))))
+        (alg, _trim(cost.c_pos), _trim(cost.c_neg), float(np.mean(vals)))
         for (alg, cost), vals in sorted(
             per_alg_cost.items(),
             key=lambda item: (item[0][0], item[0][1].c_pos, item[0][1].c_neg),
         )
     ]
     paths.append(
-        _write_rows(out / "timing_by_cost.csv", "algorithm,c_pos,c_neg,mean_seconds", rows)
+        _write_csv(out / "timing_by_cost.csv", "algorithm,c_pos,c_neg,mean_seconds",
+                   "%s,%s,%s,%r\n", rows)
     )
     return paths
 

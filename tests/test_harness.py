@@ -1,4 +1,5 @@
 import json
+from hashlib import sha256
 
 import numpy as np
 import pytest
@@ -116,6 +117,29 @@ class TestExperimentConfig:
                 DatasetSpec(kind="bayes", n_pos=6, n_neg=6),
                 DatasetSpec(kind="bayes", n_pos=9, n_neg=9),
             ))
+
+    def test_rejects_bool_and_negative_rounds(self):
+        with pytest.raises(ValueError):
+            tiny_config(rounds=True)
+        with pytest.raises(ValueError):
+            DatasetSpec(kind="bayes", n_pos=6, n_neg=6, rounds=True)
+        with pytest.raises(ValueError):
+            DatasetSpec(kind="bayes", n_pos=6, n_neg=6, rounds=-1)
+
+    def test_rejects_invalid_cost_pairs(self):
+        with pytest.raises(ValueError):
+            tiny_config(costs=((1, 1), (0, 1)))
+
+    def test_rejects_duplicate_cost_pairs(self):
+        with pytest.raises(ValueError, match="unique"):
+            tiny_config(costs=((1, 5), (1.0, 5.0)))
+
+    def test_rejects_names_that_break_the_run_directory(self):
+        for name in ("a,b", "a/b", "a\\b", "a\nb"):
+            with pytest.raises(ValueError, match="name"):
+                DatasetSpec(kind="bayes", name=name, n_pos=6, n_neg=6)
+        with pytest.raises(ValueError, match="name"):
+            DatasetSpec(kind="csv", path="data/a,b.csv")
 
     def test_convergence_validation(self):
         with pytest.raises(ValueError):
@@ -239,6 +263,41 @@ class TestRunStoreRoundTrip:
             np.asarray(store.traces[key], dtype=float),
             np.asarray(loaded.traces[key], dtype=float),
         )
+
+    def test_failure_messages_load_back_unchanged(self, tmp_path, monkeypatch):
+        import costboost.harness as harness
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("bad cell, 'quoted' part")
+
+        monkeypatch.setattr(harness, "train_ensemble", broken)
+        store = run_experiment(tiny_config(algorithms=("ADA",), costs=((1, 5),)))
+        loaded = RunStore.load(store.save(tmp_path / "run"))
+        assert loaded.failures == store.failures
+        assert loaded.failures[0].message == "RuntimeError(\"bad cell, 'quoted' part\")"
+
+    def test_double_underscore_dataset_name_round_trips(self, tmp_path):
+        spec = DatasetSpec(kind="bayes", name="a__b", n_pos=12, n_neg=12)
+        store = run_experiment(tiny_config(datasets=(spec,)))
+        loaded = RunStore.load(store.save(tmp_path / "run"))
+        assert loaded.traces == store.traces
+        assert {r.dataset for r in loaded.records} == {"a__b"}
+
+    def test_saved_bytes_match_golden(self, tmp_path):
+        """records.csv and trace bytes of the tiny sweep, pinned by sha256."""
+        out = run_experiment(tiny_config()).save(tmp_path / "run")
+        digests = {path.relative_to(out).as_posix(): sha256(path.read_bytes()).hexdigest()
+                   for path in [out / "records.csv", *(out / "traces").glob("*.csv")]}
+        assert digests.pop("records.csv") == (
+            "32719fdb298975a14d8f760a0fa153a29c06e33fa9e75a563f3cd90dff96f0ec"
+        )
+        # every training set of this sweep is separable by one stump, so
+        # all twelve traces share one content
+        assert digests == {
+            f"traces/bayes__{alg}__cp1.0_cn{c_neg}__fold{fold}.csv":
+                "92a8718bdb60d2c9d330034e62b29331d09843a101f488c303bf33e9c681bc89"
+            for alg in ("ADA", "CGA") for c_neg in ("1.0", "5.0") for fold in range(3)
+        }
 
     def test_replay_reproduces_reported_rates(self, tmp_path):
         """Re-running one stored cell from scratch hits the stored numbers."""
