@@ -19,6 +19,30 @@ normalize). They differ in where the cost pair enters:
         class-separated exponential loss, costs in the exponents.
 * CGA   cost-proportional weight initialization, then pure ADA rounds.
 
+Every round has one generic form. The stump minimizes the weighted error
+sum(m * w * [h != y]) for a per-sample selection multiplier m (CSA picks
+stump and alpha jointly instead), alpha comes from a per-variant
+statistic, and the weights become
+
+    w' = factor * w * exp(-step * scale * y * h) / z
+
+with z the normalizing sum. Here c is the per-sample cost (c_pos on
+positives, c_neg on negatives), cn = c / max(c_pos, c_neg), and
+beta = (1 + cn) / 2 on mistakes, (1 - cn) / 2 on hits:
+
+    variant          m      alpha from                            factor  step       scale
+    ADA ABT ASB CGA  1      err = sum(w [h != y])                 1       alpha      1
+    CB0 / CB1 / CB2  1      err = sum(w [h != y])                 c|1     0/1/alpha  1
+    AC2              cn     err = sum(cn w [h != y]) / sum(cn w)  cn      alpha      1
+    ADC              1      r = sum(beta w y h)                   1       alpha      beta
+    AC1              cn     r = sum(cn w y h)                     1       alpha      cn
+    AC3              cn^2   r = sum(cn^2 w y h) / sum(cn w)       1       alpha      cn
+    CSA              joint  class-separated exponential loss      1       alpha      c
+
+where c|1 is c on mistakes and 1 on hits, an error gives
+alpha = ln((1 - err) / err) / 2 and a correlation r gives
+alpha = ln((1 + r) / (1 - r)) / 2.
+
 Error terms are clamped away from 0 and 1 (floor 1e-10) so alpha stays
 finite; a round whose error term hits the clamp is flagged degenerate
 but training continues with the clamped value.
@@ -30,9 +54,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import confusion_rates, classification_asymmetry, nec
-from .stumps import (ClassMasses, Stump, _cut_tables, _cut_threshold, check_weights,
-                     predict_matrix, train_stump)
+from .metrics import confusion_rates, classification_asymmetry, nec, pcf
+from .stumps import (ClassMasses, Stump, _check_training_inputs, _cut_stump, _cut_tables,
+                     check_weights, predict_matrix, train_stump)
 
 __all__ = [
     "ALGORITHM_IDS",
@@ -70,10 +94,10 @@ _ERR_FLOOR = 1e-10
 _MASS_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class CostPair:
     """Asymmetric cost specification: c_pos penalizes false negatives,
-    c_neg false positives."""
+    c_neg false positives. Pairs order as (c_pos, c_neg)."""
 
     c_pos: float
     c_neg: float
@@ -276,6 +300,7 @@ def _csa_select(features, labels, weights, costs: CostPair):
     flat arrays are laid out in (feature, threshold) order, so the first
     index among tied candidates realizes that hierarchy.
     """
+    features, labels, weights, _ = _check_training_inputs(features, labels, weights, None)
     n_samples, n_features = features.shape
     xs, pos_below, neg_below, total_pos, total_neg, valid = _cut_tables(
         features, labels, weights
@@ -301,14 +326,7 @@ def _csa_select(features, labels, weights, costs: CostPair):
     j = candidates[np.flatnonzero(pair_err == pair_err.min())[0]]
     polarity = 1 if err_plus[j] <= err_minus[j] else -1
     alpha = float(alphas[j]) if polarity == 1 else -float(alphas[j])
-    return (
-        Stump(
-            feature_index=int(feat_ids[j]),
-            threshold=_cut_threshold(xs, int(cut_ids[j]), int(feat_ids[j])),
-            polarity=polarity,
-        ),
-        alpha,
-    )
+    return _cut_stump(xs, cut_ids[j], feat_ids[j], polarity), alpha
 
 
 def boost_round(algorithm, state: RoundState, features, labels, costs: CostPair) -> RoundResult:
@@ -316,7 +334,9 @@ def boost_round(algorithm, state: RoundState, features, labels, costs: CostPair)
 
     Takes normalized weights, returns the selected stump, its vote weight
     alpha, the renormalized weights and the pre-normalization sum z. The
-    degenerate flag marks rounds whose error term hit the clamp.
+    degenerate flag marks rounds whose error term hit the clamp. Every
+    variant shares the update factor * w * exp(-step * scale * y * h);
+    see the module docstring for what each one supplies.
     """
     _check_algorithm(algorithm)
     features = np.asarray(features, dtype=float)
@@ -335,68 +355,47 @@ def boost_round(algorithm, state: RoundState, features, labels, costs: CostPair)
 
     if algorithm == "CSA":
         stump, alpha = _csa_select(features, labels, w, costs)
-        pred = predict_matrix(stump, features)
-        correct_mass = float(np.sum(w[pred == labels]))
-        wrong_mass = float(np.sum(w[pred != labels]))
-        degenerate = min(correct_mass, wrong_mass) <= _MASS_FLOOR
-        unnorm = w * np.exp(-alpha * c * labels * pred)
-        z = float(unnorm.sum())
-        return RoundResult(stump, alpha, unnorm / z, z, degenerate)
-
-    # the AdaC family defines its per-sample costs inside [0, 1]; rescaling
-    # by the larger cost keeps the correlation statistics below 1 in
-    # magnitude (and is exact at unit costs, where it divides by 1.0)
-    c_norm = c / max(costs.c_pos, costs.c_neg)
-    if algorithm in ("AC1", "AC2"):
-        multiplier = c_norm
-    elif algorithm == "AC3":
-        multiplier = c_norm * c_norm
     else:
-        multiplier = None
-    stump = train_stump(features, labels, w, per_sample_multiplier=multiplier)
+        # the AdaC family defines its per-sample costs inside [0, 1]; rescaling
+        # by the larger cost keeps the correlation statistics below 1 in
+        # magnitude (and is exact at unit costs, where it divides by 1.0)
+        c_norm = c / max(costs.c_pos, costs.c_neg)
+        multiplier = (c_norm * c_norm if algorithm == "AC3"
+                      else c_norm if algorithm in ("AC1", "AC2") else None)
+        stump = train_stump(features, labels, w, per_sample_multiplier=multiplier)
     pred = predict_matrix(stump, features)
     wrong = pred != labels
-    agreement = (labels * pred).astype(float)  # +1 correct, -1 wrong
+    agreement = labels * pred  # +1 correct, -1 wrong
 
-    if algorithm in ("ADA", "ABT", "ASB", "CGA"):
-        err = float(np.sum(w[wrong]))
-        alpha, degenerate = _clamped_alpha_from_error(err)
-        unnorm = w * np.exp(-alpha * agreement)
-    elif algorithm == "ADC":
-        beta = np.where(wrong, 0.5 * (1.0 + c_norm), 0.5 * (1.0 - c_norm))
-        r = float(np.sum(w * agreement * beta))
-        r, degenerate = _clamped_symmetric(r)
-        alpha = 0.5 * np.log((1.0 + r) / (1.0 - r))
-        unnorm = w * np.exp(-alpha * agreement * beta)
-    elif algorithm in ("CB0", "CB1", "CB2"):
-        err = float(np.sum(w[wrong]))
-        alpha, degenerate = _clamped_alpha_from_error(err)
-        factor = np.where(wrong, c, 1.0)
-        if algorithm == "CB0":
-            unnorm = factor * w
-        elif algorithm == "CB1":
-            unnorm = factor * w * np.exp(-agreement)
+    # factor * w and scale of the update; products are only reordered by
+    # exact factors (1.0 or agreement = +-1), so every bit matches the
+    # per-variant formulas
+    factor_w, scale = w, 1.0
+    if algorithm == "CSA":
+        degenerate = min(float(np.sum(w[~wrong])), float(np.sum(w[wrong]))) <= _MASS_FLOOR
+        scale = c
+    elif algorithm in ("ADC", "AC1", "AC3"):
+        # alpha from the correlation r = sum(g * w * y * h) / norm
+        if algorithm == "ADC":
+            g = scale = np.where(wrong, 0.5 * (1.0 + c_norm), 0.5 * (1.0 - c_norm))
         else:
-            unnorm = factor * w * np.exp(-alpha * agreement)
-    elif algorithm == "AC1":
-        u = float(np.sum(c_norm * w * agreement))
-        u, degenerate = _clamped_symmetric(u)
-        alpha = 0.5 * np.log((1.0 + u) / (1.0 - u))
-        unnorm = w * np.exp(-alpha * c_norm * agreement)
-    elif algorithm == "AC2":
-        cw = c_norm * w
-        err_c = float(np.sum(cw[wrong])) / float(np.sum(cw))
-        alpha, degenerate = _clamped_alpha_from_error(err_c)
-        unnorm = cw * np.exp(-alpha * agreement)
-    elif algorithm == "AC3":
-        scale = float(np.sum(c_norm * w))
-        v = float(np.sum(c_norm * c_norm * w * agreement)) / scale
-        v, degenerate = _clamped_symmetric(v)
-        alpha = 0.5 * np.log((1.0 + v) / (1.0 - v))
-        unnorm = w * np.exp(-alpha * c_norm * agreement)
-    else:  # pragma: no cover - guarded by _check_algorithm
-        raise AssertionError(algorithm)
+            g, scale = multiplier, c_norm
+        norm = float(np.sum(c_norm * w)) if algorithm == "AC3" else 1.0
+        r, degenerate = _clamped_symmetric(float(np.sum(g * w * agreement)) / norm)
+        alpha = 0.5 * np.log((1.0 + r) / (1.0 - r))
+    else:
+        # alpha from the weighted error (cost-weighted for AC2)
+        if algorithm == "AC2":
+            factor_w = c_norm * w
+            err = float(np.sum(factor_w[wrong])) / float(np.sum(factor_w))
+        else:
+            err = float(np.sum(w[wrong]))
+        alpha, degenerate = _clamped_alpha_from_error(err)
+        if algorithm in ("CB0", "CB1", "CB2"):
+            factor_w = np.where(wrong, c, 1.0) * w
+    step = {"CB0": 0.0, "CB1": 1.0}.get(algorithm, alpha)
 
+    unnorm = factor_w * np.exp(-step * scale * agreement)
     z = float(unnorm.sum())
     return RoundResult(stump, float(alpha), unnorm / z, z, degenerate)
 
@@ -431,9 +430,7 @@ def adjust_threshold(scores, labels, costs: CostPair, prior_pos: float = 0.5) ->
     fn = pos_cum[below]
     fp = n_neg - neg_cum[below]
 
-    from .metrics import pcf as _pcf
-
-    p = _pcf(costs, prior_pos)
+    p = pcf(costs, prior_pos)
     necs = (fn / n_pos) * p + (fp / n_neg) * (1.0 - p)
     ties = np.flatnonzero(necs == necs.min())
     tied = candidates[ties]

@@ -14,6 +14,7 @@ convergence).
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .datasets import gen_bayes, gen_two_clouds
@@ -23,8 +24,6 @@ from .harness import REPORT_KINDS, ExperimentConfig, RunStore, emit_report, run_
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, seed=args.seed)
     store = run_experiment(config, jobs=args.jobs)
     out = store.save(args.out)

@@ -19,7 +19,7 @@ import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,9 @@ from .datasets import (
 from .metrics import (
     ConfusionRates,
     ResultRecord,
+    conditional_moments,
     confusion_rates,
+    delta_table,
     nec,
 )
 
@@ -154,30 +156,33 @@ class ExperimentConfig:
         pairs = [CostPair(*cost) for cost in self.costs]
         if len(set(pairs)) != len(pairs):
             raise ValueError("cost pairs must be unique")
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
+        # type(), not isinstance(): JSON true/false would pass as int 1/0
+        if type(self.folds) is not int or self.folds < 2:
+            raise ValueError("folds must be an integer >= 2")
+        if type(self.seed) is not int:
+            raise ValueError("seed must be an integer")
         if self.rounds != "dataset-size" and (type(self.rounds) is not int or self.rounds < 1):
             raise ValueError("rounds must be 'dataset-size' or a positive integer")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        datasets = tuple(DatasetSpec(**spec) for spec in raw["datasets"])
-        convergence = raw.get("convergence", {})
-        enabled = tuple(sorted(convergence.get("enabled_per_algorithm", {}).items()))
-        return cls(
-            datasets=datasets,
-            algorithms=tuple(raw.get("algorithms", ALGORITHM_IDS)),
-            costs=tuple((c[0], c[1]) for c in raw.get("costs", DEFAULT_COST_GRID)),
-            folds=int(raw.get("folds", 3)),
-            rounds=raw.get("rounds", "dataset-size"),
-            seed=int(raw.get("seed", 0)),
-            convergence=ConvergenceSettings(
-                tol=float(convergence.get("tol", 1e-3)),
-                tail_fraction=float(convergence.get("tail_fraction", 0.1)),
-                statistic=convergence.get("statistic", "max-abs"),
-                enabled_per_algorithm=enabled,
-            ),
-        )
+        """Build a config from its JSON form; absent keys take the field defaults."""
+        args = dict(_known_keys(raw, cls, "config"))
+        args["datasets"] = tuple(DatasetSpec(**_known_keys(spec, DatasetSpec, "dataset"))
+                                 for spec in raw["datasets"])
+        if "algorithms" in args:
+            args["algorithms"] = tuple(args["algorithms"])
+        if "costs" in args:
+            args["costs"] = tuple((c[0], c[1]) for c in args["costs"])
+        convergence = dict(_known_keys(args.get("convergence", {}), ConvergenceSettings,
+                                       "convergence"))
+        for name in ("tol", "tail_fraction"):
+            if name in convergence:
+                convergence[name] = float(convergence[name])
+        convergence["enabled_per_algorithm"] = tuple(
+            sorted(convergence.get("enabled_per_algorithm", {}).items()))
+        args["convergence"] = ConvergenceSettings(**convergence)
+        return cls(**args)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -202,6 +207,14 @@ class ExperimentConfig:
                 "enabled_per_algorithm": dict(self.convergence.enabled_per_algorithm),
             },
         }
+
+
+def _known_keys(raw: dict, cls, section: str) -> dict:
+    """``raw`` itself, after checking that every key names a field of ``cls``."""
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {section} key(s): {', '.join(map(repr, unknown))}")
+    return raw
 
 
 @dataclass
@@ -356,8 +369,7 @@ def _fold_order(fold: str) -> tuple:
 
 
 def _record_sort_key(rec: ResultRecord) -> tuple:
-    return (rec.dataset, rec.algorithm, rec.cost.c_pos, rec.cost.c_neg,
-            _fold_order(rec.fold))
+    return (rec.dataset, rec.algorithm, rec.cost, _fold_order(rec.fold))
 
 
 def detect_convergence(nec_trace, tol: float = 1e-3, tail_fraction: float = 0.1,
@@ -576,7 +588,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunStore:
             grouped.setdefault(
                 (record.dataset, record.algorithm, record.cost), []
             ).append(record)
-    for key in sorted(grouped, key=lambda k: (k[0], k[1], k[2].c_pos, k[2].c_neg)):
+    for key in sorted(grouped):
         store.records.append(_average_record(grouped[key]))
 
     store.records.sort(key=_record_sort_key)
@@ -592,8 +604,6 @@ def _delta_inputs(store: RunStore, attribute: str):
     Reference rows ("BAY") are excluded: the deltas rank the trained
     classifiers against each other.
     """
-    from .metrics import delta_table
-
     scenario = {}
     for rec in store.records:
         if rec.fold != AVG_FOLD or rec.algorithm == BAYES_REFERENCE:
@@ -609,8 +619,6 @@ def _delta_inputs(store: RunStore, attribute: str):
 
 def emit_report(store: RunStore, kind: str, out_dir) -> list:
     """Write one report family as CSV data files; returns the paths."""
-    from .metrics import conditional_moments
-
     if not store.records:
         raise ValueError("store has no records")
     if kind not in REPORT_KINDS:
@@ -648,10 +656,7 @@ def emit_report(store: RunStore, kind: str, out_dir) -> list:
                 rows = [
                     (alg, _trim(cost.c_pos), _trim(cost.c_neg),
                      stats["mean"], stats["variance"])
-                    for (alg, cost), stats in sorted(
-                        by_alg_cost.items(),
-                        key=lambda item: (item[0][0], item[0][1].c_pos, item[0][1].c_neg),
-                    )
+                    for (alg, cost), stats in sorted(by_alg_cost.items())
                 ]
                 paths.append(
                     _write_csv(out / f"delta_{label}_by_cost.csv",
@@ -698,10 +703,7 @@ def emit_report(store: RunStore, kind: str, out_dir) -> list:
                             "%s,%r,%s\n", rows))
     rows = [
         (alg, _trim(cost.c_pos), _trim(cost.c_neg), float(np.mean(vals)))
-        for (alg, cost), vals in sorted(
-            per_alg_cost.items(),
-            key=lambda item: (item[0][0], item[0][1].c_pos, item[0][1].c_neg),
-        )
+        for (alg, cost), vals in sorted(per_alg_cost.items())
     ]
     paths.append(
         _write_csv(out / "timing_by_cost.csv", "algorithm,c_pos,c_neg,mean_seconds",

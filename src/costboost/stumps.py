@@ -123,11 +123,11 @@ def _cut_tables(features, labels, mass):
     return xs, pos_below, neg_below, total_pos, total_neg, valid
 
 
-def _cut_threshold(xs, b, f) -> float:
-    """Threshold realizing cut position b of feature f."""
-    if b == 0:
-        return float(xs[0, f] - 1.0)
-    return float((xs[b - 1, f] + xs[b, f]) / 2.0)
+def _cut_stump(xs, b, f, polarity) -> Stump:
+    """Stump of the given polarity at cut position b of feature f."""
+    b, f = int(b), int(f)
+    threshold = xs[0, f] - 1.0 if b == 0 else (xs[b - 1, f] + xs[b, f]) / 2.0
+    return Stump(feature_index=f, threshold=float(threshold), polarity=polarity)
 
 
 def train_stump(features, labels, weights, per_sample_multiplier=None) -> Stump:
@@ -157,11 +157,7 @@ def train_stump(features, labels, weights, per_sample_multiplier=None) -> Stump:
     # minima realizes the tie-break (error, feature, threshold, +1 first)
     by_feature = np.moveaxis(errs, 1, 0)
     f, b, pol = np.argwhere(by_feature == by_feature.min())[0]
-    return Stump(
-        feature_index=int(f),
-        threshold=_cut_threshold(xs, int(b), int(f)),
-        polarity=1 if pol == 0 else -1,
-    )
+    return _cut_stump(xs, b, f, 1 if pol == 0 else -1)
 
 
 def stump_predict(stump: Stump, features_row) -> int:

@@ -1,3 +1,5 @@
+from hashlib import sha256
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from costboost.boosting import (
     solve_csa_alpha,
     train_ensemble,
 )
-from costboost.datasets import gen_bayes
+from costboost.datasets import gen_bayes, gen_two_clouds
 from costboost.metrics import pcf
 from costboost.stumps import ClassMasses, Stump, predict_matrix, stump_predict
 
@@ -106,6 +108,29 @@ class TestBoostRound:
             assert result.z > 0
             assert np.all(weights >= 0)
             assert abs(weights.sum() - 1.0) < 1e-9
+
+    def test_unclamped_rounds_match_golden(self):
+        """Chained rounds of all twelve variants, pinned byte for byte.
+
+        No single stump separates the two clouds, so no round clamps and
+        every alpha, z and weight is a value of the unclamped update.
+        """
+        data = gen_two_clouds(10, 10, seed=0)
+        digest = sha256()
+        for costs in (CostPair(1, 5), CostPair(10, 1), UNIT):
+            for algorithm in ALGORITHM_IDS:
+                weights = init_weights(algorithm, data.labels, costs)
+                for t in range(1, 6):
+                    state = RoundState(weights=weights, round_index=t, total_rounds=5)
+                    result = boost_round(algorithm, state, data.features, data.labels, costs)
+                    assert not result.degenerate, (algorithm, costs, t)
+                    digest.update(repr((result.stump, repr(result.alpha), repr(result.z),
+                                        result.degenerate)).encode())
+                    digest.update(result.weights.tobytes())
+                    weights = result.weights
+        assert digest.hexdigest() == (
+            "21664d6d729670d0d84f7ef4b251f57af3c8dda63810ceb9bd6c0f0ee83a125d"
+        )
 
 
 class TestSolveCsaAlpha:
@@ -301,6 +326,18 @@ class TestTrainEnsemble:
         second, _ = train_ensemble("CSA", features, labels, CostPair(2, 3), rounds=6)
         assert first.stumps == second.stumps
         assert first.alphas == second.alphas
+
+    @pytest.mark.parametrize("defect", ["nan_feature", "labels_0_1", "labels_2_minus1"])
+    def test_csa_rejects_invalid_training_inputs(self, defect):
+        features, labels = fixed_instance(8, 2, seed=6)
+        if defect == "nan_feature":
+            features[3, 1] = np.nan
+        elif defect == "labels_0_1":
+            labels = np.where(labels > 0, 1, 0)
+        else:
+            labels = np.where(labels > 0, 2, -1)
+        with pytest.raises(ValueError):
+            train_ensemble("CSA", features, labels, CostPair(1, 3), rounds=2)
 
     def test_rejects_zero_rounds(self):
         features, labels = fixed_instance(6, 1, seed=0)

@@ -141,6 +141,30 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="name"):
             DatasetSpec(kind="csv", path="data/a,b.csv")
 
+    def test_from_dict_rejects_unknown_top_level_keys(self):
+        for key in ("fold", "seeed"):
+            raw = dict(tiny_config().to_dict(), **{key: 5})
+            with pytest.raises(ValueError, match=key):
+                ExperimentConfig.from_dict(raw)
+
+    def test_from_dict_rejects_unknown_dataset_keys(self):
+        raw = tiny_config().to_dict()
+        raw["datasets"][0]["n_posit"] = 12
+        with pytest.raises(ValueError, match="n_posit"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_from_dict_rejects_unknown_convergence_keys(self):
+        raw = tiny_config().to_dict()
+        raw["convergence"] = {"tolerance": 0.5}
+        with pytest.raises(ValueError, match="tolerance"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_rejects_non_integer_folds_and_seed(self):
+        for key, value in (("folds", 2.7), ("folds", True), ("seed", 3.5), ("seed", True)):
+            raw = dict(tiny_config().to_dict(), **{key: value})
+            with pytest.raises(ValueError, match=key):
+                ExperimentConfig.from_dict(raw)
+
     def test_convergence_validation(self):
         with pytest.raises(ValueError):
             ConvergenceSettings(tol=0.0)
