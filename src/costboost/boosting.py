@@ -55,8 +55,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import confusion_rates, classification_asymmetry, nec, pcf
-from .stumps import (ClassMasses, Stump, _check_training_inputs, _cut_stump, _cut_tables,
-                     check_weights, predict_matrix, train_stump)
+from .stumps import (ClassMasses, Stump, _candidates, _cut_stump, check_weights,
+                     predict_matrix, train_stump)
 
 __all__ = [
     "ALGORITHM_IDS",
@@ -292,29 +292,14 @@ def solve_csa_alpha(masses: ClassMasses, costs: CostPair) -> float:
 def _csa_select(features, labels, weights, costs: CostPair):
     """Joint stump/alpha selection minimizing the per-round loss.
 
-    For every candidate cut the class masses of polarity +1 are built
-    from cumulative sums; the polarity -1 twin shares the optimal loss
-    with the vote weight negated, so each pair is solved once. All
-    features' candidates are solved in one flat batch. Ties break on
-    (loss, plain weighted error, feature, threshold, polarity +1) -- the
-    flat arrays are laid out in (feature, threshold) order, so the first
-    index among tied candidates realizes that hierarchy.
+    The candidates are the cuts of ``train_stump``, with the class masses
+    of polarity +1; the polarity -1 twin shares the optimal loss with the
+    vote weight negated, so each pair is solved once, all in one flat
+    batch. Ties break on (loss, plain weighted error, feature, threshold,
+    polarity +1) -- the candidates come in (feature, threshold) order, so
+    the first index among tied candidates realizes that hierarchy.
     """
-    features, labels, weights, _ = _check_training_inputs(features, labels, weights, None)
-    n_samples, n_features = features.shape
-    xs, pos_below, neg_below, total_pos, total_neg, valid = _cut_tables(
-        features, labels, weights
-    )
-    # flatten feature-major so flat index order is (feature, threshold)
-    keep = np.flatnonzero(valid.T.ravel())
-    cut_ids, feat_ids = keep % n_samples, keep // n_samples
-    # polarity +1: positives at or below the cut are wrong, negatives
-    # above it are wrong
-    d_p = pos_below.T.ravel()[keep]
-    b_p = total_pos[feat_ids] - d_p
-    b_n = neg_below.T.ravel()[keep]
-    d_n = total_neg[feat_ids] - b_n
-
+    xs, cut, feature, b_p, d_p, b_n, d_n = _candidates(features, labels, weights)
     fb_p, fd_p, fb_n, fd_n = _floor_mass_groups(b_p, d_p, b_n, d_n)
     alphas = _csa_alpha_arrays(fb_p, fd_p, fb_n, fd_n, costs)
     losses = csa_loss(alphas, ClassMasses(fb_p, fd_p, fb_n, fd_n), costs)
@@ -326,7 +311,7 @@ def _csa_select(features, labels, weights, costs: CostPair):
     j = candidates[np.flatnonzero(pair_err == pair_err.min())[0]]
     polarity = 1 if err_plus[j] <= err_minus[j] else -1
     alpha = float(alphas[j]) if polarity == 1 else -float(alphas[j])
-    return _cut_stump(xs, cut_ids[j], feat_ids[j], polarity), alpha
+    return _cut_stump(xs, cut[j], feature[j], polarity), alpha
 
 
 def boost_round(algorithm, state: RoundState, features, labels, costs: CostPair) -> RoundResult:

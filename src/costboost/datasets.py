@@ -43,6 +43,14 @@ __all__ = [
 DEFAULT_ANGLES = tuple(j * math.pi / 31 for j in range(31))
 
 
+def _check_angles(angles):
+    angles = np.asarray(angles, dtype=float)
+    if angles.size == 0 or np.any(np.diff(angles) <= 0):
+        raise ValueError("angles must be strictly increasing")
+    if angles[0] < 0 or angles[-1] >= math.pi:
+        raise ValueError("angles must lie in [0, pi)")
+
+
 @dataclass(frozen=True)
 class GaussParams:
     """Two bivariate normals sharing one covariance matrix, plus the
@@ -59,11 +67,7 @@ class GaussParams:
             raise ValueError("covariance must be a symmetric 2x2 matrix")
         if np.linalg.eigvalsh(cov).min() <= 0:
             raise ValueError("covariance must be positive definite")
-        angles = np.asarray(self.angles, dtype=float)
-        if angles.size == 0 or np.any(np.diff(angles) <= 0):
-            raise ValueError("angles must be strictly increasing")
-        if angles[0] < 0 or angles[-1] >= math.pi:
-            raise ValueError("angles must lie in [0, pi)")
+        _check_angles(self.angles)
 
     def cov_matrix(self) -> np.ndarray:
         return np.asarray(self.covariance, dtype=float)
@@ -90,11 +94,7 @@ class CloudGeometry:
             raise ValueError("disc radius must be positive")
         if self.annulus_inner < 0 or self.annulus_inner >= self.annulus_outer:
             raise ValueError("annulus radii must satisfy 0 <= inner < outer")
-        angles = np.asarray(self.angles, dtype=float)
-        if angles.size == 0 or np.any(np.diff(angles) <= 0):
-            raise ValueError("angles must be strictly increasing")
-        if angles[0] < 0 or angles[-1] >= math.pi:
-            raise ValueError("angles must lie in [0, pi)")
+        _check_angles(self.angles)
 
 
 DEFAULT_CLOUDS = CloudGeometry()
@@ -168,8 +168,19 @@ def _project(coords, angles) -> np.ndarray:
     return coords @ basis
 
 
-def _angle_names(angles):
-    return [f"proj_{i:02d}" for i in range(len(angles))]
+def _projected_dataset(pos, neg, angles, name, gauss=None) -> Dataset:
+    """Dataset of the points ``pos`` (label +1) then ``neg`` (label -1),
+    projected onto the angle fan."""
+    coords = np.vstack((pos, neg))
+    labels = np.concatenate((np.ones(len(pos), int), -np.ones(len(neg), int)))
+    return Dataset(
+        features=_project(coords, angles),
+        labels=labels,
+        name=name,
+        feature_names=[f"proj_{i:02d}" for i in range(len(angles))],
+        coords=coords,
+        gauss=gauss,
+    )
 
 
 def gen_bayes(n_pos, n_neg, params: GaussParams = DEFAULT_GAUSS, seed: int = 0,
@@ -181,16 +192,7 @@ def gen_bayes(n_pos, n_neg, params: GaussParams = DEFAULT_GAUSS, seed: int = 0,
     chol = np.linalg.cholesky(params.cov_matrix())
     pos = np.asarray(params.mean_pos, float) + _standard_normal_pairs(rng, n_pos) @ chol.T
     neg = np.asarray(params.mean_neg, float) + _standard_normal_pairs(rng, n_neg) @ chol.T
-    coords = np.vstack((pos, neg))
-    labels = np.concatenate((np.ones(n_pos, int), -np.ones(n_neg, int)))
-    return Dataset(
-        features=_project(coords, params.angles),
-        labels=labels,
-        name=name,
-        feature_names=_angle_names(params.angles),
-        coords=coords,
-        gauss=params,
-    )
+    return _projected_dataset(pos, neg, params.angles, name, gauss=params)
 
 
 def _uniform_disc(rng, n, center, radius) -> np.ndarray:
@@ -214,15 +216,7 @@ def gen_two_clouds(n_pos, n_neg, geometry: CloudGeometry = DEFAULT_CLOUDS, seed:
     pos = _uniform_disc(rng, n_pos, geometry.disc_center, geometry.disc_radius)
     neg = _uniform_annulus(rng, n_neg, geometry.annulus_center,
                            geometry.annulus_inner, geometry.annulus_outer)
-    coords = np.vstack((pos, neg))
-    labels = np.concatenate((np.ones(n_pos, int), -np.ones(n_neg, int)))
-    return Dataset(
-        features=_project(coords, geometry.angles),
-        labels=labels,
-        name=name,
-        feature_names=_angle_names(geometry.angles),
-        coords=coords,
-    )
+    return _projected_dataset(pos, neg, geometry.angles, name)
 
 
 def _phi(z: float) -> float:

@@ -90,11 +90,13 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in ("bayes", "twoclouds", "csv"):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
+        # type(), not isinstance(): JSON true/false would pass as int 1/0
+        if type(self.n_pos) is not int or type(self.n_neg) is not int:
+            raise ValueError("class counts n_pos and n_neg must be integers")
         if self.kind in ("bayes", "twoclouds") and (self.n_pos <= 0 or self.n_neg <= 0):
             raise ValueError("generator specs need positive class counts")
         if self.kind == "csv" and not self.path:
             raise ValueError("csv specs need a path")
-        # type(), not isinstance(): JSON true/false would pass as int 1/0
         if type(self.rounds) is not int or self.rounds < 0:
             raise ValueError("per-dataset rounds must be a nonnegative integer")
         # the name is a CSV field and part of every trace file name
@@ -173,7 +175,10 @@ class ExperimentConfig:
         if "algorithms" in args:
             args["algorithms"] = tuple(args["algorithms"])
         if "costs" in args:
-            args["costs"] = tuple((c[0], c[1]) for c in args["costs"])
+            for cost in args["costs"]:
+                if not isinstance(cost, (list, tuple)) or len(cost) != 2:
+                    raise ValueError(f"cost entry {cost!r} must be two numbers [c_pos, c_neg]")
+            args["costs"] = tuple(tuple(cost) for cost in args["costs"])
         convergence = dict(_known_keys(args.get("convergence", {}), ConvergenceSettings,
                                        "convergence"))
         for name in ("tol", "tail_fraction"):

@@ -8,6 +8,10 @@ consecutive distinct sorted values plus one threshold below the minimum
 
 Ties are broken deterministically: lowest weighted error, then lowest
 feature index, then lowest threshold, then polarity +1.
+
+``_candidates`` builds the one candidate table both stump selectors
+scan: ``train_stump`` here, and CSA's joint stump/alpha selection in
+``boosting``.
 """
 
 from dataclasses import dataclass
@@ -94,39 +98,47 @@ def candidate_thresholds(values) -> np.ndarray:
     return np.concatenate(([distinct[0] - 1.0], mids))
 
 
-def _cut_tables(features, labels, mass):
-    """Per-feature cumulative class masses at every cut position.
+def _candidates(features, labels, weights, multiplier=None):
+    """Every valid (feature, cut) candidate with its polarity +1 class masses.
 
-    Cut position b of a column splits its sorted values between index
-    b-1 and b (b = 0 is the cut below the minimum). Returns the sorted
-    value matrix ``xs`` and, per (position, feature): the positive and
-    negative mass at or below the cut, the per-feature class totals, and
-    the validity mask (a cut between equal values is not a candidate).
-    All arrays have shape (n_samples, n_features) except the totals.
+    Validates the inputs and sorts each column once (stable). Cut b of a
+    column splits its sorted values between index b-1 and b (b = 0 lies
+    below the minimum); a cut between equal values is not a candidate.
+    The selection mass is ``weights`` times ``multiplier`` (1 when
+    omitted). Returns the sorted values ``xs`` (one row per feature) and,
+    per valid cut in (feature, threshold) order, its position, its
+    feature and the masses b_p, d_p, b_n, d_n of its polarity +1 stump,
+    which errs on the positives at or below the cut and the negatives
+    above it; polarity -1 swaps b and d.
     """
-    order = np.argsort(features, axis=0, kind="stable")
-    xs = np.take_along_axis(features, order, axis=0)
-    ms = mass[order]
-    ys = labels[order]
-
-    pos_cum = np.cumsum(np.where(ys > 0, ms, 0.0), axis=0)
-    neg_cum = np.cumsum(np.where(ys < 0, ms, 0.0), axis=0)
-    total_pos = pos_cum[-1]
-    total_neg = neg_cum[-1]
-    zeros = np.zeros((1, features.shape[1]))
-    pos_below = np.concatenate((zeros, pos_cum[:-1]), axis=0)
-    neg_below = np.concatenate((zeros, neg_cum[:-1]), axis=0)
-
-    valid = np.concatenate(
-        (np.ones((1, features.shape[1]), dtype=bool), xs[1:] > xs[:-1]), axis=0
+    features, labels, weights, multiplier = _check_training_inputs(
+        features, labels, weights, multiplier
     )
-    return xs, pos_below, neg_below, total_pos, total_neg, valid
+    mass = weights if multiplier is None else weights * multiplier
+    order = np.argsort(features.T, axis=1, kind="stable")
+    xs = np.take_along_axis(features.T, order, axis=1)
+
+    # column b holds the class mass below cut b; the last column the total
+    n_features, n_samples = xs.shape
+    pos_below = np.zeros((n_features, n_samples + 1))
+    neg_below = np.zeros((n_features, n_samples + 1))
+    np.cumsum(np.where(labels > 0, mass, 0.0)[order], axis=1, out=pos_below[:, 1:])
+    np.cumsum(np.where(labels < 0, mass, 0.0)[order], axis=1, out=neg_below[:, 1:])
+
+    valid = np.ones((n_features, n_samples), dtype=bool)
+    np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, 1:])
+    feature, cut = np.nonzero(valid)
+    d_p = pos_below[:, :-1][valid]
+    b_n = neg_below[:, :-1][valid]
+    b_p = pos_below[:, -1][feature] - d_p
+    d_n = neg_below[:, -1][feature] - b_n
+    return xs, cut, feature, b_p, d_p, b_n, d_n
 
 
 def _cut_stump(xs, b, f, polarity) -> Stump:
     """Stump of the given polarity at cut position b of feature f."""
     b, f = int(b), int(f)
-    threshold = xs[0, f] - 1.0 if b == 0 else (xs[b - 1, f] + xs[b, f]) / 2.0
+    threshold = xs[f, 0] - 1.0 if b == 0 else (xs[f, b - 1] + xs[f, b]) / 2.0
     return Stump(feature_index=f, threshold=float(threshold), polarity=polarity)
 
 
@@ -135,29 +147,17 @@ def train_stump(features, labels, weights, per_sample_multiplier=None) -> Stump:
 
     The objective is sum_i m_i * w_i * [h(x_i) != y_i] with m_i given by
     ``per_sample_multiplier`` (1 when omitted). The scan is one
-    vectorized pass over all (cut, feature, polarity) candidates built
+    vectorized pass over all (feature, cut, polarity) candidates built
     from per-feature cumulative sums; deterministic for fixed inputs.
     """
-    features, labels, weights, multiplier = _check_training_inputs(
+    xs, cut, feature, b_p, d_p, b_n, d_n = _candidates(
         features, labels, weights, per_sample_multiplier
     )
-    mass = weights if multiplier is None else weights * multiplier
-
-    xs, pos_below, neg_below, total_pos, total_neg, valid = _cut_tables(
-        features, labels, mass
-    )
-    # polarity +1 misclassifies positives at or below the cut and
-    # negatives above it; polarity -1 misclassifies the complement
-    err_plus = pos_below + (total_neg - neg_below)
-    err_minus = neg_below + (total_pos - pos_below)
-    errs = np.stack((err_plus, err_minus), axis=2)
-    errs[~valid] = np.inf
-
-    # axis order (feature, cut, polarity): the first row-major hit among
-    # minima realizes the tie-break (error, feature, threshold, +1 first)
-    by_feature = np.moveaxis(errs, 1, 0)
-    f, b, pol = np.argwhere(by_feature == by_feature.min())[0]
-    return _cut_stump(xs, b, f, 1 if pol == 0 else -1)
+    # flat order (feature, threshold, polarity +1 first): the first
+    # minimum realizes the tie-break
+    errs = np.stack((d_p + d_n, b_n + b_p), axis=1)
+    j, minus = divmod(int(np.argmin(errs)), 2)
+    return _cut_stump(xs, cut[j], feature[j], -1 if minus else 1)
 
 
 def stump_predict(stump: Stump, features_row) -> int:

@@ -1,4 +1,5 @@
 import json
+import re
 from hashlib import sha256
 
 import numpy as np
@@ -163,6 +164,19 @@ class TestExperimentConfig:
         for key, value in (("folds", 2.7), ("folds", True), ("seed", 3.5), ("seed", True)):
             raw = dict(tiny_config().to_dict(), **{key: value})
             with pytest.raises(ValueError, match=key):
+                ExperimentConfig.from_dict(raw)
+
+    def test_from_dict_rejects_non_integer_class_counts(self):
+        for value in (6.5, True, "6"):
+            raw = tiny_config().to_dict()
+            raw["datasets"][0]["n_pos"] = value
+            with pytest.raises(ValueError, match="n_pos"):
+                ExperimentConfig.from_dict(raw)
+
+    def test_from_dict_rejects_cost_entries_that_are_not_pairs(self):
+        for entry in ([1, 5, 9], [1], 5):
+            raw = dict(tiny_config().to_dict(), costs=[[1, 1], entry])
+            with pytest.raises(ValueError, match=re.escape(repr(entry))):
                 ExperimentConfig.from_dict(raw)
 
     def test_convergence_validation(self):

@@ -114,8 +114,9 @@ class TestTrainStump:
         n_features=st.integers(min_value=1, max_value=4),
         seed=st.integers(min_value=0, max_value=10_000),
         quantized=st.booleans(),
+        dyadic=st.booleans(),
     )
-    def test_never_beaten_by_any_candidate(self, n, n_features, seed, quantized):
+    def test_never_beaten_by_any_candidate(self, n, n_features, seed, quantized, dyadic):
         rng = np.random.default_rng(seed)
         if quantized:
             # few distinct values force threshold and polarity ties
@@ -123,13 +124,23 @@ class TestTrainStump:
         else:
             features = rng.normal(size=(n, n_features))
         labels = rng.choice([-1, 1], size=n)
-        weights = rng.uniform(0.1, 1.0, size=n)
-        weights /= weights.sum()
+        if dyadic:
+            # multiples of 1/64 sum exactly in any order, so equal errors
+            # are real ties and the tie-break itself is checked
+            weights = rng.integers(0, 4, size=n) / 64.0
+        else:
+            weights = rng.uniform(0.1, 1.0, size=n)
+            weights /= weights.sum()
 
         stump = train_stump(features, labels, weights)
         achieved = oracle_error(features, labels, weights, stump)
-        for err, *_ in brute_force_candidates(features, labels, weights):
+        candidates = brute_force_candidates(features, labels, weights)
+        for err, *_ in candidates:
             assert achieved <= err
+        if dyadic:
+            # min() keeps the first of equal errors: (feature, threshold, +1 first)
+            _, f, threshold, polarity = min(candidates, key=lambda c: c[0])
+            assert stump == Stump(feature_index=f, threshold=threshold, polarity=polarity)
 
 
 class TestStumpPredict:
