@@ -55,8 +55,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import confusion_rates, classification_asymmetry, nec, pcf
-from .stumps import (ClassMasses, Stump, _candidates, _cut_stump, check_weights,
-                     predict_matrix, train_stump)
+from .stumps import (ClassMasses, SortedColumns, Stump, _candidates, _cut_stump,
+                     check_weights, predict_matrix, sort_columns, train_stump)
 
 __all__ = [
     "ALGORITHM_IDS",
@@ -289,7 +289,8 @@ def solve_csa_alpha(masses: ClassMasses, costs: CostPair) -> float:
     return float(_csa_alpha_arrays(b_p, d_p, b_n, d_n, costs)[0])
 
 
-def _csa_select(features, labels, weights, costs: CostPair):
+def _csa_select(features, labels, weights, costs: CostPair, *,
+                columns: SortedColumns | None = None):
     """Joint stump/alpha selection minimizing the per-round loss.
 
     The candidates are the cuts of ``train_stump``, with the class masses
@@ -298,8 +299,12 @@ def _csa_select(features, labels, weights, costs: CostPair):
     batch. Ties break on (loss, plain weighted error, feature, threshold,
     polarity +1) -- the candidates come in (feature, threshold) order, so
     the first index among tied candidates realizes that hierarchy.
+    ``columns`` is ``sort_columns(features, labels)``, built here when
+    omitted.
     """
-    xs, cut, feature, b_p, d_p, b_n, d_n = _candidates(features, labels, weights)
+    if columns is None:
+        columns = sort_columns(features, labels)
+    b_p, d_p, b_n, d_n = _candidates(columns, weights)
     fb_p, fd_p, fb_n, fd_n = _floor_mass_groups(b_p, d_p, b_n, d_n)
     alphas = _csa_alpha_arrays(fb_p, fd_p, fb_n, fd_n, costs)
     losses = csa_loss(alphas, ClassMasses(fb_p, fd_p, fb_n, fd_n), costs)
@@ -311,19 +316,23 @@ def _csa_select(features, labels, weights, costs: CostPair):
     j = candidates[np.flatnonzero(pair_err == pair_err.min())[0]]
     polarity = 1 if err_plus[j] <= err_minus[j] else -1
     alpha = float(alphas[j]) if polarity == 1 else -float(alphas[j])
-    return _cut_stump(xs, cut[j], feature[j], polarity), alpha
+    return _cut_stump(columns, j, polarity), alpha
 
 
-def boost_round(algorithm, state: RoundState, features, labels, costs: CostPair) -> RoundResult:
+def boost_round(algorithm, state: RoundState, features, labels, costs: CostPair, *,
+                columns: SortedColumns | None = None) -> RoundResult:
     """One boosting round of the requested algorithm.
 
     Takes normalized weights, returns the selected stump, its vote weight
     alpha, the renormalized weights and the pre-normalization sum z. The
     degenerate flag marks rounds whose error term hit the clamp. Every
     variant shares the update factor * w * exp(-step * scale * y * h);
-    see the module docstring for what each one supplies.
+    see the module docstring for what each one supplies. ``columns`` is
+    ``sort_columns(features, labels)``, built here when omitted.
     """
     _check_algorithm(algorithm)
+    if columns is None:
+        columns = sort_columns(features, labels)
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels).astype(int)
     w = check_weights(state.weights)
@@ -339,7 +348,7 @@ def boost_round(algorithm, state: RoundState, features, labels, costs: CostPair)
         w = scaled / scaled.sum()
 
     if algorithm == "CSA":
-        stump, alpha = _csa_select(features, labels, w, costs)
+        stump, alpha = _csa_select(features, labels, w, costs, columns=columns)
     else:
         # the AdaC family defines its per-sample costs inside [0, 1]; rescaling
         # by the larger cost keeps the correlation statistics below 1 in
@@ -347,7 +356,8 @@ def boost_round(algorithm, state: RoundState, features, labels, costs: CostPair)
         c_norm = c / max(costs.c_pos, costs.c_neg)
         multiplier = (c_norm * c_norm if algorithm == "AC3"
                       else c_norm if algorithm in ("AC1", "AC2") else None)
-        stump = train_stump(features, labels, w, per_sample_multiplier=multiplier)
+        stump = train_stump(features, labels, w, per_sample_multiplier=multiplier,
+                            columns=columns)
     pred = predict_matrix(stump, features)
     wrong = pred != labels
     agreement = labels * pred  # +1 correct, -1 wrong
@@ -428,11 +438,12 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int):
 
     Deterministic given the inputs. The trace stores per-round alpha,
     normalizer, training NEC and training classification asymmetry (NaN
-    when undefined).
+    when undefined). The columns are sorted once, for every round.
     """
     _check_algorithm(algorithm)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    columns = sort_columns(features, labels)
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels).astype(int)
 
@@ -450,6 +461,7 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int):
             features,
             labels,
             costs,
+            columns=columns,
         )
         weights = result.weights
         stumps.append(result.stump)

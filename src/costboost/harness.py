@@ -502,6 +502,8 @@ def _run_batch(payload):
                 record, trace_rows = _run_cell(
                     algorithm, data, fold_of, fold, cost, rounds, convergence
                 )
+            except (TypeError, AttributeError, NameError):
+                raise  # a programming error, not a failed cell
             except Exception as exc:  # cell failures must not kill the sweep
                 failures.append(
                     CellFailure(data.name, algorithm, cost, str(fold), repr(exc))

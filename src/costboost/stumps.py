@@ -9,9 +9,11 @@ consecutive distinct sorted values plus one threshold below the minimum
 Ties are broken deterministically: lowest weighted error, then lowest
 feature index, then lowest threshold, then polarity +1.
 
-``_candidates`` builds the one candidate table both stump selectors
-scan: ``train_stump`` here, and CSA's joint stump/alpha selection in
-``boosting``.
+The columns are sorted once per ensemble: ``sort_columns`` validates a
+training set and builds its ``SortedColumns`` block, and every round's
+``_candidates`` scans that block with the round's weights, giving the
+one candidate table both stump selectors read: ``train_stump`` here,
+and CSA's joint stump/alpha selection in ``boosting``.
 """
 
 from dataclasses import dataclass
@@ -21,6 +23,8 @@ import numpy as np
 __all__ = [
     "Stump",
     "ClassMasses",
+    "SortedColumns",
+    "sort_columns",
     "train_stump",
     "stump_predict",
     "class_masses",
@@ -64,7 +68,7 @@ def check_weights(weights) -> np.ndarray:
     return weights
 
 
-def _check_training_inputs(features, labels, weights, multiplier):
+def _check_features_labels(features, labels):
     features = np.asarray(features, dtype=float)
     if features.ndim != 2 or features.shape[0] == 0 or features.shape[1] == 0:
         raise ValueError("features must be a nonempty 2-D matrix")
@@ -75,16 +79,22 @@ def _check_training_inputs(features, labels, weights, multiplier):
         raise ValueError("labels must have one entry per sample")
     if not np.all(np.isin(labels, (-1, 1))):
         raise ValueError("labels must be -1 or +1")
+    return features, labels
+
+
+def _selection_mass(weights, multiplier, n_samples) -> np.ndarray:
+    """``weights`` times ``multiplier`` (1 when omitted), validated."""
     weights = check_weights(weights)
-    if weights.shape != labels.shape:
+    if weights.shape != (n_samples,):
         raise ValueError("weights must have one entry per sample")
-    if multiplier is not None:
-        multiplier = np.asarray(multiplier, dtype=float)
-        if multiplier.shape != labels.shape:
-            raise ValueError("multiplier must have one entry per sample")
-        if np.any(multiplier < 0) or not np.all(np.isfinite(multiplier)):
-            raise ValueError("multiplier must be nonnegative and finite")
-    return features, labels.astype(int), weights, multiplier
+    if multiplier is None:
+        return weights
+    multiplier = np.asarray(multiplier, dtype=float)
+    if multiplier.shape != (n_samples,):
+        raise ValueError("multiplier must have one entry per sample")
+    if np.any(multiplier < 0) or not np.all(np.isfinite(multiplier)):
+        raise ValueError("multiplier must be nonnegative and finite")
+    return weights * multiplier
 
 
 def candidate_thresholds(values) -> np.ndarray:
@@ -98,66 +108,100 @@ def candidate_thresholds(values) -> np.ndarray:
     return np.concatenate(([distinct[0] - 1.0], mids))
 
 
-def _candidates(features, labels, weights, multiplier=None):
-    """Every valid (feature, cut) candidate with its polarity +1 class masses.
+@dataclass(frozen=True, eq=False)
+class SortedColumns:
+    """Pre-sorted column block of one training set, built by ``sort_columns``.
 
-    Validates the inputs and sorts each column once (stable). Cut b of a
-    column splits its sorted values between index b-1 and b (b = 0 lies
-    below the minimum); a cut between equal values is not a candidate.
-    The selection mass is ``weights`` times ``multiplier`` (1 when
-    omitted). Returns the sorted values ``xs`` (one row per feature) and,
-    per valid cut in (feature, threshold) order, its position, its
-    feature and the masses b_p, d_p, b_n, d_n of its polarity +1 stump,
-    which errs on the positives at or below the cut and the negatives
-    above it; polarity -1 swaps b and d.
+    Row f of ``order`` is the stable sort order of feature column f and
+    row f of ``xs`` its sorted values; ``positive``/``negative`` hold the
+    class of each sorted sample. Cut b of a column splits its sorted
+    values between index b-1 and b (b = 0 lies below the minimum); a cut
+    between equal values is not a candidate. ``below`` holds, for each
+    valid cut in (feature, threshold) order, the flat index f * (n + 1) + b
+    into a (features, samples + 1) table of the class mass below each cut,
+    and ``feature`` its feature. The arrays are read-only.
     """
-    features, labels, weights, multiplier = _check_training_inputs(
-        features, labels, weights, multiplier
-    )
-    mass = weights if multiplier is None else weights * multiplier
+
+    order: np.ndarray
+    xs: np.ndarray
+    positive: np.ndarray
+    negative: np.ndarray
+    below: np.ndarray
+    feature: np.ndarray
+
+    @property
+    def n_samples(self) -> int:
+        return self.xs.shape[1]
+
+
+def sort_columns(features, labels) -> SortedColumns:
+    """Validate a training set and sort each of its columns once."""
+    features, labels = _check_features_labels(features, labels)
     order = np.argsort(features.T, axis=1, kind="stable")
     xs = np.take_along_axis(features.T, order, axis=1)
-
-    # column b holds the class mass below cut b; the last column the total
-    n_features, n_samples = xs.shape
-    pos_below = np.zeros((n_features, n_samples + 1))
-    neg_below = np.zeros((n_features, n_samples + 1))
-    np.cumsum(np.where(labels > 0, mass, 0.0)[order], axis=1, out=pos_below[:, 1:])
-    np.cumsum(np.where(labels < 0, mass, 0.0)[order], axis=1, out=neg_below[:, 1:])
-
-    valid = np.ones((n_features, n_samples), dtype=bool)
+    positive = (labels > 0)[order]
+    valid = np.ones(xs.shape, dtype=bool)
     np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, 1:])
     feature, cut = np.nonzero(valid)
-    d_p = pos_below[:, :-1][valid]
-    b_n = neg_below[:, :-1][valid]
-    b_p = pos_below[:, -1][feature] - d_p
-    d_n = neg_below[:, -1][feature] - b_n
-    return xs, cut, feature, b_p, d_p, b_n, d_n
+    columns = SortedColumns(order, xs, positive, ~positive,
+                            feature * (xs.shape[1] + 1) + cut, feature)
+    for array in vars(columns).values():
+        array.setflags(write=False)
+    return columns
 
 
-def _cut_stump(xs, b, f, polarity) -> Stump:
-    """Stump of the given polarity at cut position b of feature f."""
-    b, f = int(b), int(f)
-    threshold = xs[f, 0] - 1.0 if b == 0 else (xs[f, b - 1] + xs[f, b]) / 2.0
+def _candidates(columns: SortedColumns, weights, multiplier=None):
+    """Polarity +1 class masses of every valid cut of ``columns``.
+
+    The selection mass is ``weights`` times ``multiplier`` (1 when
+    omitted). Returns b_p, d_p, b_n, d_n per valid cut, in (feature,
+    threshold) order: the polarity +1 stump errs on the positives at or
+    below the cut and the negatives above it; polarity -1 swaps b and d.
+    """
+    mass = _selection_mass(weights, multiplier, columns.n_samples)[columns.order]
+    # column b holds the class mass below cut b; the last column the total
+    n_features, n_samples = mass.shape
+    pos_below = np.zeros((n_features, n_samples + 1))
+    neg_below = np.zeros((n_features, n_samples + 1))
+    np.cumsum(np.where(columns.positive, mass, 0.0), axis=1, out=pos_below[:, 1:])
+    np.cumsum(np.where(columns.negative, mass, 0.0), axis=1, out=neg_below[:, 1:])
+    d_p = pos_below.take(columns.below)
+    b_n = neg_below.take(columns.below)
+    b_p = pos_below[:, -1][columns.feature] - d_p
+    d_n = neg_below[:, -1][columns.feature] - b_n
+    return b_p, d_p, b_n, d_n
+
+
+def _cut_stump(columns: SortedColumns, j, polarity) -> Stump:
+    """Stump of the given polarity at valid cut j of ``columns``."""
+    f = int(columns.feature[j])
+    b = int(columns.below[j]) - f * (columns.n_samples + 1)
+    xs = columns.xs[f]
+    threshold = xs[0] - 1.0 if b == 0 else (xs[b - 1] + xs[b]) / 2.0
     return Stump(feature_index=f, threshold=float(threshold), polarity=polarity)
 
 
-def train_stump(features, labels, weights, per_sample_multiplier=None) -> Stump:
+def train_stump(features, labels, weights, per_sample_multiplier=None, *,
+                columns: SortedColumns | None = None) -> Stump:
     """Exhaustively select the stump minimizing the weighted error.
 
     The objective is sum_i m_i * w_i * [h(x_i) != y_i] with m_i given by
     ``per_sample_multiplier`` (1 when omitted). The scan is one
     vectorized pass over all (feature, cut, polarity) candidates built
     from per-feature cumulative sums; deterministic for fixed inputs.
+    ``columns`` is ``sort_columns(features, labels)``, built here when
+    omitted.
     """
-    xs, cut, feature, b_p, d_p, b_n, d_n = _candidates(
-        features, labels, weights, per_sample_multiplier
-    )
+    if columns is None:
+        columns = sort_columns(features, labels)
+    b_p, d_p, b_n, d_n = _candidates(columns, weights, per_sample_multiplier)
     # flat order (feature, threshold, polarity +1 first): the first
     # minimum realizes the tie-break
-    errs = np.stack((d_p + d_n, b_n + b_p), axis=1)
+    errs = np.empty((b_p.size, 2))
+    np.add(d_p, d_n, out=errs[:, 0])
+    np.add(b_n, b_p, out=errs[:, 1])
     j, minus = divmod(int(np.argmin(errs)), 2)
-    return _cut_stump(xs, cut[j], feature[j], -1 if minus else 1)
+    return _cut_stump(columns, j, -1 if minus else 1)
 
 
 def stump_predict(stump: Stump, features_row) -> int:

@@ -18,7 +18,7 @@ from costboost.boosting import (
 )
 from costboost.datasets import gen_bayes, gen_two_clouds
 from costboost.metrics import pcf
-from costboost.stumps import ClassMasses, Stump, predict_matrix, stump_predict
+from costboost.stumps import ClassMasses, Stump, predict_matrix, sort_columns, stump_predict
 
 ERR_FLOOR = 1e-10
 UNIT = CostPair(1, 1)
@@ -95,6 +95,28 @@ class TestBoostRound:
         state = RoundState(weights=np.full(4, 0.25), round_index=1, total_rounds=3)
         with pytest.raises(ValueError):
             boost_round("XYZ", state, features, labels, UNIT)
+
+    @pytest.mark.parametrize("algorithm", ["ADA", "ASB", "AC3", "CSA"])
+    def test_rejects_block_of_another_sample_count(self, algorithm):
+        columns = sort_columns(*fixed_instance(6, 2, seed=1))
+        features, labels = fixed_instance(8, 2, seed=1)
+        state = RoundState(weights=np.full(8, 1 / 8), round_index=1, total_rounds=3)
+        with pytest.raises(ValueError):
+            boost_round(algorithm, state, features, labels, CostPair(1, 3), columns=columns)
+
+    @pytest.mark.parametrize("algorithm", ["ADA", "AC3", "CSA"])
+    @pytest.mark.parametrize("defect", ["nan_feature", "labels_0_1", "labels_2_minus1"])
+    def test_without_block_rejects_invalid_training_inputs(self, algorithm, defect):
+        features, labels = fixed_instance(8, 2, seed=6)
+        if defect == "nan_feature":
+            features[3, 1] = np.nan
+        elif defect == "labels_0_1":
+            labels = np.where(labels > 0, 1, 0)
+        else:
+            labels = np.where(labels > 0, 2, -1)
+        state = RoundState(weights=np.full(8, 1 / 8), round_index=1, total_rounds=3)
+        with pytest.raises(ValueError):
+            boost_round(algorithm, state, features, labels, CostPair(1, 3))
 
     @pytest.mark.parametrize("algorithm", ALGORITHM_IDS)
     @pytest.mark.parametrize("costs", [UNIT, CostPair(1, 5), CostPair(10, 1)])
@@ -338,6 +360,25 @@ class TestTrainEnsemble:
             labels = np.where(labels > 0, 2, -1)
         with pytest.raises(ValueError):
             train_ensemble("CSA", features, labels, CostPair(1, 3), rounds=2)
+
+    @pytest.mark.parametrize("algorithm", ["ADA", "AC3", "CSA"])
+    @pytest.mark.parametrize("rounds", [1, 7])
+    def test_sorts_columns_once_per_ensemble(self, monkeypatch, algorithm, rounds):
+        import costboost.boosting as boosting
+        import costboost.stumps as stumps
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return sort_columns(*args, **kwargs)
+
+        monkeypatch.setattr(boosting, "sort_columns", counted)
+        monkeypatch.setattr(stumps, "sort_columns", counted)
+        features, labels = fixed_instance(20, 3, seed=8)
+        _, trace = train_ensemble(algorithm, features, labels, CostPair(1, 3), rounds)
+        assert len(trace) == rounds
+        assert len(calls) == 1
 
     def test_rejects_zero_rounds(self):
         features, labels = fixed_instance(6, 1, seed=0)

@@ -276,6 +276,16 @@ class TestRunExperiment:
         # the other algorithm is unaffected, including its averages
         assert sum(1 for r in store.records if r.algorithm == "ADA") == 8
 
+    def test_programming_errors_stop_the_sweep(self, monkeypatch):
+        import costboost.harness as harness
+
+        def broken(*args, **kwargs):
+            raise TypeError("unexpected keyword")
+
+        monkeypatch.setattr(harness, "train_ensemble", broken)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            run_experiment(tiny_config())
+
     def test_rounds_default_is_dataset_size(self):
         config = tiny_config(rounds="dataset-size", costs=((1, 1),),
                              algorithms=("ADA",))

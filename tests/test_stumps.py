@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from costboost.boosting import CostPair, _csa_select
 from costboost.stumps import (
     ClassMasses,
     Stump,
+    _candidates,
+    _cut_stump,
     candidate_thresholds,
     class_masses,
     predict_matrix,
+    sort_columns,
     stump_predict,
     train_stump,
 )
@@ -141,6 +145,90 @@ class TestTrainStump:
             # min() keeps the first of equal errors: (feature, threshold, +1 first)
             _, f, threshold, polarity = min(candidates, key=lambda c: c[0])
             assert stump == Stump(feature_index=f, threshold=threshold, polarity=polarity)
+
+
+class TestSortedColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=16),
+        n_features=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_reused_block_matches_a_fresh_build(self, n, n_features, seed):
+        rng = np.random.default_rng(seed)
+        features = rng.integers(0, 4, size=(n, n_features)).astype(float)
+        features[1] = features[0]  # a repeated value in every column
+        labels = rng.choice([-1, 1], size=n)
+        columns = sort_columns(features, labels)
+        assert columns.below.size < n * n_features  # some cuts are invalid
+        # multiples of 1/64 and 1/4 sum exactly, so the scanned masses must
+        # equal the per-stump sums of class_masses
+        inputs = []
+        for _ in range(3):
+            weights = rng.integers(1, 5, size=n) / 64.0
+            inputs += [(weights, None), (weights, rng.integers(0, 4, size=n) / 4.0)]
+        costs = CostPair(1.0, 2.5)
+        # every scan of the one block first, so stale state would show
+        scans = [_candidates(columns, w, m) for w, m in inputs]
+        stumps = [train_stump(features, labels, w, m, columns=columns) for w, m in inputs]
+        picks = [_csa_select(features, labels, w, costs, columns=columns)
+                 for w, _ in inputs[::2]]
+
+        for (weights, multiplier), scan, stump in zip(inputs, scans, stumps):
+            fresh = _candidates(sort_columns(features, labels), weights, multiplier)
+            assert [a.tobytes() for a in scan] == [a.tobytes() for a in fresh]
+            assert stump == train_stump(features, labels, weights, multiplier)
+            mass = weights if multiplier is None else weights * multiplier
+            for j in range(columns.below.size):
+                masses = class_masses(_cut_stump(columns, j, 1), features, labels, mass)
+                assert (masses.b_p, masses.d_p, masses.b_n, masses.d_n) == tuple(
+                    float(m[j]) for m in scan)
+        for (weights, _), (stump, alpha) in zip(inputs[::2], picks):
+            fresh_stump, fresh_alpha = _csa_select(features, labels, weights, costs)
+            assert stump == fresh_stump
+            assert repr(alpha) == repr(fresh_alpha)
+
+    def test_block_is_read_only(self):
+        columns = sort_columns(np.array([[0.0], [1.0]]), np.array([-1, 1]))
+        with pytest.raises(ValueError):
+            columns.order[0, 0] = 1
+
+    @pytest.mark.parametrize("defect", ["short_weights", "long_weights", "short_multiplier"])
+    def test_rejects_inputs_of_another_sample_count(self, defect):
+        rng = np.random.default_rng(3)
+        features = rng.normal(size=(6, 2))
+        labels = np.array([-1, 1, -1, 1, 1, -1])
+        columns = sort_columns(features, labels)
+        weights, multiplier = np.full(6, 1 / 6), None
+        if defect == "short_weights":
+            weights = np.full(5, 0.2)
+        elif defect == "long_weights":
+            weights = np.full(7, 1 / 7)
+        else:
+            multiplier = np.ones(5)
+        with pytest.raises(ValueError):
+            _candidates(columns, weights, multiplier)
+        with pytest.raises(ValueError):
+            train_stump(features, labels, weights, multiplier, columns=columns)
+        if multiplier is None:
+            with pytest.raises(ValueError):
+                _csa_select(features, labels, weights, CostPair(1, 3), columns=columns)
+
+    @pytest.mark.parametrize("defect", ["nan_feature", "labels_0_1", "labels_2_minus1"])
+    def test_train_stump_without_block_rejects_invalid_training_inputs(self, defect):
+        rng = np.random.default_rng(5)
+        features = rng.normal(size=(8, 2))
+        labels = rng.choice([-1, 1], size=8)
+        if defect == "nan_feature":
+            features[3, 1] = np.nan
+        elif defect == "labels_0_1":
+            labels = np.where(labels > 0, 1, 0)
+        else:
+            labels = np.where(labels > 0, 2, -1)
+        with pytest.raises(ValueError):
+            train_stump(features, labels, np.full(8, 1 / 8))
+        with pytest.raises(ValueError):
+            sort_columns(features, labels)
 
 
 class TestStumpPredict:
