@@ -49,21 +49,20 @@ but training continues with the clamped value.
 """
 
 import math
-import time
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .metrics import confusion_rates, classification_asymmetry, nec, pcf
 from .stumps import (ClassMasses, SortedColumns, Stump, _candidates, _cut_stump,
-                     check_weights, predict_matrix, sort_columns, train_stump)
+                     predict_matrix, sort_columns, train_stump)
 
 __all__ = [
     "ALGORITHM_IDS",
     "CostPair",
     "StrongClassifier",
     "TrainingTrace",
-    "RoundState",
     "RoundResult",
     "init_weights",
     "boost_round",
@@ -94,6 +93,13 @@ _ERR_FLOOR = 1e-10
 _MASS_FLOOR = 1e-10
 
 
+def _number(value, name) -> float:
+    """``value`` as a float; bools (JSON true/false) and non-numbers raise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} {value!r} must be a number")
+    return float(value)
+
+
 @dataclass(frozen=True, order=True)
 class CostPair:
     """Asymmetric cost specification: c_pos penalizes false negatives,
@@ -104,7 +110,7 @@ class CostPair:
 
     def __post_init__(self):
         for name in ("c_pos", "c_neg"):
-            value = float(getattr(self, name))
+            value = _number(getattr(self, name), "cost")
             if not (np.isfinite(value) and value > 0):
                 raise ValueError("costs must be strictly positive and finite")
             object.__setattr__(self, name, value)
@@ -136,18 +142,10 @@ class TrainingTrace:
     zs: list = field(default_factory=list)
     train_nec: list = field(default_factory=list)
     train_ca: list = field(default_factory=list)
-    round_wall_time: list = field(default_factory=list)
     degenerate_rounds: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.alphas)
-
-
-@dataclass
-class RoundState:
-    weights: np.ndarray
-    round_index: int
-    total_rounds: int
 
 
 @dataclass
@@ -289,8 +287,7 @@ def solve_csa_alpha(masses: ClassMasses, costs: CostPair) -> float:
     return float(_csa_alpha_arrays(b_p, d_p, b_n, d_n, costs)[0])
 
 
-def _csa_select(features, labels, weights, costs: CostPair, *,
-                columns: SortedColumns | None = None):
+def _csa_select(columns: SortedColumns, weights, costs: CostPair):
     """Joint stump/alpha selection minimizing the per-round loss.
 
     The candidates are the cuts of ``train_stump``, with the class masses
@@ -299,11 +296,7 @@ def _csa_select(features, labels, weights, costs: CostPair, *,
     batch. Ties break on (loss, plain weighted error, feature, threshold,
     polarity +1) -- the candidates come in (feature, threshold) order, so
     the first index among tied candidates realizes that hierarchy.
-    ``columns`` is ``sort_columns(features, labels)``, built here when
-    omitted.
     """
-    if columns is None:
-        columns = sort_columns(features, labels)
     b_p, d_p, b_n, d_n = _candidates(columns, weights)
     fb_p, fd_p, fb_n, fd_n = _floor_mass_groups(b_p, d_p, b_n, d_n)
     alphas = _csa_alpha_arrays(fb_p, fd_p, fb_n, fd_n, costs)
@@ -319,36 +312,41 @@ def _csa_select(features, labels, weights, costs: CostPair, *,
     return _cut_stump(columns, j, polarity), alpha
 
 
-def boost_round(algorithm, state: RoundState, features, labels, costs: CostPair, *,
-                columns: SortedColumns | None = None) -> RoundResult:
+def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rounds,
+                *, columns: SortedColumns | None = None) -> RoundResult:
     """One boosting round of the requested algorithm.
 
-    Takes normalized weights, returns the selected stump, its vote weight
-    alpha, the renormalized weights and the pre-normalization sum z. The
-    degenerate flag marks rounds whose error term hit the clamp. Every
-    variant shares the update factor * w * exp(-step * scale * y * h);
-    see the module docstring for what each one supplies. ``columns`` is
+    Takes the sample weights (nonnegative, one per sample, with a positive
+    total) and ``total_rounds``, the round budget ASB spreads its
+    asymmetry over. Returns the selected stump, its vote weight alpha, the
+    renormalized weights and the pre-normalization sum z. The degenerate
+    flag marks rounds whose error term hit the clamp. Every variant shares
+    the update factor * w * exp(-step * scale * y * h); see the module
+    docstring for what each one supplies. ``columns`` is
     ``sort_columns(features, labels)``, built here when omitted.
     """
     _check_algorithm(algorithm)
+    if total_rounds < 1:
+        raise ValueError("total_rounds must be >= 1")
     if columns is None:
         columns = sort_columns(features, labels)
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels).astype(int)
-    w = check_weights(state.weights)
-    if not 1 <= state.round_index <= state.total_rounds:
-        raise ValueError("round index out of range")
+    # every entry and the length are checked by the stump scan
+    w = np.asarray(weights, dtype=float)
+    if not w.sum() > 0:
+        raise ValueError("weights must have a positive total")
     c = costs.per_sample(labels).astype(float)
 
     if algorithm == "ASB":
         # spread ln(sqrt(C_P/C_N)) over the fixed round budget, then a
         # plain ADA round on the re-normalized weights
         k = costs.c_pos / costs.c_neg
-        scaled = w * np.exp(labels * (np.log(np.sqrt(k)) / state.total_rounds))
+        scaled = w * np.exp(labels * (np.log(np.sqrt(k)) / total_rounds))
         w = scaled / scaled.sum()
 
     if algorithm == "CSA":
-        stump, alpha = _csa_select(features, labels, w, costs, columns=columns)
+        stump, alpha = _csa_select(columns, w, costs)
     else:
         # the AdaC family defines its per-sample costs inside [0, 1]; rescaling
         # by the larger cost keeps the correlation statistics below 1 in
@@ -454,15 +452,8 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int):
     score = np.zeros(labels.size)
 
     for t in range(1, rounds + 1):
-        t0 = time.perf_counter()
-        result = boost_round(
-            algorithm,
-            RoundState(weights=weights, round_index=t, total_rounds=rounds),
-            features,
-            labels,
-            costs,
-            columns=columns,
-        )
+        result = boost_round(algorithm, weights, features, labels, costs, rounds,
+                             columns=columns)
         weights = result.weights
         stumps.append(result.stump)
         alphas.append(result.alpha)
@@ -474,7 +465,6 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int):
         trace.zs.append(result.z)
         trace.train_nec.append(nec(rates, costs, 0.5))
         trace.train_ca.append(float("nan") if ca is None else ca)
-        trace.round_wall_time.append(time.perf_counter() - t0)
         if result.degenerate:
             trace.degenerate_rounds.append(t)
 

@@ -28,6 +28,7 @@ from . import __version__
 from .boosting import (
     ALGORITHM_IDS,
     CostPair,
+    _number,
     adjust_threshold,
     decision_scores,
     train_ensemble,
@@ -120,12 +121,18 @@ class ConvergenceSettings:
     enabled_per_algorithm: tuple = ()  # (algorithm, bool) pairs
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        for name in ("tol", "tail_fraction"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be positive and finite")
         if not 0.0 < self.tail_fraction < 1.0:
             raise ValueError("tail_fraction must lie in (0, 1)")
         if self.statistic not in ("max-abs", "mean-abs", "std"):
             raise ValueError(f"unknown deviation statistic {self.statistic!r}")
+        for algorithm, enabled in self.enabled_per_algorithm:
+            if algorithm not in ALGORITHM_IDS or type(enabled) is not bool:
+                raise ValueError(f"enabled_per_algorithm entry {algorithm!r}: {enabled!r} "
+                                 "needs a known algorithm and true or false")
 
     def enabled_for(self, algorithm: str) -> bool:
         # ASB classifiers are never truncated: their asymmetry budget is
@@ -181,11 +188,10 @@ class ExperimentConfig:
             args["costs"] = tuple(tuple(cost) for cost in args["costs"])
         convergence = dict(_known_keys(args.get("convergence", {}), ConvergenceSettings,
                                        "convergence"))
-        for name in ("tol", "tail_fraction"):
-            if name in convergence:
-                convergence[name] = float(convergence[name])
-        convergence["enabled_per_algorithm"] = tuple(
-            sorted(convergence.get("enabled_per_algorithm", {}).items()))
+        enabled = convergence.get("enabled_per_algorithm", {})
+        if not isinstance(enabled, dict):
+            raise ValueError("enabled_per_algorithm must map algorithm names to true/false")
+        convergence["enabled_per_algorithm"] = tuple(sorted(enabled.items()))
         args["convergence"] = ConvergenceSettings(**convergence)
         return cls(**args)
 

@@ -6,7 +6,6 @@ import pytest
 from costboost.boosting import (
     ALGORITHM_IDS,
     CostPair,
-    RoundState,
     adjust_threshold,
     boost_round,
     csa_loss,
@@ -53,9 +52,8 @@ class TestBoostRound:
     def test_unit_cost_round_matches_plain(self):
         features, labels = fixed_instance(12, 3, seed=2)
         weights = np.full(12, 1 / 12)
-        state = RoundState(weights=weights, round_index=1, total_rounds=10)
-        ref = boost_round("ADA", state, features, labels, UNIT)
-        got = boost_round("AC1", state, features, labels, UNIT)
+        ref = boost_round("ADA", weights, features, labels, UNIT, 10)
+        got = boost_round("AC1", weights, features, labels, UNIT, 10)
         assert got.stump == ref.stump
         assert got.alpha == pytest.approx(ref.alpha, rel=1e-12)
         np.testing.assert_allclose(got.weights, ref.weights, rtol=1e-12)
@@ -63,16 +61,14 @@ class TestBoostRound:
     def test_separable_round_clamps(self):
         features = np.array([[0.0], [1.0]])
         labels = np.array([-1, 1])
-        state = RoundState(weights=np.array([0.5, 0.5]), round_index=1, total_rounds=1)
-        result = boost_round("ADA", state, features, labels, UNIT)
+        result = boost_round("ADA", np.array([0.5, 0.5]), features, labels, UNIT, 1)
         assert result.degenerate
         assert result.alpha == 0.5 * np.log((1 - ERR_FLOOR) / ERR_FLOOR)
 
     def test_update_matches_per_sample_recomputation(self):
         features, labels = fixed_instance(6, 2, seed=5)
         weights = np.array([0.1, 0.3, 0.15, 0.2, 0.05, 0.2])
-        state = RoundState(weights=weights, round_index=1, total_rounds=3)
-        result = boost_round("ADA", state, features, labels, UNIT)
+        result = boost_round("ADA", weights, features, labels, UNIT, 3)
 
         # independent recomputation, one sample at a time
         raw = []
@@ -84,25 +80,29 @@ class TestBoostRound:
         for i in range(6):
             assert result.weights[i] == pytest.approx(raw[i] / z, rel=1e-12)
 
-    def test_rejects_bad_round_index(self):
+    def test_rejects_zero_total_rounds(self):
         features, labels = fixed_instance(4, 1, seed=0)
-        state = RoundState(weights=np.full(4, 0.25), round_index=0, total_rounds=3)
         with pytest.raises(ValueError):
-            boost_round("ADA", state, features, labels, UNIT)
+            boost_round("ADA", np.full(4, 0.25), features, labels, UNIT, 0)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHM_IDS)
+    def test_rejects_all_zero_weights(self, algorithm):
+        features, labels = fixed_instance(8, 2, seed=4)
+        with pytest.raises(ValueError):
+            boost_round(algorithm, np.zeros(8), features, labels, CostPair(1, 3), 3)
 
     def test_rejects_unknown_algorithm(self):
         features, labels = fixed_instance(4, 1, seed=0)
-        state = RoundState(weights=np.full(4, 0.25), round_index=1, total_rounds=3)
         with pytest.raises(ValueError):
-            boost_round("XYZ", state, features, labels, UNIT)
+            boost_round("XYZ", np.full(4, 0.25), features, labels, UNIT, 3)
 
     @pytest.mark.parametrize("algorithm", ["ADA", "ASB", "AC3", "CSA"])
     def test_rejects_block_of_another_sample_count(self, algorithm):
         columns = sort_columns(*fixed_instance(6, 2, seed=1))
         features, labels = fixed_instance(8, 2, seed=1)
-        state = RoundState(weights=np.full(8, 1 / 8), round_index=1, total_rounds=3)
         with pytest.raises(ValueError):
-            boost_round(algorithm, state, features, labels, CostPair(1, 3), columns=columns)
+            boost_round(algorithm, np.full(8, 1 / 8), features, labels, CostPair(1, 3), 3,
+                        columns=columns)
 
     @pytest.mark.parametrize("algorithm", ["ADA", "AC3", "CSA"])
     @pytest.mark.parametrize("defect", ["nan_feature", "labels_0_1", "labels_2_minus1"])
@@ -114,18 +114,16 @@ class TestBoostRound:
             labels = np.where(labels > 0, 1, 0)
         else:
             labels = np.where(labels > 0, 2, -1)
-        state = RoundState(weights=np.full(8, 1 / 8), round_index=1, total_rounds=3)
         with pytest.raises(ValueError):
-            boost_round(algorithm, state, features, labels, CostPair(1, 3))
+            boost_round(algorithm, np.full(8, 1 / 8), features, labels, CostPair(1, 3), 3)
 
     @pytest.mark.parametrize("algorithm", ALGORITHM_IDS)
     @pytest.mark.parametrize("costs", [UNIT, CostPair(1, 5), CostPair(10, 1)])
     def test_weights_stay_normalized_and_nonnegative(self, algorithm, costs):
         features, labels = fixed_instance(25, 3, seed=13)
         weights = init_weights(algorithm, labels, costs)
-        for t in range(1, 9):
-            state = RoundState(weights=weights, round_index=t, total_rounds=8)
-            result = boost_round(algorithm, state, features, labels, costs)
+        for _ in range(8):
+            result = boost_round(algorithm, weights, features, labels, costs, 8)
             weights = result.weights
             assert result.z > 0
             assert np.all(weights >= 0)
@@ -143,8 +141,8 @@ class TestBoostRound:
             for algorithm in ALGORITHM_IDS:
                 weights = init_weights(algorithm, data.labels, costs)
                 for t in range(1, 6):
-                    state = RoundState(weights=weights, round_index=t, total_rounds=5)
-                    result = boost_round(algorithm, state, data.features, data.labels, costs)
+                    result = boost_round(algorithm, weights, data.features, data.labels,
+                                         costs, 5)
                     assert not result.degenerate, (algorithm, costs, t)
                     digest.update(repr((result.stump, repr(result.alpha), repr(result.z),
                                         result.degenerate)).encode())
@@ -305,7 +303,7 @@ class TestTrainEnsemble:
         features, labels = fixed_instance(16, 2, seed=3)
         _, trace = train_ensemble("CB2", features, labels, CostPair(1, 3), rounds=7)
         assert len(trace.alphas) == len(trace.zs) == len(trace.train_nec) == 7
-        assert len(trace.train_ca) == len(trace.round_wall_time) == 7
+        assert len(trace.train_ca) == 7
         assert all(z > 0 for z in trace.zs)
         assert all(0.0 <= v <= 1.0 for v in trace.train_nec)
         assert all(np.isnan(v) or 0.0 <= v <= 1.0 for v in trace.train_ca)
@@ -384,6 +382,28 @@ class TestTrainEnsemble:
         features, labels = fixed_instance(6, 1, seed=0)
         with pytest.raises(ValueError):
             train_ensemble("ADA", features, labels, UNIT, rounds=0)
+
+    def test_unclamped_ensembles_match_golden(self):
+        """Whole ensembles of all twelve variants, pinned byte for byte:
+        the classifier and every per-round trace column."""
+        data = gen_two_clouds(10, 10, seed=0)
+        digest = sha256()
+        for costs in (CostPair(1, 5), CostPair(10, 1), UNIT):
+            for algorithm in ALGORITHM_IDS:
+                classifier, trace = train_ensemble(algorithm, data.features, data.labels,
+                                                   costs, rounds=8)
+                digest.update(repr((
+                    algorithm, costs, classifier.stumps,
+                    [repr(a) for a in classifier.alphas],
+                    repr(classifier.decision_threshold),
+                    [repr(z) for z in trace.zs],
+                    [repr(v) for v in trace.train_nec],
+                    [repr(v) for v in trace.train_ca],
+                    trace.degenerate_rounds,
+                )).encode())
+        assert digest.hexdigest() == (
+            "e74e9462b84815477367b7b90f2d13362c4d3055981a1ad7f0ad453573fad683"
+        )
 
 
 class TestPredictEnsemble:

@@ -21,12 +21,19 @@ from costboost.harness import (
 from costboost.metrics import nec
 
 
-def brute_force_cutoff(trace, tol=1e-3, tail_fraction=0.1):
+BRUTE_FORCE_DEVIATIONS = {
+    "max-abs": lambda tail: np.max(np.abs(tail - tail.mean())),
+    "mean-abs": lambda tail: np.mean(np.abs(tail - tail.mean())),
+    "std": lambda tail: np.sqrt(np.mean((tail - tail.mean()) ** 2)),
+}
+
+
+def brute_force_cutoff(trace, tol=1e-3, tail_fraction=0.1, statistic="max-abs"):
     """Literal scan of the two convergence conditions over every k."""
     k_total = len(trace)
     for k in range(1, k_total):
         tail = np.asarray(trace[k:], dtype=float)
-        cond_a = np.max(np.abs(tail - tail.mean())) < tol
+        cond_a = BRUTE_FORCE_DEVIATIONS[statistic](tail) < tol
         cond_b = (k_total - k) >= tail_fraction * k_total
         if cond_a and cond_b:
             return k
@@ -53,7 +60,8 @@ class TestDetectConvergence:
     def test_single_round_trace(self):
         assert detect_convergence([0.4]) is None
 
-    def test_random_step_traces_match_brute_force(self):
+    @pytest.mark.parametrize("statistic", sorted(BRUTE_FORCE_DEVIATIONS))
+    def test_random_step_traces_match_brute_force(self, statistic):
         rng = np.random.default_rng(99)
         for _ in range(100):
             k_total = int(rng.integers(5, 120))
@@ -61,7 +69,8 @@ class TestDetectConvergence:
             levels = rng.random(2)
             noise = rng.normal(scale=rng.choice([0.0, 1e-5, 1e-3]), size=k_total)
             trace = np.where(np.arange(k_total) < step_at, levels[0], levels[1]) + noise
-            assert detect_convergence(trace) == brute_force_cutoff(trace)
+            assert detect_convergence(trace, statistic=statistic) == brute_force_cutoff(
+                trace, statistic=statistic)
 
     def test_alternative_statistics(self):
         # a single outlier inside the tail: the max-abs statistic must wait
@@ -178,6 +187,29 @@ class TestExperimentConfig:
             raw = dict(tiny_config().to_dict(), costs=[[1, 1], entry])
             with pytest.raises(ValueError, match=re.escape(repr(entry))):
                 ExperimentConfig.from_dict(raw)
+
+    def test_rejects_cost_values_that_are_not_numbers(self):
+        for entry in (["1", 2], [True, 2], [1, None]):
+            raw = dict(tiny_config().to_dict(), costs=[[1, 1], entry])
+            with pytest.raises(ValueError, match="must be a number"):
+                ExperimentConfig.from_dict(raw)
+        assert CostPair(np.float64(2.0), np.int64(3)) == CostPair(2, 3)
+
+    def test_from_dict_rejects_bad_convergence_values(self):
+        for convergence in ({"enabled_per_algorithm": {"XYZ": False}},
+                            {"enabled_per_algorithm": {"ADA": "no"}},
+                            {"enabled_per_algorithm": {"ADA": 0}},
+                            {"enabled_per_algorithm": ["ADA"]},
+                            {"tol": float("nan")},
+                            {"tol": float("inf")},
+                            {"tol": True}):
+            raw = dict(tiny_config().to_dict(), convergence=convergence)
+            with pytest.raises(ValueError):
+                ExperimentConfig.from_dict(raw)
+        raw = dict(tiny_config().to_dict(),
+                   convergence={"enabled_per_algorithm": {"ASB": True}})
+        assert ExperimentConfig.from_dict(raw).convergence.enabled_per_algorithm == (
+            ("ASB", True),)
 
     def test_convergence_validation(self):
         with pytest.raises(ValueError):

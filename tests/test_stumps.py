@@ -171,8 +171,7 @@ class TestSortedColumns:
         # every scan of the one block first, so stale state would show
         scans = [_candidates(columns, w, m) for w, m in inputs]
         stumps = [train_stump(features, labels, w, m, columns=columns) for w, m in inputs]
-        picks = [_csa_select(features, labels, w, costs, columns=columns)
-                 for w, _ in inputs[::2]]
+        picks = [_csa_select(columns, w, costs) for w, _ in inputs[::2]]
 
         for (weights, multiplier), scan, stump in zip(inputs, scans, stumps):
             fresh = _candidates(sort_columns(features, labels), weights, multiplier)
@@ -184,7 +183,8 @@ class TestSortedColumns:
                 assert (masses.b_p, masses.d_p, masses.b_n, masses.d_n) == tuple(
                     float(m[j]) for m in scan)
         for (weights, _), (stump, alpha) in zip(inputs[::2], picks):
-            fresh_stump, fresh_alpha = _csa_select(features, labels, weights, costs)
+            fresh_stump, fresh_alpha = _csa_select(sort_columns(features, labels), weights,
+                                                   costs)
             assert stump == fresh_stump
             assert repr(alpha) == repr(fresh_alpha)
 
@@ -212,7 +212,7 @@ class TestSortedColumns:
             train_stump(features, labels, weights, multiplier, columns=columns)
         if multiplier is None:
             with pytest.raises(ValueError):
-                _csa_select(features, labels, weights, CostPair(1, 3), columns=columns)
+                _csa_select(columns, weights, CostPair(1, 3))
 
     @pytest.mark.parametrize("defect", ["nan_feature", "labels_0_1", "labels_2_minus1"])
     def test_train_stump_without_block_rejects_invalid_training_inputs(self, defect):
