@@ -18,7 +18,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .datasets import gen_bayes, gen_two_clouds
-from .harness import REPORT_KINDS, ExperimentConfig, RunStore, emit_report, run_experiment
+from .harness import (REPORT_KINDS, ExperimentConfig, RunStore, _write_csv, emit_report,
+                      run_experiment)
 
 
 def _cmd_run(args) -> int:
@@ -47,15 +48,12 @@ def _cmd_gen(args) -> int:
     else:
         data = gen_two_clouds(args.n_pos or 500, args.n_neg or 500, seed=args.seed)
     columns = ["label"] + list(data.feature_names)
+    rows = data.features.tolist()
     if args.coords:
         columns += ["x", "y"]
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(columns) + "\n")
-        for i in range(data.n_samples):
-            row = [str(int(data.labels[i]))] + [repr(float(v)) for v in data.features[i]]
-            if args.coords:
-                row += [repr(float(v)) for v in data.coords[i]]
-            handle.write(",".join(row) + "\n")
+        rows = [features + xy for features, xy in zip(rows, data.coords.tolist())]
+    _write_csv(args.out, ",".join(columns), "%d" + ",%r" * (len(columns) - 1) + "\n",
+               ((label, *row) for label, row in zip(data.labels.tolist(), rows)))
     print(f"wrote {data.n_samples} samples x {data.n_features} features to {args.out}")
     return 0
 

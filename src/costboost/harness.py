@@ -8,6 +8,11 @@ algorithm, cost). Datasets built from the normal-mixture generator also
 receive reference rows from the cost-optimal rule evaluated on the whole
 set ("BAY" rows, fold label "all").
 
+The cell is the one unit of work: ``run_experiment`` builds a flat list
+of cells and maps ``_run_cell`` over it. With ``jobs > 1`` each
+(dataset, algorithm) group of cells is one worker task, so a worker
+receives each dataset once per group.
+
 Everything written to a run directory is byte-deterministic for a fixed
 config and seed, independent of worker count, with one deliberate
 exception: wall-clock training times live in their own ``timing.csv``
@@ -68,6 +73,8 @@ DEFAULT_COST_GRID = (
     (25, 1), (50, 1), (100, 1),
 )
 
+DEVIATION_STATISTICS = ("max-abs", "mean-abs", "std")
+
 REPORT_KINDS = ("appendix_tables", "delta_global", "delta_by_cost", "ca_surface", "timing")
 
 AVG_FOLD = "AVG"
@@ -127,7 +134,7 @@ class ConvergenceSettings:
             raise ValueError("tol must be positive and finite")
         if not 0.0 < self.tail_fraction < 1.0:
             raise ValueError("tail_fraction must lie in (0, 1)")
-        if self.statistic not in ("max-abs", "mean-abs", "std"):
+        if self.statistic not in DEVIATION_STATISTICS:
             raise ValueError(f"unknown deviation statistic {self.statistic!r}")
         for algorithm, enabled in self.enabled_per_algorithm:
             if algorithm not in ALGORITHM_IDS or type(enabled) is not bool:
@@ -393,6 +400,8 @@ def detect_convergence(nec_trace, tol: float = 1e-3, tail_fraction: float = 0.1,
     qualifies. The deviation statistic defaults to the maximum absolute
     deviation.
     """
+    if statistic not in DEVIATION_STATISTICS:
+        raise ValueError(f"unknown deviation statistic {statistic!r}")
     trace = np.asarray(nec_trace, dtype=float)
     k_total = trace.size
     if k_total < 2:
@@ -400,20 +409,22 @@ def detect_convergence(nec_trace, tol: float = 1e-3, tail_fraction: float = 0.1,
     rev = trace[::-1]
     suffix_mean = (np.cumsum(rev) / np.arange(1, k_total + 1))[::-1]
     if statistic == "max-abs":
+        # every tail's deviation at once, from O(K) suffix extremes
         suffix_max = np.maximum.accumulate(rev)[::-1]
         suffix_min = np.minimum.accumulate(rev)[::-1]
-        deviation = np.maximum(suffix_max - suffix_mean, suffix_mean - suffix_min)
+        deviation = np.maximum(suffix_max - suffix_mean, suffix_mean - suffix_min).__getitem__
     elif statistic == "mean-abs":
-        deviation = np.array(
-            [np.mean(np.abs(trace[k:] - suffix_mean[k])) for k in range(k_total)]
-        )
+        # one tail per call, only for the rounds the scan reaches
+        def deviation(k):
+            return np.mean(np.abs(trace[k:] - suffix_mean[k]))
     else:  # std
-        deviation = np.array([np.std(trace[k:]) for k in range(k_total)])
+        def deviation(k):
+            return np.std(trace[k:])
 
     for k in range(1, k_total):
         if (k_total - k) < tail_fraction * k_total:
             break  # tails only shrink from here
-        if deviation[k] < tol:  # deviation over rounds k+1..K is index k
+        if deviation(k) < tol:  # deviation over rounds k+1..K is index k
             return k
     return None
 
@@ -452,73 +463,62 @@ def _resolve_rounds(config: ExperimentConfig, spec: DatasetSpec, data: Dataset) 
     return config.rounds
 
 
-def _run_cell(algorithm, data, fold_of, fold, cost, rounds, convergence):
-    """Train, truncate and evaluate one sweep cell; returns record + trace."""
-    train_idx = np.flatnonzero(fold_of != fold)
-    test_idx = np.flatnonzero(fold_of == fold)
-    x_train, y_train = data.features[train_idx], data.labels[train_idx]
+def _run_cell(cell):
+    """Train, truncate and evaluate one sweep cell.
 
-    start = time.perf_counter()
-    classifier, trace = train_ensemble(algorithm, x_train, y_train, cost, rounds)
-    elapsed = time.perf_counter() - start
+    ``cell`` is (algorithm, data, folds, fold, cost, rounds, convergence).
+    Returns the fold record and its trace rows, or a ``CellFailure`` when
+    the cell raised: one failed cell must not kill the sweep, but
+    ``TypeError``, ``AttributeError`` and ``NameError`` mark a programming
+    error and propagate.
+    """
+    algorithm, data, folds, fold, cost, rounds, convergence = cell
+    try:
+        train_idx = folds.train_indices(fold)
+        test_idx = folds.test_indices(fold)
+        x_train, y_train = data.features[train_idx], data.labels[train_idx]
 
-    cutoff = None
-    if convergence.enabled_for(algorithm):
-        cutoff = detect_convergence(
-            trace.train_nec, convergence.tol, convergence.tail_fraction,
-            convergence.statistic,
+        start = time.perf_counter()
+        classifier, trace = train_ensemble(algorithm, x_train, y_train, cost, rounds)
+        elapsed = time.perf_counter() - start
+
+        cutoff = None
+        if convergence.enabled_for(algorithm):
+            cutoff = detect_convergence(
+                trace.train_nec, convergence.tol, convergence.tail_fraction,
+                convergence.statistic,
+            )
+        if cutoff is not None:
+            classifier.effective_rounds = cutoff
+            if algorithm == "ABT" and cutoff < classifier.trained_rounds:
+                # the a-posteriori threshold must match the classifier that is
+                # actually evaluated, so redo the search on the truncated scores
+                truncated = decision_scores(classifier, x_train, cutoff)
+                classifier.decision_threshold = adjust_threshold(truncated, y_train, cost)
+
+        scores = decision_scores(classifier, data.features[test_idx])
+        pred = np.where(scores - classifier.decision_threshold >= 0, 1, -1)
+        rates = confusion_rates(pred, data.labels[test_idx])
+        record = ResultRecord(
+            algorithm=algorithm,
+            dataset=data.name,
+            cost=cost,
+            fold=str(fold),
+            rates=rates,
+            nec=nec(rates, cost, 0.5),
+            train_seconds=elapsed,
+            effective_rounds=classifier.effective_rounds,
+            trained_rounds=classifier.trained_rounds,
         )
-    if cutoff is not None:
-        classifier.effective_rounds = cutoff
-        if algorithm == "ABT" and cutoff < classifier.trained_rounds:
-            # the a-posteriori threshold must match the classifier that is
-            # actually evaluated, so redo the search on the truncated scores
-            truncated = decision_scores(classifier, x_train, cutoff)
-            classifier.decision_threshold = adjust_threshold(truncated, y_train, cost)
-
-    scores = decision_scores(classifier, data.features[test_idx])
-    pred = np.where(scores - classifier.decision_threshold >= 0, 1, -1)
-    rates = confusion_rates(pred, data.labels[test_idx])
-    record = ResultRecord(
-        algorithm=algorithm,
-        dataset=data.name,
-        cost=cost,
-        fold=str(fold),
-        rates=rates,
-        nec=nec(rates, cost, 0.5),
-        train_seconds=elapsed,
-        effective_rounds=classifier.effective_rounds,
-        trained_rounds=classifier.trained_rounds,
-    )
-    trace_rows = [
-        (t + 1, trace.alphas[t], trace.zs[t], trace.train_nec[t], trace.train_ca[t])
-        for t in range(len(trace))
-    ]
+        trace_rows = [
+            (t + 1, trace.alphas[t], trace.zs[t], trace.train_nec[t], trace.train_ca[t])
+            for t in range(len(trace))
+        ]
+    except (TypeError, AttributeError, NameError):
+        raise  # a programming error, not a failed cell
+    except Exception as exc:  # cell failures must not kill the sweep
+        return CellFailure(data.name, algorithm, cost, str(fold), repr(exc))
     return record, trace_rows
-
-
-def _run_batch(payload):
-    """Worker entry: all (cost, fold) cells of one (dataset, algorithm)."""
-    algorithm, data, fold_of, cost_values, rounds, convergence, folds = payload
-    records, traces, failures = [], {}, []
-    for c_pos, c_neg in cost_values:
-        cost = CostPair(c_pos, c_neg)
-        for fold in range(folds):
-            try:
-                record, trace_rows = _run_cell(
-                    algorithm, data, fold_of, fold, cost, rounds, convergence
-                )
-            except (TypeError, AttributeError, NameError):
-                raise  # a programming error, not a failed cell
-            except Exception as exc:  # cell failures must not kill the sweep
-                failures.append(
-                    CellFailure(data.name, algorithm, cost, str(fold), repr(exc))
-                )
-                continue
-            records.append(record)
-            traces[(data.name, algorithm, repr(float(c_pos)), repr(float(c_neg)),
-                    str(fold))] = trace_rows
-    return records, traces, failures
 
 
 def _average_record(fold_records) -> ResultRecord:
@@ -526,8 +526,6 @@ def _average_record(fold_records) -> ResultRecord:
         fnr=float(np.mean([r.rates.fnr for r in fold_records])),
         fpr=float(np.mean([r.rates.fpr for r in fold_records])),
         ce=float(np.mean([r.rates.ce for r in fold_records])),
-        n_pos=sum(r.rates.n_pos for r in fold_records),
-        n_neg=sum(r.rates.n_neg for r in fold_records),
     )
     first = fold_records[0]
     return ResultRecord(
@@ -545,8 +543,7 @@ def _average_record(fold_records) -> ResultRecord:
 
 def _bayes_reference_records(data: Dataset, costs) -> list:
     records = []
-    for c_pos, c_neg in costs:
-        cost = CostPair(c_pos, c_neg)
+    for cost in costs:
         pred = bayes_optimal_predict(data.gauss, cost, data.coords)
         rates = confusion_rates(pred, data.labels)
         records.append(
@@ -570,37 +567,37 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunStore:
     collected as diagnostics instead of aborting the sweep.
     """
     store = RunStore(config=config.to_dict(), environment=_environment_fingerprint())
+    costs = [CostPair(*cost) for cost in config.costs]
 
-    batches = []
+    cells = []
     for index, spec in enumerate(config.datasets):
         data = _build_dataset(spec, config.seed, index)
-        fold_of = stratified_kfold(
-            data.labels, config.folds, _derived_seed(config.seed, index, 1)
-        ).fold_of
+        folds = stratified_kfold(data.labels, config.folds, _derived_seed(config.seed, index, 1))
         rounds = _resolve_rounds(config, spec, data)
         if data.gauss is not None:
-            store.records.extend(_bayes_reference_records(data, config.costs))
-        for algorithm in config.algorithms:
-            batches.append(
-                (algorithm, data, fold_of, tuple(config.costs), rounds,
-                 config.convergence, config.folds)
-            )
+            store.records.extend(_bayes_reference_records(data, costs))
+        cells.extend((algorithm, data, folds, fold, cost, rounds, config.convergence)
+                     for algorithm in config.algorithms
+                     for cost in costs
+                     for fold in range(config.folds))
 
     if jobs > 1:
+        # one task per (dataset, algorithm) group, so each ships its dataset once
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_batch, batches))
+            results = list(pool.map(_run_cell, cells, chunksize=len(costs) * config.folds))
     else:
-        results = [_run_batch(batch) for batch in batches]
+        results = list(map(_run_cell, cells))
 
     grouped = {}
-    for records, traces, failures in results:
-        store.failures.extend(failures)
-        store.traces.update(traces)
-        for record in records:
-            store.records.append(record)
-            grouped.setdefault(
-                (record.dataset, record.algorithm, record.cost), []
-            ).append(record)
+    for result in results:
+        if isinstance(result, CellFailure):
+            store.failures.append(result)
+            continue
+        record, trace_rows = result
+        store.records.append(record)
+        store.traces[(record.dataset, record.algorithm, repr(record.cost.c_pos),
+                      repr(record.cost.c_neg), record.fold)] = trace_rows
+        grouped.setdefault((record.dataset, record.algorithm, record.cost), []).append(record)
     for key in sorted(grouped):
         store.records.append(_average_record(grouped[key]))
 
@@ -702,21 +699,18 @@ def emit_report(store: RunStore, kind: str, out_dir) -> list:
 
     # timing: grand mean per algorithm with the ratio to CGA, plus the
     # cost-conditioned means (both views answer different questions)
-    per_alg = {}
-    per_alg_cost = {}
-    for rec in store.records:
-        if rec.fold in (AVG_FOLD, ALL_FOLD) or rec.algorithm == BAYES_REFERENCE:
-            continue
-        per_alg.setdefault(rec.algorithm, []).append(rec.train_seconds)
-        per_alg_cost.setdefault((rec.algorithm, rec.cost), []).append(rec.train_seconds)
-    means = {alg: float(np.mean(vals)) for alg, vals in per_alg.items()}
-    base = means.get("CGA")
-    rows = [(alg, means[alg], repr(means[alg] / base) if base else "") for alg in sorted(means)]
+    by_alg, by_alg_cost = conditional_moments(
+        (rec.algorithm, rec.cost, rec.dataset, rec.train_seconds) for rec in store.records
+        if rec.fold not in (AVG_FOLD, ALL_FOLD) and rec.algorithm != BAYES_REFERENCE
+    )
+    base = by_alg.get("CGA", {}).get("mean")
+    rows = [(alg, stats["mean"], repr(stats["mean"] / base) if base else "")
+            for alg, stats in sorted(by_alg.items())]
     paths.append(_write_csv(out / "timing_grand.csv", "algorithm,mean_seconds,ratio_to_cga",
                             "%s,%r,%s\n", rows))
     rows = [
-        (alg, _trim(cost.c_pos), _trim(cost.c_neg), float(np.mean(vals)))
-        for (alg, cost), vals in sorted(per_alg_cost.items())
+        (alg, _trim(cost.c_pos), _trim(cost.c_neg), stats["mean"])
+        for (alg, cost), stats in sorted(by_alg_cost.items())
     ]
     paths.append(
         _write_csv(out / "timing_by_cost.csv", "algorithm,c_pos,c_neg,mean_seconds",

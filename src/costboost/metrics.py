@@ -30,8 +30,6 @@ class ConfusionRates:
     fnr: float
     fpr: float
     ce: float
-    n_pos: int = 0
-    n_neg: int = 0
 
 
 @dataclass(frozen=True)
@@ -64,8 +62,6 @@ def confusion_rates(predictions, labels) -> ConfusionRates:
         fnr=fn / n_pos,
         fpr=fp / n_neg,
         ce=(fn + fp) / (n_pos + n_neg),
-        n_pos=n_pos,
-        n_neg=n_neg,
     )
 
 
@@ -101,7 +97,7 @@ def conditional_moments(records):
     """Mean and population variance of deltas, conditioned two ways.
 
     ``records`` is an iterable of (algorithm, cost, dataset, delta)
-    tuples. Returns ``(by_algorithm, by_algorithm_cost)`` where each value
+    tuples; the timing report passes training seconds as the value. Returns ``(by_algorithm, by_algorithm_cost)`` where each value
     is a dict with ``mean`` and ``variance`` keys. Cells that received no
     records are simply absent; singleton cells have variance 0.
     """

@@ -5,7 +5,8 @@ from hashlib import sha256
 import numpy as np
 import pytest
 
-from costboost.boosting import CostPair, decision_scores, train_ensemble
+from costboost.boosting import CostPair, adjust_threshold, decision_scores, train_ensemble
+from costboost.datasets import gen_bayes, stratified_kfold
 from costboost.harness import (
     AVG_FOLD,
     BAYES_REFERENCE,
@@ -14,11 +15,12 @@ from costboost.harness import (
     DatasetSpec,
     ExperimentConfig,
     RunStore,
+    _derived_seed,
     detect_convergence,
     emit_report,
     run_experiment,
 )
-from costboost.metrics import nec
+from costboost.metrics import confusion_rates, nec
 
 
 BRUTE_FORCE_DEVIATIONS = {
@@ -78,6 +80,10 @@ class TestDetectConvergence:
         trace = [0.5] * 10 + [0.2] * 40 + [0.201] + [0.2] * 40
         assert detect_convergence(trace, tol=4e-4, statistic="std") == 10
         assert detect_convergence(trace, tol=4e-4, statistic="max-abs") == 51
+
+    def test_unknown_statistic_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            detect_convergence([0.25] * 100, statistic="bogus")
 
 
 def tiny_config(**overrides):
@@ -344,6 +350,10 @@ class TestRunStoreRoundTrip:
             np.asarray(loaded.traces[key], dtype=float),
         )
 
+    def test_loaded_records_equal_saved_records(self, tmp_path):
+        store = run_experiment(tiny_config())
+        assert RunStore.load(store.save(tmp_path / "run")).records == store.records
+
     def test_failure_messages_load_back_unchanged(self, tmp_path, monkeypatch):
         import costboost.harness as harness
 
@@ -381,10 +391,6 @@ class TestRunStoreRoundTrip:
 
     def test_replay_reproduces_reported_rates(self, tmp_path):
         """Re-running one stored cell from scratch hits the stored numbers."""
-        from costboost.datasets import gen_bayes, stratified_kfold
-        from costboost.harness import _derived_seed
-        from costboost.metrics import confusion_rates
-
         config = tiny_config(algorithms=("CGA",), costs=((1, 5),))
         store = run_experiment(config)
         record = next(r for r in store.records
@@ -403,6 +409,41 @@ class TestRunStoreRoundTrip:
         rates = confusion_rates(pred, data.labels[test])
         assert rates.fnr == record.rates.fnr
         assert rates.fpr == record.rates.fpr
+
+    def test_abt_replay_uses_the_truncated_threshold(self):
+        """ABT re-searches its threshold on the scores of the truncated ensemble."""
+        config = ExperimentConfig(
+            datasets=(DatasetSpec(kind="bayes", n_pos=20, n_neg=20),),
+            algorithms=("ABT",), costs=((1, 1), (1, 10), (10, 1)), folds=3, rounds=40,
+            seed=7,
+        )
+        store = run_experiment(config)
+        data = gen_bayes(20, 20, seed=_derived_seed(config.seed, 0, 0), name="bayes")
+        folds = stratified_kfold(data.labels, 3, _derived_seed(config.seed, 0, 1))
+        fold_records = [r for r in store.records if r.fold in ("0", "1", "2")]
+        assert len(fold_records) == 9
+        stale_differs = False
+        for record in fold_records:
+            train = folds.train_indices(int(record.fold))
+            test = folds.test_indices(int(record.fold))
+            x_train, y_train = data.features[train], data.labels[train]
+            classifier, _ = train_ensemble("ABT", x_train, y_train, record.cost, 40)
+            cutoff = record.effective_rounds
+            threshold = classifier.decision_threshold
+            if cutoff < classifier.trained_rounds:
+                threshold = adjust_threshold(decision_scores(classifier, x_train, cutoff),
+                                             y_train, record.cost)
+            scores = decision_scores(classifier, data.features[test], cutoff)
+
+            def rates_at(cut):
+                return confusion_rates(np.where(scores - cut >= 0, 1, -1), data.labels[test])
+
+            rates = rates_at(threshold)
+            assert (rates.fnr, rates.fpr) == (record.rates.fnr, record.rates.fpr)
+            stale = rates_at(classifier.decision_threshold)
+            stale_differs |= (stale.fnr, stale.fpr) != (rates.fnr, rates.fpr)
+        # the full-round threshold would have changed at least one stored cell
+        assert stale_differs
 
 
 @pytest.fixture(scope="module")
