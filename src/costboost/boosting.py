@@ -56,7 +56,7 @@ import numpy as np
 
 from .metrics import confusion_rates, classification_asymmetry, nec, pcf
 from .stumps import (ClassMasses, SortedColumns, Stump, _candidates, _cut_stump,
-                     predict_matrix, sort_columns, train_stump)
+                     candidate_thresholds, predict_matrix, sort_columns, train_stump)
 
 __all__ = [
     "ALGORITHM_IDS",
@@ -174,16 +174,9 @@ def init_weights(algorithm, labels, costs: CostPair) -> np.ndarray:
     return np.full(labels.size, 1.0 / labels.size)
 
 
-def _clamped_alpha_from_error(err):
-    """AdaBoost vote weight with the error clamped into (0, 1)."""
-    clamped = min(max(err, _ERR_FLOOR), 1.0 - _ERR_FLOOR)
-    degenerate = clamped != err
-    return 0.5 * np.log((1.0 - clamped) / clamped), degenerate
-
-
-def _clamped_symmetric(value):
-    """Clamp a correlation-style statistic into (-1, 1)."""
-    clamped = min(max(value, -(1.0 - _ERR_FLOOR)), 1.0 - _ERR_FLOOR)
+def _clamped(value, low):
+    """``value`` clamped into [low, 1 - 1e-10], and whether that moved it."""
+    clamped = min(max(value, low), 1.0 - _ERR_FLOOR)
     return clamped, clamped != value
 
 
@@ -374,7 +367,8 @@ def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rou
         else:
             g, scale = multiplier, c_norm
         norm = float(np.sum(c_norm * w)) if algorithm == "AC3" else 1.0
-        r, degenerate = _clamped_symmetric(float(np.sum(g * w * agreement)) / norm)
+        r, degenerate = _clamped(float(np.sum(g * w * agreement)) / norm,
+                                  -(1.0 - _ERR_FLOOR))
         alpha = 0.5 * np.log((1.0 + r) / (1.0 - r))
     else:
         # alpha from the weighted error (cost-weighted for AC2)
@@ -383,7 +377,8 @@ def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rou
             err = float(np.sum(factor_w[wrong])) / float(np.sum(factor_w))
         else:
             err = float(np.sum(w[wrong]))
-        alpha, degenerate = _clamped_alpha_from_error(err)
+        err, degenerate = _clamped(err, _ERR_FLOOR)
+        alpha = 0.5 * np.log((1.0 - err) / err)
         if algorithm in ("CB0", "CB1", "CB2"):
             factor_w = np.where(wrong, c, 1.0) * w
     step = {"CB0": 0.0, "CB1": 1.0}.get(algorithm, alpha)
@@ -396,35 +391,28 @@ def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rou
 def adjust_threshold(scores, labels, costs: CostPair, prior_pos: float = 0.5) -> float:
     """Decision threshold minimizing the training NEC of sign(score - t).
 
-    Candidates are the midpoints of consecutive distinct sorted scores
-    plus one value below the minimum and one above the maximum. Ties
-    break on smallest |t|, then smallest t.
+    Candidates are the stump's cuts of the scores
+    (``stumps.candidate_thresholds``) plus one value above the maximum.
+    With each class's scores sorted once, the false negatives at t are
+    the positives below t and the false positives the negatives at or
+    above it, both one ``searchsorted``. Ties break on smallest |t|, then
+    smallest t.
     """
     scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
+    positive = np.asarray(labels) > 0
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    distinct = np.unique(scores)
-    candidates = np.concatenate(
-        ([distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0, [distinct[-1] + 1.0])
-    )
-
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_pos = (labels[order] > 0).astype(float)
-    n_pos = float(sorted_pos.sum())
-    n_neg = float(labels.size - n_pos)
-    if n_pos == 0 or n_neg == 0:
+    pos = np.sort(scores[positive])
+    neg = np.sort(scores[~positive])
+    if pos.size == 0 or neg.size == 0:
         raise ValueError("both classes must be present")
-    pos_cum = np.concatenate(([0.0], np.cumsum(sorted_pos)))
-    neg_cum = np.concatenate(([0.0], np.cumsum(1.0 - sorted_pos)))
+    candidates = np.append(candidate_thresholds(scores), scores.max() + 1.0)
     # prediction is +1 iff score >= t, so scores strictly below t are negatives
-    below = np.searchsorted(sorted_scores, candidates, side="left")
-    fn = pos_cum[below]
-    fp = n_neg - neg_cum[below]
+    fn = np.searchsorted(pos, candidates, side="left")
+    fp = neg.size - np.searchsorted(neg, candidates, side="left")
 
     p = pcf(costs, prior_pos)
-    necs = (fn / n_pos) * p + (fp / n_neg) * (1.0 - p)
+    necs = (fn / pos.size) * p + (fp / neg.size) * (1.0 - p)
     ties = np.flatnonzero(necs == necs.min())
     tied = candidates[ties]
     pick = ties[np.lexsort((tied, np.abs(tied)))[0]]

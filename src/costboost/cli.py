@@ -43,10 +43,10 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.dataset == "bayes":
-        data = gen_bayes(args.n_pos or 250, args.n_neg or 250, seed=args.seed)
-    else:
-        data = gen_two_clouds(args.n_pos or 500, args.n_neg or 500, seed=args.seed)
+    generate, default = (gen_bayes, 250) if args.dataset == "bayes" else (gen_two_clouds, 500)
+    # only an absent flag takes the default; 0 and negatives reach the generator
+    data = generate(default if args.n_pos is None else args.n_pos,
+                    default if args.n_neg is None else args.n_neg, seed=args.seed)
     columns = ["label"] + list(data.feature_names)
     rows = data.features.tolist()
     if args.coords:
@@ -78,8 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a synthetic dataset CSV")
     p_gen.add_argument("--dataset", required=True, choices=("bayes", "twoclouds"))
     p_gen.add_argument("--out", required=True, help="output CSV path")
-    p_gen.add_argument("--n-pos", type=int, default=0)
-    p_gen.add_argument("--n-neg", type=int, default=0)
+    p_gen.add_argument("--n-pos", type=int, default=None,
+                       help="positive samples (default: 250 bayes, 500 twoclouds)")
+    p_gen.add_argument("--n-neg", type=int, default=None,
+                       help="negative samples (default: 250 bayes, 500 twoclouds)")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--coords", action="store_true",
                        help="also write the raw 2-D coordinates")

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import ConfusionRates
+from .stumps import _check_features_labels
 
 __all__ = [
     "DEFAULT_ANGLES",
@@ -117,16 +118,9 @@ class Dataset:
     gauss: GaussParams = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels).astype(int)
-        if self.features.ndim != 2 or self.features.shape[0] == 0:
-            raise ValueError("features must be a nonempty matrix")
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError("features contain non-finite values")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ValueError("labels must have one entry per sample")
-        if not np.all(np.isin(self.labels, (-1, 1))):
-            raise ValueError("labels must be -1 or +1")
+        # the stump learner's own input check, so every dataset can be trained on
+        self.features, labels = _check_features_labels(self.features, self.labels)
+        self.labels = labels.astype(int)
 
     @property
     def n_samples(self) -> int:
@@ -246,13 +240,10 @@ def bayes_optimal_rates(params: GaussParams, costs) -> ConfusionRates:
     direction, so both rates are normal tail integrals of the signed
     distance between the threshold and the class means.
     """
-    mu_p = np.asarray(params.mean_pos, float)
-    mu_n = np.asarray(params.mean_neg, float)
-    cov_inv = np.linalg.inv(params.cov_matrix())
-    diff = mu_p - mu_n
-    d2 = float(diff @ cov_inv @ diff)  # squared Mahalanobis distance
+    w, _, tau = _linear_rule(params, costs)
+    # squared Mahalanobis distance of the means
+    d2 = float(w @ np.subtract(params.mean_pos, params.mean_neg, dtype=float))
     d = math.sqrt(d2)
-    tau = math.log(costs.c_neg / costs.c_pos)
     fnr = _phi((tau - d2 / 2.0) / d)
     fpr = _phi(-(tau + d2 / 2.0) / d)
     return ConfusionRates(fnr=fnr, fpr=fpr, ce=(fnr + fpr) / 2.0)

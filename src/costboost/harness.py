@@ -490,7 +490,7 @@ def _run_cell(cell):
             )
         if cutoff is not None:
             classifier.effective_rounds = cutoff
-            if algorithm == "ABT" and cutoff < classifier.trained_rounds:
+            if algorithm == "ABT":
                 # the a-posteriori threshold must match the classifier that is
                 # actually evaluated, so redo the search on the truncated scores
                 truncated = decision_scores(classifier, x_train, cutoff)
@@ -564,8 +564,12 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunStore:
 
     Cells are independent jobs; any number of workers produces the same
     records and traces, sorted by a canonical key. Per-cell failures are
-    collected as diagnostics instead of aborting the sweep.
+    collected as diagnostics instead of aborting the sweep. ``jobs`` must
+    be a positive integer.
     """
+    # type(), not isinstance(): True would pass as one worker
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     store = RunStore(config=config.to_dict(), environment=_environment_fingerprint())
     costs = [CostPair(*cost) for cost in config.costs]
 

@@ -113,19 +113,19 @@ class SortedColumns:
     """Pre-sorted column block of one training set, built by ``sort_columns``.
 
     Row f of ``order`` is the stable sort order of feature column f and
-    row f of ``xs`` its sorted values; ``positive``/``negative`` hold the
-    class of each sorted sample. Cut b of a column splits its sorted
-    values between index b-1 and b (b = 0 lies below the minimum); a cut
-    between equal values is not a candidate. ``below`` holds, for each
-    valid cut in (feature, threshold) order, the flat index f * (n + 1) + b
-    into a (features, samples + 1) table of the class mass below each cut,
-    and ``feature`` its feature. The arrays are read-only.
+    row f of ``xs`` its sorted values; ``positive`` marks the sorted
+    samples of class +1, every other sample is a negative. Cut b of a
+    column splits its sorted values between index b-1 and b (b = 0 lies
+    below the minimum); a cut between equal values is not a candidate.
+    ``below`` holds, for each valid cut in (feature, threshold) order, the
+    flat index f * (n + 1) + b into a (features, samples + 1) table of the
+    class mass below each cut, and ``feature`` its feature. The arrays are
+    read-only.
     """
 
     order: np.ndarray
     xs: np.ndarray
     positive: np.ndarray
-    negative: np.ndarray
     below: np.ndarray
     feature: np.ndarray
 
@@ -143,8 +143,7 @@ def sort_columns(features, labels) -> SortedColumns:
     valid = np.ones(xs.shape, dtype=bool)
     np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, 1:])
     feature, cut = np.nonzero(valid)
-    columns = SortedColumns(order, xs, positive, ~positive,
-                            feature * (xs.shape[1] + 1) + cut, feature)
+    columns = SortedColumns(order, xs, positive, feature * (xs.shape[1] + 1) + cut, feature)
     for array in vars(columns).values():
         array.setflags(write=False)
     return columns
@@ -164,7 +163,7 @@ def _candidates(columns: SortedColumns, weights, multiplier=None):
     pos_below = np.zeros((n_features, n_samples + 1))
     neg_below = np.zeros((n_features, n_samples + 1))
     np.cumsum(np.where(columns.positive, mass, 0.0), axis=1, out=pos_below[:, 1:])
-    np.cumsum(np.where(columns.negative, mass, 0.0), axis=1, out=neg_below[:, 1:])
+    np.cumsum(np.where(columns.positive, 0.0, mass), axis=1, out=neg_below[:, 1:])
     d_p = pos_below.take(columns.below)
     b_n = neg_below.take(columns.below)
     b_p = pos_below[:, -1][columns.feature] - d_p

@@ -220,13 +220,23 @@ class TestAdjustThreshold:
         # all-negative (theta above the common score) costs PCF < 1 - PCF
         assert theta == 1.0
 
-    def test_matches_exhaustive_scan(self):
-        rng = np.random.default_rng(31)
-        scores = rng.normal(size=12)
+    @pytest.mark.parametrize("kind, seed, costs", [
+        pytest.param("normal", 31, (1, 5), id="normal-31"),
+        pytest.param("normal", 3, (1, 1), id="normal-3"),
+        pytest.param("normal", 12, (10, 1), id="normal-12"),
+        pytest.param("integer", 8, (1, 5), id="integer-8"),
+        pytest.param("integer", 19, (1, 1), id="integer-19"),
+        pytest.param("integer", 40, (3, 2), id="integer-40"),
+    ])
+    def test_matches_exhaustive_scan(self, kind, seed, costs):
+        rng = np.random.default_rng(seed)
+        # integer-valued scores repeat, so distinct cuts pool tied samples
+        scores = (rng.normal(size=12) if kind == "normal"
+                  else rng.integers(-3, 4, size=12).astype(float))
         labels = rng.choice([-1, 1], size=12)
         if abs(labels.sum()) == 12:
             labels[0] = -labels[0]
-        costs = CostPair(1, 5)
+        costs = CostPair(*costs)
         theta = adjust_threshold(scores, labels, costs)
 
         p = pcf(costs, 0.5)
@@ -243,7 +253,12 @@ class TestAdjustThreshold:
         candidates = np.concatenate(
             ([distinct[0] - 1], (distinct[:-1] + distinct[1:]) / 2, [distinct[-1] + 1])
         )
-        assert nec_at(theta) == min(nec_at(t) for t in candidates)
+        necs = [nec_at(t) for t in candidates]
+        best = min(necs)
+        # least NEC, then smallest |t|, then smallest t
+        pick = min((abs(t), t) for t, value in zip(candidates, necs) if value == best)[1]
+        assert theta == pick
+        assert nec_at(theta) == best
 
     def test_ties_prefer_smallest_magnitude(self):
         # any threshold inside the gap separates perfectly; |t| decides

@@ -83,3 +83,27 @@ def test_gen_default_sizes(tmp_path):
     out = tmp_path / "bayes_default.csv"
     assert main(["gen", "--dataset", "bayes", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 501  # header + 250/250
+
+
+@pytest.mark.parametrize("dataset", ["bayes", "twoclouds"])
+@pytest.mark.parametrize("flags", [["--n-pos", "0"], ["--n-neg", "0"], ["--n-pos", "-2"]],
+                         ids=["n-pos-0", "n-neg-0", "n-pos-minus-2"])
+def test_gen_rejects_nonpositive_counts(tmp_path, dataset, flags):
+    out = tmp_path / "data.csv"
+    with pytest.raises(ValueError, match="class counts must be positive"):
+        main(["gen", "--dataset", dataset, "--out", str(out), *flags])
+    assert not out.exists()
+
+
+def test_gen_default_applies_per_flag(tmp_path):
+    out = tmp_path / "clouds.csv"
+    assert main(["gen", "--dataset", "twoclouds", "--out", str(out), "--n-pos", "3"]) == 0
+    labels = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert labels.count("1") == 3 and labels.count("-1") == 500
+
+
+def test_run_rejects_zero_jobs(tmp_path, config_path):
+    with pytest.raises(ValueError, match="jobs must be a positive integer"):
+        main(["run", "--config", str(config_path), "--out", str(tmp_path / "run"),
+              "--jobs", "0"])
+    assert not (tmp_path / "run").exists()

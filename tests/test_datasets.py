@@ -8,6 +8,7 @@ from costboost.datasets import (
     DEFAULT_CLOUDS,
     DEFAULT_GAUSS,
     CloudGeometry,
+    Dataset,
     GaussParams,
     bayes_optimal_predict,
     bayes_optimal_rates,
@@ -148,6 +149,21 @@ class TestBayesOptimalRates:
         se_fpr = math.sqrt(rates.fpr * (1 - rates.fpr) / n)
         assert abs(fnr_hat - rates.fnr) < 3 * se_fnr
         assert abs(fpr_hat - rates.fpr) < 3 * se_fpr
+
+
+class TestDataset:
+    def test_casts_integral_labels_to_int(self):
+        data = Dataset(np.zeros((2, 1)), np.array([1.0, -1.0]), "d")
+        assert data.labels.dtype.kind == "i"
+        assert data.labels.tolist() == [1, -1]
+
+    def test_rejects_fractional_label(self):
+        with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+            Dataset(np.zeros((4, 2)), np.array([1.0, -1.0, 1.5, -1.0]), "d")
+
+    def test_rejects_matrix_without_feature_columns(self):
+        with pytest.raises(ValueError, match="features must be a nonempty 2-D matrix"):
+            Dataset(np.zeros((4, 0)), np.array([1, -1, 1, -1]), "d")
 
 
 class TestLoadCsvBalanced:

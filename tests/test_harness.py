@@ -324,6 +324,31 @@ class TestRunExperiment:
         with pytest.raises(TypeError, match="unexpected keyword"):
             run_experiment(tiny_config())
 
+    @pytest.mark.parametrize("jobs", [0, -1, True, 2.0, "2"])
+    def test_rejects_bad_jobs_before_building_data(self, jobs, monkeypatch):
+        import costboost.harness as harness
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a dataset was built")
+
+        monkeypatch.setattr(harness, "_build_dataset", unreachable)
+        with pytest.raises(ValueError, match="jobs must be a positive integer"):
+            run_experiment(tiny_config(), jobs=jobs)
+
+    def test_label_only_csv_fails_before_training(self, tmp_path, monkeypatch):
+        import costboost.harness as harness
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a cell was trained")
+
+        path = tmp_path / "labels.csv"
+        path.write_text("label\n" + "yes\nno\n" * 6, encoding="utf-8")
+        spec = DatasetSpec(kind="csv", name="labels", path=str(path),
+                           label_column="label", positive_label="yes")
+        monkeypatch.setattr(harness, "train_ensemble", unreachable)
+        with pytest.raises(ValueError, match="features must be a nonempty 2-D matrix"):
+            run_experiment(tiny_config(datasets=(spec,), algorithms=("ADA",), costs=((1, 1),)))
+
     def test_rounds_default_is_dataset_size(self):
         config = tiny_config(rounds="dataset-size", costs=((1, 1),),
                              algorithms=("ADA",))
