@@ -122,11 +122,17 @@ class CostPair:
 
 @dataclass
 class StrongClassifier:
+    """What training produced: one stump and one vote weight per round,
+    plus the decision threshold (0 except for ABT). A truncation is
+    asked for per call through ``round_cutoff``, never stored here."""
+
     stumps: list
     alphas: list
     decision_threshold: float = 0.0
-    trained_rounds: int = 0
-    effective_rounds: int = 0
+
+    @property
+    def trained_rounds(self) -> int:
+        return len(self.stumps)
 
 
 @dataclass
@@ -169,7 +175,7 @@ def init_weights(algorithm, labels, costs: CostPair) -> np.ndarray:
     if labels.size == 0:
         raise ValueError("labels must be nonempty")
     if algorithm == "CGA":
-        raw = costs.per_sample(labels).astype(float)
+        raw = costs.per_sample(labels)
         return raw / raw.sum()
     return np.full(labels.size, 1.0 / labels.size)
 
@@ -329,7 +335,7 @@ def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rou
     w = np.asarray(weights, dtype=float)
     if not w.sum() > 0:
         raise ValueError("weights must have a positive total")
-    c = costs.per_sample(labels).astype(float)
+    c = costs.per_sample(labels)
 
     if algorithm == "ASB":
         # spread ln(sqrt(C_P/C_N)) over the fixed round budget, then a
@@ -388,8 +394,9 @@ def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rou
     return RoundResult(stump, float(alpha), unnorm / z, z, degenerate)
 
 
-def adjust_threshold(scores, labels, costs: CostPair, prior_pos: float = 0.5) -> float:
-    """Decision threshold minimizing the training NEC of sign(score - t).
+def adjust_threshold(scores, labels, costs: CostPair) -> float:
+    """Decision threshold minimizing the training NEC of sign(score - t),
+    at equal priors like every NEC the sweep reports.
 
     Candidates are the stump's cuts of the scores
     (``stumps.candidate_thresholds``) plus one value above the maximum.
@@ -411,7 +418,7 @@ def adjust_threshold(scores, labels, costs: CostPair, prior_pos: float = 0.5) ->
     fn = np.searchsorted(pos, candidates, side="left")
     fp = neg.size - np.searchsorted(neg, candidates, side="left")
 
-    p = pcf(costs, prior_pos)
+    p = pcf(costs, 0.5)
     necs = (fn / pos.size) * p + (fp / neg.size) * (1.0 - p)
     ties = np.flatnonzero(necs == necs.min())
     tied = candidates[ties]
@@ -457,19 +464,13 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int):
             trace.degenerate_rounds.append(t)
 
     threshold = adjust_threshold(score, labels, costs) if algorithm == "ABT" else 0.0
-    classifier = StrongClassifier(
-        stumps=stumps,
-        alphas=alphas,
-        decision_threshold=threshold,
-        trained_rounds=rounds,
-        effective_rounds=rounds,
-    )
-    return classifier, trace
+    return StrongClassifier(stumps, alphas, threshold), trace
 
 
 def decision_scores(classifier: StrongClassifier, features, round_cutoff=None) -> np.ndarray:
-    """Weighted-vote scores of the ensemble truncated at ``round_cutoff``."""
-    cutoff = classifier.effective_rounds if round_cutoff is None else round_cutoff
+    """Weighted-vote scores of the ensemble truncated at ``round_cutoff``;
+    every trained round counts when it is None."""
+    cutoff = classifier.trained_rounds if round_cutoff is None else round_cutoff
     if not 0 <= cutoff <= classifier.trained_rounds:
         raise ValueError("cutoff out of range")
     features = np.asarray(features, dtype=float)
@@ -480,8 +481,8 @@ def decision_scores(classifier: StrongClassifier, features, round_cutoff=None) -
 
 
 def predict_ensemble(classifier: StrongClassifier, features_row, round_cutoff=None) -> int:
-    """Sign of the truncated weighted vote minus the decision threshold;
-    a zero margin counts as +1."""
+    """Sign of the weighted vote, truncated as in ``decision_scores``, minus
+    the decision threshold; a zero margin counts as +1."""
     row = np.asarray(features_row, dtype=float).reshape(1, -1)
     score = decision_scores(classifier, row, round_cutoff)[0]
     return 1 if score - classifier.decision_threshold >= 0 else -1

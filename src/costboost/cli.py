@@ -9,7 +9,8 @@ Subcommands::
 
 The config file is a JSON object mirroring the experiment configuration
 field-for-field (datasets, algorithms, costs, folds, rounds, seed,
-convergence).
+convergence). Bad input -- an invalid config or count, a missing file --
+exits with status 2 and argparse's ``costboost: error: <message>`` line.
 """
 
 import argparse
@@ -90,8 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        # bad input, not a bug: argparse's usage line and message, exit status 2
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -134,7 +134,6 @@ class Dataset:
 @dataclass
 class FoldAssignment:
     fold_of: np.ndarray
-    k: int
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.fold_of == fold)
@@ -343,4 +342,4 @@ def stratified_kfold(labels, k: int = 3, seed: int = 0) -> FoldAssignment:
             raise ValueError(f"class {cls:+d} has fewer than {k} members")
         shuffled = rng.permutation(idx)
         fold_of[shuffled] = np.arange(idx.size) % k
-    return FoldAssignment(fold_of=fold_of, k=k)
+    return FoldAssignment(fold_of=fold_of)

@@ -169,12 +169,19 @@ class ExperimentConfig:
         for algorithm in self.algorithms:
             if algorithm not in ALGORITHM_IDS:
                 raise ValueError(f"unknown algorithm {algorithm!r}")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ValueError("algorithm names must be unique")
         pairs = [CostPair(*cost) for cost in self.costs]
         if len(set(pairs)) != len(pairs):
             raise ValueError("cost pairs must be unique")
         # type(), not isinstance(): JSON true/false would pass as int 1/0
         if type(self.folds) is not int or self.folds < 2:
             raise ValueError("folds must be an integer >= 2")
+        for spec in self.datasets:
+            # every fold needs a member of each class; csv specs are checked on load
+            if spec.kind != "csv" and min(spec.n_pos, spec.n_neg) < self.folds:
+                raise ValueError(f"dataset {spec.resolved_name()!r} needs n_pos and n_neg "
+                                 f"of at least folds = {self.folds}")
         if type(self.seed) is not int:
             raise ValueError("seed must be an integer")
         if self.rounds != "dataset-size" and (type(self.rounds) is not int or self.rounds < 1):
@@ -183,6 +190,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """Build a config from its JSON form; absent keys take the field defaults."""
+        if not isinstance(raw, dict) or not isinstance(raw.get("datasets"), list):
+            raise ValueError("a config is a JSON object with a 'datasets' list")
         args = dict(_known_keys(raw, cls, "config"))
         args["datasets"] = tuple(DatasetSpec(**_known_keys(spec, DatasetSpec, "dataset"))
                                  for spec in raw["datasets"])
@@ -208,23 +217,18 @@ class ExperimentConfig:
             return cls.from_dict(json.load(handle))
 
     def to_dict(self) -> dict:
-        return {
-            "datasets": [
-                {k: v for k, v in vars(spec).items() if v not in ("", 0) or k == "kind"}
-                for spec in self.datasets
-            ],
-            "algorithms": list(self.algorithms),
-            "costs": [list(c) for c in self.costs],
-            "folds": self.folds,
-            "rounds": self.rounds,
-            "seed": self.seed,
-            "convergence": {
-                "tol": self.convergence.tol,
-                "tail_fraction": self.convergence.tail_fraction,
-                "statistic": self.convergence.statistic,
-                "enabled_per_algorithm": dict(self.convergence.enabled_per_algorithm),
-            },
-        }
+        """The JSON form read by ``from_dict``; dataset keys at their default are left out."""
+        raw = {f.name: getattr(self, f.name) for f in fields(self)}
+        raw["datasets"] = [
+            {k: v for k, v in vars(spec).items() if v not in ("", 0) or k == "kind"}
+            for spec in self.datasets
+        ]
+        raw["algorithms"] = list(self.algorithms)
+        raw["costs"] = [list(c) for c in self.costs]
+        convergence = self.convergence
+        raw["convergence"] = dict(vars(convergence),
+                                  enabled_per_algorithm=dict(convergence.enabled_per_algorithm))
+        return raw
 
 
 def _known_keys(raw: dict, cls, section: str) -> dict:
@@ -488,28 +492,20 @@ def _run_cell(cell):
                 trace.train_nec, convergence.tol, convergence.tail_fraction,
                 convergence.statistic,
             )
-        if cutoff is not None:
-            classifier.effective_rounds = cutoff
-            if algorithm == "ABT":
-                # the a-posteriori threshold must match the classifier that is
-                # actually evaluated, so redo the search on the truncated scores
-                truncated = decision_scores(classifier, x_train, cutoff)
-                classifier.decision_threshold = adjust_threshold(truncated, y_train, cost)
+        threshold = classifier.decision_threshold
+        if cutoff is None:
+            cutoff = rounds
+        elif algorithm == "ABT":
+            # the a-posteriori threshold must match the classifier that is
+            # actually evaluated, so redo the search on the truncated scores
+            truncated = decision_scores(classifier, x_train, cutoff)
+            threshold = adjust_threshold(truncated, y_train, cost)
 
-        scores = decision_scores(classifier, data.features[test_idx])
-        pred = np.where(scores - classifier.decision_threshold >= 0, 1, -1)
-        rates = confusion_rates(pred, data.labels[test_idx])
-        record = ResultRecord(
-            algorithm=algorithm,
-            dataset=data.name,
-            cost=cost,
-            fold=str(fold),
-            rates=rates,
-            nec=nec(rates, cost, 0.5),
-            train_seconds=elapsed,
-            effective_rounds=classifier.effective_rounds,
-            trained_rounds=classifier.trained_rounds,
-        )
+        scores = decision_scores(classifier, data.features[test_idx], cutoff)
+        pred = np.where(scores - threshold >= 0, 1, -1)
+        record = _record(algorithm, data.name, cost, str(fold),
+                         confusion_rates(pred, data.labels[test_idx]), train_seconds=elapsed,
+                         effective_rounds=cutoff, trained_rounds=rounds)
         trace_rows = [
             (t + 1, trace.alphas[t], trace.zs[t], trace.train_nec[t], trace.train_ca[t])
             for t in range(len(trace))
@@ -521,6 +517,12 @@ def _run_cell(cell):
     return record, trace_rows
 
 
+def _record(algorithm, dataset, cost, fold, rates, **rest) -> ResultRecord:
+    """One sweep record; the one place where a record's NEC is computed."""
+    return ResultRecord(algorithm=algorithm, dataset=dataset, cost=cost, fold=fold,
+                        rates=rates, nec=nec(rates, cost, 0.5), **rest)
+
+
 def _average_record(fold_records) -> ResultRecord:
     rates = ConfusionRates(
         fnr=float(np.mean([r.rates.fnr for r in fold_records])),
@@ -528,13 +530,8 @@ def _average_record(fold_records) -> ResultRecord:
         ce=float(np.mean([r.rates.ce for r in fold_records])),
     )
     first = fold_records[0]
-    return ResultRecord(
-        algorithm=first.algorithm,
-        dataset=first.dataset,
-        cost=first.cost,
-        fold=AVG_FOLD,
-        rates=rates,
-        nec=nec(rates, first.cost, 0.5),
+    return _record(
+        first.algorithm, first.dataset, first.cost, AVG_FOLD, rates,
         train_seconds=float(np.mean([r.train_seconds for r in fold_records])),
         effective_rounds=int(round(np.mean([r.effective_rounds for r in fold_records]))),
         trained_rounds=int(round(np.mean([r.trained_rounds for r in fold_records]))),
@@ -545,17 +542,8 @@ def _bayes_reference_records(data: Dataset, costs) -> list:
     records = []
     for cost in costs:
         pred = bayes_optimal_predict(data.gauss, cost, data.coords)
-        rates = confusion_rates(pred, data.labels)
-        records.append(
-            ResultRecord(
-                algorithm=BAYES_REFERENCE,
-                dataset=data.name,
-                cost=cost,
-                fold=ALL_FOLD,
-                rates=rates,
-                nec=nec(rates, cost, 0.5),
-            )
-        )
+        records.append(_record(BAYES_REFERENCE, data.name, cost, ALL_FOLD,
+                               confusion_rates(pred, data.labels)))
     return records
 
 
@@ -655,7 +643,7 @@ def emit_report(store: RunStore, kind: str, out_dir) -> list:
         return paths
 
     if kind in ("delta_global", "delta_by_cost"):
-        for attribute, label in (("nec", "nec"), ("ce", "ce")):
+        for attribute in ("nec", "ce"):
             by_alg, by_alg_cost = conditional_moments(_delta_inputs(store, attribute))
             if kind == "delta_global":
                 rows = [
@@ -663,7 +651,7 @@ def emit_report(store: RunStore, kind: str, out_dir) -> list:
                     for alg, stats in sorted(by_alg.items())
                 ]
                 paths.append(
-                    _write_csv(out / f"delta_{label}_global.csv",
+                    _write_csv(out / f"delta_{attribute}_global.csv",
                                "algorithm,mean,variance", "%s,%r,%r\n", rows)
                 )
             else:
@@ -673,7 +661,7 @@ def emit_report(store: RunStore, kind: str, out_dir) -> list:
                     for (alg, cost), stats in sorted(by_alg_cost.items())
                 ]
                 paths.append(
-                    _write_csv(out / f"delta_{label}_by_cost.csv",
+                    _write_csv(out / f"delta_{attribute}_by_cost.csv",
                                "algorithm,c_pos,c_neg,mean,variance", "%s,%s,%s,%r,%r\n", rows)
                 )
         return paths

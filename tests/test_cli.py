@@ -88,10 +88,13 @@ def test_gen_default_sizes(tmp_path):
 @pytest.mark.parametrize("dataset", ["bayes", "twoclouds"])
 @pytest.mark.parametrize("flags", [["--n-pos", "0"], ["--n-neg", "0"], ["--n-pos", "-2"]],
                          ids=["n-pos-0", "n-neg-0", "n-pos-minus-2"])
-def test_gen_rejects_nonpositive_counts(tmp_path, dataset, flags):
+def test_gen_rejects_nonpositive_counts(tmp_path, capsys, dataset, flags):
     out = tmp_path / "data.csv"
-    with pytest.raises(ValueError, match="class counts must be positive"):
+    with pytest.raises(SystemExit) as exc:
         main(["gen", "--dataset", dataset, "--out", str(out), *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "costboost: error: " in err and "class counts must be positive" in err
     assert not out.exists()
 
 
@@ -102,8 +105,38 @@ def test_gen_default_applies_per_flag(tmp_path):
     assert labels.count("1") == 3 and labels.count("-1") == 500
 
 
-def test_run_rejects_zero_jobs(tmp_path, config_path):
-    with pytest.raises(ValueError, match="jobs must be a positive integer"):
+def test_run_rejects_zero_jobs(tmp_path, capsys, config_path):
+    with pytest.raises(SystemExit) as exc:
         main(["run", "--config", str(config_path), "--out", str(tmp_path / "run"),
               "--jobs", "0"])
+    assert exc.value.code == 2
+    assert "costboost: error: jobs must be a positive integer" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    (None, "No such file or directory"),
+    ("{", "Expecting property name"),
+    ({"datasets": [{"kind": "bayes", "n_pos": 9, "n_neg": 9}], "algorithms": ["ADA", "ADA"]},
+     "algorithm names must be unique"),
+], ids=["missing", "malformed", "duplicate-algorithm"])
+def test_run_reports_bad_configs_without_traceback(tmp_path, capsys, config, message):
+    path = tmp_path / "config.json"
+    if config is not None:
+        path.write_text(config if isinstance(config, str) else json.dumps(config),
+                        encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(path), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: costboost")
+    assert "costboost: error: " in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_report_on_missing_run_directory_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--store", str(tmp_path / "absent"), "--kind", "timing"])
+    assert exc.value.code == 2
+    assert "costboost: error: " in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 from hashlib import sha256
@@ -99,11 +100,47 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def every_field_config():
+    """A config that sets every field, each dataset key included, off its default."""
+    return ExperimentConfig(
+        datasets=(
+            DatasetSpec(kind="bayes", name="small", n_pos=6, n_neg=7),
+            DatasetSpec(kind="csv", path="data/spam.csv", label_column="label",
+                        positive_label="1", rounds=50),
+        ),
+        algorithms=("CSA", "ADA"), costs=((1, 10), (2.5, 1)), folds=4, rounds=30, seed=5,
+        convergence=ConvergenceSettings(tol=0.01, tail_fraction=0.25, statistic="std",
+                                        enabled_per_algorithm=(("ADA", False), ("CSA", True))),
+    )
+
+
 class TestExperimentConfig:
-    def test_json_round_trip(self, tmp_path):
-        config = tiny_config()
+    @pytest.mark.parametrize("make, expected", [
+        (tiny_config, {
+            "datasets": [{"kind": "bayes", "n_pos": 12, "n_neg": 12}],
+            "algorithms": ["ADA", "CGA"], "costs": [[1, 1], [1, 5]], "folds": 3, "rounds": 8,
+            "seed": 13,
+            "convergence": {"tol": 0.001, "tail_fraction": 0.1, "statistic": "max-abs",
+                            "enabled_per_algorithm": {}},
+        }),
+        (every_field_config, {
+            "datasets": [
+                {"kind": "bayes", "name": "small", "n_pos": 6, "n_neg": 7},
+                {"kind": "csv", "path": "data/spam.csv", "label_column": "label",
+                 "positive_label": "1", "rounds": 50},
+            ],
+            "algorithms": ["CSA", "ADA"], "costs": [[1, 10], [2.5, 1]], "folds": 4,
+            "rounds": 30, "seed": 5,
+            "convergence": {"tol": 0.01, "tail_fraction": 0.25, "statistic": "std",
+                            "enabled_per_algorithm": {"ADA": False, "CSA": True}},
+        }),
+    ], ids=["tiny", "every-field"])
+    def test_json_round_trip(self, tmp_path, make, expected):
+        config = make()
+        raw = config.to_dict()
+        assert raw == expected
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
+        path.write_text(json.dumps(raw), encoding="utf-8")
         loaded = ExperimentConfig.from_json(path)
         assert loaded == config
 
@@ -145,6 +182,25 @@ class TestExperimentConfig:
     def test_rejects_invalid_cost_pairs(self):
         with pytest.raises(ValueError):
             tiny_config(costs=((1, 1), (0, 1)))
+
+    def test_rejects_duplicate_algorithms(self):
+        with pytest.raises(ValueError, match="unique"):
+            tiny_config(algorithms=("ADA", "ADA"))
+
+    def test_rejects_generator_classes_smaller_than_folds(self):
+        for kind in ("bayes", "twoclouds"):
+            for n_pos, n_neg in ((2, 12), (12, 2)):
+                with pytest.raises(ValueError, match="folds"):
+                    tiny_config(datasets=(DatasetSpec(kind=kind, n_pos=n_pos, n_neg=n_neg),))
+        # exactly one member of each class per fold is enough to run
+        store = run_experiment(tiny_config(datasets=(DatasetSpec(kind="bayes", n_pos=3,
+                                                                 n_neg=3),)))
+        assert not store.failures
+
+    def test_from_dict_rejects_configs_without_a_datasets_list(self):
+        for raw in ({}, [], {"datasets": {"kind": "bayes"}}, "config"):
+            with pytest.raises(ValueError, match="JSON object with a 'datasets' list"):
+                ExperimentConfig.from_dict(raw)
 
     def test_rejects_duplicate_cost_pairs(self):
         with pytest.raises(ValueError, match="unique"):
@@ -469,6 +525,30 @@ class TestRunStoreRoundTrip:
             stale_differs |= (stale.fnr, stale.fpr) != (rates.fnr, rates.fpr)
         # the full-round threshold would have changed at least one stored cell
         assert stale_differs
+
+    def test_sweep_leaves_trained_classifiers_unchanged(self, monkeypatch):
+        """Truncation and ABT's re-searched threshold never touch the classifier."""
+        import costboost.harness as harness
+
+        kept = []
+
+        def keeping(*args):
+            classifier, trace = train_ensemble(*args)
+            kept.append((classifier, copy.deepcopy(classifier)))
+            return classifier, trace
+
+        monkeypatch.setattr(harness, "train_ensemble", keeping)
+        config = ExperimentConfig(
+            datasets=(DatasetSpec(kind="bayes", n_pos=20, n_neg=20),),
+            algorithms=("ABT",), costs=((1, 1), (1, 10), (10, 1)), folds=3, rounds=40,
+            seed=7,
+        )
+        store = run_experiment(config)
+        assert len(kept) == 9
+        # the sweep did truncate, so the classifiers had a chance to change
+        assert any(r.effective_rounds < r.trained_rounds for r in store.records)
+        for classifier, snapshot in kept:
+            assert classifier == snapshot
 
 
 @pytest.fixture(scope="module")
