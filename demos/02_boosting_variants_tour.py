@@ -58,10 +58,10 @@ for algorithm in ("AC1", "AC2", "AC3", "CB2", "CSA", "CGA", "ASB"):
 print()
 print("=== the cost-adjustment pathology ===")
 data = gen_bayes(30, 30, seed=0)
-_, trace = train_ensemble("ADC", data.features, data.labels, CostPair(1, 10), 15)
-negative = [round(a, 4) for a in trace.alphas if a < 0]
+classifier, _ = train_ensemble("ADC", data.features, data.labels, CostPair(1, 10), 15)
+negative = [round(a, 4) for a in classifier.alphas if a < 0]
 print(f"ADC produced {len(negative)} negative vote weights out of 15: "
       f"{negative[:6]}{' ...' if len(negative) > 6 else ''}")
 print("the stump is selected by the weight distribution but weighted by a")
-print("different criterion, so its contribution can flip sign; the trace")
-print("records this instead of patching it.")
+print("different criterion, so its contribution can flip sign; the classifier")
+print("keeps this instead of patching it.")

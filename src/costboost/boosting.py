@@ -50,7 +50,7 @@ but training continues with the clamped value.
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,21 +137,20 @@ class StrongClassifier:
 
 @dataclass
 class TrainingTrace:
-    """Per-round record of one training run.
+    """Per-round record of one training run; vote weights are ``StrongClassifier.alphas``.
 
     ``train_nec`` and ``train_ca`` are measured on the training set with
     the ensemble truncated at each round (decision threshold 0);
     ``train_ca`` holds NaN where the asymmetry is undefined.
     """
 
-    alphas: list = field(default_factory=list)
-    zs: list = field(default_factory=list)
-    train_nec: list = field(default_factory=list)
-    train_ca: list = field(default_factory=list)
-    degenerate_rounds: list = field(default_factory=list)
+    zs: list
+    train_nec: list
+    train_ca: list
+    degenerate_rounds: list
 
     def __len__(self):
-        return len(self.alphas)
+        return len(self.zs)
 
 
 @dataclass
@@ -429,11 +428,10 @@ def adjust_threshold(scores, labels, costs: CostPair) -> float:
 def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int):
     """Train one boosted ensemble and return (classifier, trace).
 
-    Deterministic given the inputs. The trace stores per-round alpha,
-    normalizer, training NEC and training classification asymmetry (NaN
-    when undefined). The columns are sorted once, for every round.
+    Deterministic given the inputs. The columns are sorted once, for
+    every round. The trace's training NEC and asymmetry come after the
+    loop, from the ``_staged_scores`` of every round prefix.
     """
-    _check_algorithm(algorithm)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     columns = sort_columns(features, labels)
@@ -441,43 +439,43 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int):
     labels = np.asarray(labels).astype(int)
 
     weights = init_weights(algorithm, labels, costs)
-    trace = TrainingTrace()
-    stumps: list = []
-    alphas: list = []
-    score = np.zeros(labels.size)
-
-    for t in range(1, rounds + 1):
+    kept = []  # every round but its weights
+    for _ in range(rounds):
         result = boost_round(algorithm, weights, features, labels, costs, rounds,
                              columns=columns)
         weights = result.weights
-        stumps.append(result.stump)
-        alphas.append(result.alpha)
-        score += result.alpha * predict_matrix(result.stump, features)
-        pred = np.where(score >= 0.0, 1, -1)
-        rates = confusion_rates(pred, labels)
-        ca = classification_asymmetry(rates)
-        trace.alphas.append(result.alpha)
-        trace.zs.append(result.z)
-        trace.train_nec.append(nec(rates, costs, 0.5))
-        trace.train_ca.append(float("nan") if ca is None else ca)
-        if result.degenerate:
-            trace.degenerate_rounds.append(t)
+        kept.append((result.stump, result.alpha, result.z, result.degenerate))
+    stumps, alphas, zs, degenerate = map(list, zip(*kept))
 
-    threshold = adjust_threshold(score, labels, costs) if algorithm == "ABT" else 0.0
+    scores = _staged_scores(stumps, alphas, features)
+    rates = confusion_rates(np.where(scores[1:] >= 0.0, 1, -1), labels)
+    trace = TrainingTrace(zs, nec(rates, costs, 0.5).tolist(),
+                          classification_asymmetry(rates).tolist(),
+                          [t for t, flag in enumerate(degenerate, start=1) if flag])
+    threshold = adjust_threshold(scores[-1], labels, costs) if algorithm == "ABT" else 0.0
     return StrongClassifier(stumps, alphas, threshold), trace
 
 
+def _staged_scores(stumps, alphas, features) -> np.ndarray:
+    """The (T + 1, n) block whose row k is the vote of the first k stumps.
+    Row 0 is zero and ``np.cumsum`` adds the rounds in order, so row k
+    holds exactly what ``score += alpha * h`` holds after k rounds."""
+    index = [s.feature_index for s in stumps]
+    threshold = np.array([s.threshold for s in stumps], dtype=float)[:, None]
+    # alpha * h is +-(alpha * polarity): a sign flip is exact
+    vote = np.array([a * s.polarity for s, a in zip(stumps, alphas)], dtype=float)[:, None]
+    scores = np.zeros((len(stumps) + 1, features.shape[0]))
+    scores[1:] = np.where(features.T[index] > threshold, vote, -vote)
+    return np.cumsum(scores, axis=0, out=scores)
+
+
 def decision_scores(classifier: StrongClassifier, features, round_cutoff=None) -> np.ndarray:
-    """Weighted-vote scores of the ensemble truncated at ``round_cutoff``;
-    every trained round counts when it is None."""
-    cutoff = classifier.trained_rounds if round_cutoff is None else round_cutoff
-    if not 0 <= cutoff <= classifier.trained_rounds:
+    """Weighted-vote scores of the ensemble truncated at ``round_cutoff``
+    (every trained round when None), summed in training's round order."""
+    if round_cutoff is not None and not 0 <= round_cutoff <= classifier.trained_rounds:
         raise ValueError("cutoff out of range")
-    features = np.asarray(features, dtype=float)
-    score = np.zeros(features.shape[0])
-    for stump, alpha in zip(classifier.stumps[:cutoff], classifier.alphas[:cutoff]):
-        score += alpha * predict_matrix(stump, features)
-    return score
+    return _staged_scores(classifier.stumps[:round_cutoff], classifier.alphas[:round_cutoff],
+                          np.asarray(features, dtype=float))[-1]
 
 
 def predict_ensemble(classifier: StrongClassifier, features_row, round_cutoff=None) -> int:

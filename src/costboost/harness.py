@@ -103,14 +103,14 @@ class DatasetSpec:
             raise ValueError("class counts n_pos and n_neg must be integers")
         if self.kind in ("bayes", "twoclouds") and (self.n_pos <= 0 or self.n_neg <= 0):
             raise ValueError("generator specs need positive class counts")
-        if self.kind == "csv" and not self.path:
-            raise ValueError("csv specs need a path")
         if type(self.rounds) is not int or self.rounds < 0:
             raise ValueError("per-dataset rounds must be a nonnegative integer")
         # the name is a CSV field and part of every trace file name
         if set(self.resolved_name()) & set(",/\\\n\r"):
             raise ValueError(f"dataset name {self.resolved_name()!r} may not contain "
                              "a comma, a path separator or a line break")
+        if self.kind == "csv" and not (self.path and self.label_column and self.positive_label):
+            raise ValueError("csv specs need a path, a label_column and a positive_label")
 
     def resolved_name(self) -> str:
         if self.name:
@@ -193,7 +193,10 @@ class ExperimentConfig:
         if not isinstance(raw, dict) or not isinstance(raw.get("datasets"), list):
             raise ValueError("a config is a JSON object with a 'datasets' list")
         args = dict(_known_keys(raw, cls, "config"))
-        args["datasets"] = tuple(DatasetSpec(**_known_keys(spec, DatasetSpec, "dataset"))
+        for key in ("algorithms", "costs"):
+            if not isinstance(args.get(key, []), list):
+                raise ValueError(f"{key!r} must be a list, not {args[key]!r}")
+        args["datasets"] = tuple(DatasetSpec(**_known_keys(spec, DatasetSpec, "datasets"))
                                  for spec in raw["datasets"])
         if "algorithms" in args:
             args["algorithms"] = tuple(args["algorithms"])
@@ -232,7 +235,9 @@ class ExperimentConfig:
 
 
 def _known_keys(raw: dict, cls, section: str) -> dict:
-    """``raw`` itself, after checking that every key names a field of ``cls``."""
+    """``raw``, checked to be an object whose keys all name fields of ``cls``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{section} value {raw!r} must be a JSON object")
     unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {section} key(s): {', '.join(map(repr, unknown))}")
@@ -506,10 +511,8 @@ def _run_cell(cell):
         record = _record(algorithm, data.name, cost, str(fold),
                          confusion_rates(pred, data.labels[test_idx]), train_seconds=elapsed,
                          effective_rounds=cutoff, trained_rounds=rounds)
-        trace_rows = [
-            (t + 1, trace.alphas[t], trace.zs[t], trace.train_nec[t], trace.train_ca[t])
-            for t in range(len(trace))
-        ]
+        trace_rows = list(zip(range(1, rounds + 1), classifier.alphas, trace.zs,
+                              trace.train_nec, trace.train_ca))
     except (TypeError, AttributeError, NameError):
         raise  # a programming error, not a failed cell
     except Exception as exc:  # cell failures must not kill the sweep

@@ -48,7 +48,7 @@ class ResultRecord:
 
 
 def confusion_rates(predictions, labels) -> ConfusionRates:
-    """Empirical FNR/FPR/CE of +/-1 predictions against +/-1 labels."""
+    """FNR/FPR/CE of +/-1 predictions, a row or a (T, n) block, against +/-1 labels."""
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
     pos = labels > 0
@@ -56,13 +56,10 @@ def confusion_rates(predictions, labels) -> ConfusionRates:
     n_neg = int(labels.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise ValueError("both classes must be present")
-    fn = int(np.sum(pos & (predictions < 0)))
-    fp = int(np.sum(~pos & (predictions > 0)))
-    return ConfusionRates(
-        fnr=fn / n_pos,
-        fpr=fp / n_neg,
-        ce=(fn + fp) / (n_pos + n_neg),
-    )
+    fn = np.count_nonzero(pos & (predictions < 0), axis=-1)
+    fp = np.count_nonzero(~pos & (predictions > 0), axis=-1)
+    rates = (fn / n_pos, fp / n_neg, (fn + fp) / (n_pos + n_neg))
+    return ConfusionRates(*(map(float, rates) if predictions.ndim == 1 else rates))
 
 
 def pcf(costs, prior_pos: float) -> float:
@@ -122,11 +119,11 @@ def classification_asymmetry(rates: ConfusionRates):
 
     0.5 means class-balanced correctness; values above 0.5 mean positives
     are classified better than negatives. Only meaningful for balanced
-    test sets. Returns None for the degenerate all-wrong classifier
-    (TPR + TNR = 0) so aggregations can skip the cell.
+    test sets. NaN for the degenerate all-wrong classifier (TPR + TNR =
+    0); rate arrays give an array.
     """
-    tpr = 1.0 - rates.fnr
-    tnr = 1.0 - rates.fpr
-    if tpr + tnr == 0.0:
-        return None
-    return tpr / (tpr + tnr)
+    tpr = 1.0 - np.asarray(rates.fnr)
+    tnr = 1.0 - np.asarray(rates.fpr)
+    with np.errstate(invalid="ignore"):
+        ca = tpr / (tpr + tnr)  # 0 / 0 is NaN
+    return ca if ca.ndim else float(ca)

@@ -316,8 +316,8 @@ class TestTrainEnsemble:
 
     def test_trace_is_fully_populated(self):
         features, labels = fixed_instance(16, 2, seed=3)
-        _, trace = train_ensemble("CB2", features, labels, CostPair(1, 3), rounds=7)
-        assert len(trace.alphas) == len(trace.zs) == len(trace.train_nec) == 7
+        classifier, trace = train_ensemble("CB2", features, labels, CostPair(1, 3), rounds=7)
+        assert len(classifier.alphas) == len(trace.zs) == len(trace.train_nec) == 7
         assert len(trace.train_ca) == 7
         assert all(z > 0 for z in trace.zs)
         assert all(0.0 <= v <= 1.0 for v in trace.train_nec)
@@ -325,9 +325,9 @@ class TestTrainEnsemble:
 
     def test_adacost_negative_alpha_is_preserved(self):
         data = gen_bayes(30, 30, seed=0)
-        _, trace = train_ensemble("ADC", data.features, data.labels,
-                                  CostPair(1, 10), rounds=15)
-        assert min(trace.alphas) < 0
+        classifier, _ = train_ensemble("ADC", data.features, data.labels,
+                                       CostPair(1, 10), rounds=15)
+        assert min(classifier.alphas) < 0
 
     def test_threshold_variant_never_worse_on_training_nec(self):
         data = gen_bayes(40, 40, seed=8)
@@ -393,6 +393,21 @@ class TestTrainEnsemble:
         assert len(trace) == rounds
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("rounds", [1, 9])
+    def test_calls_boost_round_once_per_round(self, monkeypatch, rounds):
+        import costboost.boosting as boosting
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return boost_round(*args, **kwargs)
+
+        monkeypatch.setattr(boosting, "boost_round", counted)
+        features, labels = fixed_instance(20, 3, seed=8)
+        train_ensemble("AC2", features, labels, CostPair(1, 3), rounds)
+        assert calls == ["AC2"] * rounds
+
     def test_rejects_zero_rounds(self):
         features, labels = fixed_instance(6, 1, seed=0)
         with pytest.raises(ValueError):
@@ -444,15 +459,19 @@ class TestPredictEnsemble:
         assert predict_ensemble(classifier, np.array([5.0])) == 1
 
     def test_cutoff_prefixes_the_vote(self):
-        features, labels = fixed_instance(14, 3, seed=53)
-        classifier, _ = train_ensemble("CGA", features, labels, CostPair(3, 1),
-                                       rounds=6)
-        partial = decision_scores(classifier, features, round_cutoff=2)
-        manual = sum(
-            classifier.alphas[t] * predict_matrix(classifier.stumps[t], features)
-            for t in range(2)
-        )
-        np.testing.assert_allclose(partial, manual)
+        data = gen_bayes(30, 30, seed=0)
+        # ADC at these costs trains negative vote weights
+        for algorithm, costs in (("CGA", CostPair(3, 1)), ("ADC", CostPair(1, 10))):
+            classifier, _ = train_ensemble(algorithm, data.features, data.labels, costs,
+                                           rounds=15)
+            assert algorithm != "ADC" or min(classifier.alphas) < 0
+            manual = np.zeros(data.labels.size)
+            for cutoff in range(classifier.trained_rounds + 1):
+                if cutoff:
+                    manual += classifier.alphas[cutoff - 1] * predict_matrix(
+                        classifier.stumps[cutoff - 1], data.features)
+                partial = decision_scores(classifier, data.features, round_cutoff=cutoff)
+                assert partial.tolist() == manual.tolist()
 
     def test_rejects_cutoff_beyond_training(self):
         features, labels = fixed_instance(8, 1, seed=54)

@@ -213,6 +213,22 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="name"):
             DatasetSpec(kind="csv", path="data/a,b.csv")
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("costs", 5, "costs"), ("convergence", 5, "convergence"),
+        ("algorithms", 5, "algorithms"), ("algorithms", "ADA", "algorithms"),
+        ("datasets", ["bayes"], "datasets"),
+    ])
+    def test_from_dict_rejects_misshapen_values(self, key, value, named):
+        raw = dict(tiny_config().to_dict(), **{key: value})
+        with pytest.raises(ValueError, match=named):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("missing", ["path", "label_column", "positive_label"])
+    def test_rejects_csv_specs_without_a_column_or_label(self, missing):
+        keys = dict(path="data/spam.csv", label_column="label", positive_label="1")
+        with pytest.raises(ValueError, match="csv specs need"):
+            DatasetSpec(kind="csv", **dict(keys, **{missing: ""}))
+
     def test_from_dict_rejects_unknown_top_level_keys(self):
         for key in ("fold", "seeed"):
             raw = dict(tiny_config().to_dict(), **{key: 5})

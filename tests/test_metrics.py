@@ -79,6 +79,29 @@ class TestConfusionRates:
         with pytest.raises(ValueError):
             confusion_rates(np.array([1, 1]), np.array([1, 1]))
 
+    def test_one_row_gives_python_floats(self):
+        # a numpy scalar would print as np.float64(...) in a "%r" trace row
+        rates = confusion_rates(np.array([1, -1, -1, 1]), np.array([1, 1, -1, -1]))
+        values = (rates.fnr, rates.fpr, rates.ce, nec(rates, CostPair(1, 3), 0.5),
+                  classification_asymmetry(rates))
+        assert [type(v) for v in values] == [float] * 5
+
+    def test_block_equals_row_wise_calls(self):
+        rng = np.random.default_rng(5)
+        labels = np.array([1, 1, 1, -1, -1, -1, -1])
+        block = rng.choice([-1, 1], size=(40, labels.size))
+        block[0] = -labels  # all wrong: the asymmetry is undefined
+        block[1] = labels
+        costs = CostPair(1, 7)
+        rates = confusion_rates(block, labels)
+        rows = [confusion_rates(row, labels) for row in block]
+        for name in ("fnr", "fpr", "ce"):
+            assert getattr(rates, name).tolist() == [getattr(r, name) for r in rows]
+        assert nec(rates, costs, 0.5).tolist() == [nec(r, costs, 0.5) for r in rows]
+        ca = classification_asymmetry(rates)
+        assert np.isnan(ca[0])
+        assert ca[1:].tolist() == [classification_asymmetry(r) for r in rows[1:]]
+
 
 class TestDeltaTable:
     def test_shifts_by_minimum(self):
@@ -170,4 +193,5 @@ class TestClassificationAsymmetry:
         assert value == pytest.approx(0.4978, abs=5e-4)
 
     def test_all_wrong_is_undefined(self):
-        assert classification_asymmetry(ConfusionRates(1.0, 1.0, 1.0)) is None
+        value = classification_asymmetry(ConfusionRates(1.0, 1.0, 1.0))
+        assert type(value) is float and np.isnan(value)
