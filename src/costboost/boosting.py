@@ -238,20 +238,13 @@ def _csa_alpha_arrays(b_p, d_p, b_n, d_n, costs: CostPair) -> np.ndarray:
     hi = np.full_like(b_p, 1.0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(64):
-            moved = False
-            g_lo = dloss(lo)
-            push = g_lo > 0  # minimizer below lo
-            if push.any():
-                hi = np.where(push, lo, hi)
-                lo = np.where(push, lo * 2.0, lo)
-                moved = True
-            g_hi = dloss(hi)
-            push = g_hi < 0  # minimizer above hi
-            if push.any():
-                lo = np.where(push, hi, lo)
-                hi = np.where(push, hi * 2.0, hi)
-                moved = True
-            if not moved:
+            down = dloss(lo) > 0  # minimizer below lo
+            hi = np.where(down, lo, hi)
+            lo = np.where(down, lo * 2.0, lo)
+            up = dloss(hi) < 0  # minimizer above hi
+            lo = np.where(up, hi, lo)
+            hi = np.where(up, hi * 2.0, hi)
+            if not (down.any() or up.any()):
                 break
         for _ in range(200):
             mid = 0.5 * (lo + hi)
@@ -259,9 +252,8 @@ def _csa_alpha_arrays(b_p, d_p, b_n, d_n, costs: CostPair) -> np.ndarray:
             if stuck.all():
                 break
             g = dloss(mid)
-            exact = g == 0.0
-            hi = np.where(exact | (g > 0), mid, hi)
-            lo = np.where(exact | (g < 0), mid, lo)
+            hi = np.where(g >= 0, mid, hi)
+            lo = np.where(g <= 0, mid, lo)
     return 0.5 * (lo + hi)
 
 

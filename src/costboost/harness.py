@@ -75,8 +75,6 @@ DEFAULT_COST_GRID = (
 
 DEVIATION_STATISTICS = ("max-abs", "mean-abs", "std")
 
-REPORT_KINDS = ("appendix_tables", "delta_global", "delta_by_cost", "ca_surface", "timing")
-
 AVG_FOLD = "AVG"
 ALL_FOLD = "all"
 BAYES_REFERENCE = "BAY"
@@ -101,6 +99,9 @@ class DatasetSpec:
         # type(), not isinstance(): JSON true/false would pass as int 1/0
         if type(self.n_pos) is not int or type(self.n_neg) is not int:
             raise ValueError("class counts n_pos and n_neg must be integers")
+        for key, value in (("name", self.name), ("path", self.path)):
+            if type(value) is not str:
+                raise ValueError(f"dataset {key} must be a string, not {value!r}")
         if self.kind in ("bayes", "twoclouds") and (self.n_pos <= 0 or self.n_neg <= 0):
             raise ValueError("generator specs need positive class counts")
         if type(self.rounds) is not int or self.rounds < 0:
@@ -182,8 +183,8 @@ class ExperimentConfig:
             if spec.kind != "csv" and min(spec.n_pos, spec.n_neg) < self.folds:
                 raise ValueError(f"dataset {spec.resolved_name()!r} needs n_pos and n_neg "
                                  f"of at least folds = {self.folds}")
-        if type(self.seed) is not int:
-            raise ValueError("seed must be an integer")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
         if self.rounds != "dataset-size" and (type(self.rounds) is not int or self.rounds < 1):
             raise ValueError("rounds must be 'dataset-size' or a positive integer")
 
@@ -622,6 +623,78 @@ def _delta_inputs(store: RunStore, attribute: str):
     return rows
 
 
+def _appendix_tables(store: RunStore):
+    """One results table per dataset: the fold-averaged and reference rows."""
+    for dataset in sorted({rec.dataset for rec in store.records}):
+        yield (f"results_{dataset}.csv", "Cost,Alg,FNR,FPR,CE,NEC", "[%s;%s],%s,%r,%r,%r,%r\n",
+               [(_trim(rec.cost.c_pos), _trim(rec.cost.c_neg), rec.algorithm,
+                 rec.rates.fnr, rec.rates.fpr, rec.rates.ce, rec.nec)
+                for rec in store.records
+                if rec.dataset == dataset and rec.fold in (AVG_FOLD, ALL_FOLD)])
+
+
+def _delta_global(store: RunStore):
+    for attribute in ("nec", "ce"):
+        by_alg, _ = conditional_moments(_delta_inputs(store, attribute))
+        yield (f"delta_{attribute}_global.csv", "algorithm,mean,variance", "%s,%r,%r\n",
+               [(alg, stats["mean"], stats["variance"]) for alg, stats in sorted(by_alg.items())])
+
+
+def _delta_by_cost(store: RunStore):
+    for attribute in ("nec", "ce"):
+        _, by_alg_cost = conditional_moments(_delta_inputs(store, attribute))
+        yield (f"delta_{attribute}_by_cost.csv", "algorithm,c_pos,c_neg,mean,variance",
+               "%s,%s,%s,%r,%r\n",
+               [(alg, _trim(cost.c_pos), _trim(cost.c_neg), stats["mean"], stats["variance"])
+                for (alg, cost), stats in sorted(by_alg_cost.items())])
+
+
+def _ca_surface(store: RunStore):
+    """Training classification asymmetry per round, averaged over the folds."""
+    grouped = {}
+    for (dataset, algorithm, c_pos, c_neg, fold), rows in store.traces.items():
+        for round_no, _alpha, _z, _nec, ca in rows:
+            key = (dataset, algorithm, float(c_pos), float(c_neg), round_no)
+            grouped.setdefault(key, []).append(ca)
+    rows = []
+    for key in sorted(grouped):
+        values = [v for v in grouped[key] if not np.isnan(v)]
+        if not values:
+            continue  # undefined in every fold: skip instead of poisoning
+        dataset, algorithm, c_pos, c_neg, round_no = key
+        rows.append((dataset, algorithm, _trim(c_pos), _trim(c_neg), round_no,
+                     float(np.mean(values))))
+    yield ("ca_surface.csv", "dataset,algorithm,c_pos,c_neg,round,train_ca",
+           "%s,%s,%s,%s,%s,%r\n", rows)
+
+
+def _timing(store: RunStore):
+    """Mean training seconds per algorithm (with the ratio to CGA) and per cost."""
+    by_alg, by_alg_cost = conditional_moments(
+        (rec.algorithm, rec.cost, rec.dataset, rec.train_seconds) for rec in store.records
+        if rec.fold not in (AVG_FOLD, ALL_FOLD) and rec.algorithm != BAYES_REFERENCE
+    )
+    base = by_alg.get("CGA", {}).get("mean")
+    yield ("timing_grand.csv", "algorithm,mean_seconds,ratio_to_cga", "%s,%r,%s\n",
+           [(alg, stats["mean"], repr(stats["mean"] / base) if base else "")
+            for alg, stats in sorted(by_alg.items())])
+    yield ("timing_by_cost.csv", "algorithm,c_pos,c_neg,mean_seconds", "%s,%s,%s,%r\n",
+           [(alg, _trim(cost.c_pos), _trim(cost.c_neg), stats["mean"])
+            for (alg, cost), stats in sorted(by_alg_cost.items())])
+
+
+# each report kind's builder yields (file name, header, row format, rows) per file
+_REPORTS = {
+    "appendix_tables": _appendix_tables,
+    "delta_global": _delta_global,
+    "delta_by_cost": _delta_by_cost,
+    "ca_surface": _ca_surface,
+    "timing": _timing,
+}
+
+REPORT_KINDS = tuple(_REPORTS)
+
+
 def emit_report(store: RunStore, kind: str, out_dir) -> list:
     """Write one report family as CSV data files; returns the paths."""
     if not store.records:
@@ -630,88 +703,8 @@ def emit_report(store: RunStore, kind: str, out_dir) -> list:
         raise ValueError(f"unknown report kind {kind!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-
-    if kind == "appendix_tables":
-        datasets = sorted({rec.dataset for rec in store.records})
-        for dataset in datasets:
-            rows = (
-                (_trim(rec.cost.c_pos), _trim(rec.cost.c_neg), rec.algorithm,
-                 rec.rates.fnr, rec.rates.fpr, rec.rates.ce, rec.nec)
-                for rec in store.records
-                if rec.dataset == dataset and rec.fold in (AVG_FOLD, ALL_FOLD)
-            )
-            paths.append(_write_csv(out / f"results_{dataset}.csv", "Cost,Alg,FNR,FPR,CE,NEC",
-                                    "[%s;%s],%s,%r,%r,%r,%r\n", rows))
-        return paths
-
-    if kind in ("delta_global", "delta_by_cost"):
-        for attribute in ("nec", "ce"):
-            by_alg, by_alg_cost = conditional_moments(_delta_inputs(store, attribute))
-            if kind == "delta_global":
-                rows = [
-                    (alg, stats["mean"], stats["variance"])
-                    for alg, stats in sorted(by_alg.items())
-                ]
-                paths.append(
-                    _write_csv(out / f"delta_{attribute}_global.csv",
-                               "algorithm,mean,variance", "%s,%r,%r\n", rows)
-                )
-            else:
-                rows = [
-                    (alg, _trim(cost.c_pos), _trim(cost.c_neg),
-                     stats["mean"], stats["variance"])
-                    for (alg, cost), stats in sorted(by_alg_cost.items())
-                ]
-                paths.append(
-                    _write_csv(out / f"delta_{attribute}_by_cost.csv",
-                               "algorithm,c_pos,c_neg,mean,variance", "%s,%s,%s,%r,%r\n", rows)
-                )
-        return paths
-
-    if kind == "ca_surface":
-        grouped = {}
-        for (dataset, algorithm, c_pos, c_neg, fold), rows in store.traces.items():
-            for round_no, _alpha, _z, _nec, ca in rows:
-                grouped.setdefault(
-                    (dataset, algorithm, float(c_pos), float(c_neg), round_no), []
-                ).append(ca)
-        rows = []
-        for key in sorted(grouped):
-            values = [v for v in grouped[key] if not np.isnan(v)]
-            if not values:
-                continue  # undefined in every fold: skip instead of poisoning
-            dataset, algorithm, c_pos, c_neg, round_no = key
-            rows.append(
-                (dataset, algorithm, _trim(c_pos), _trim(c_neg), round_no,
-                 float(np.mean(values)))
-            )
-        paths.append(
-            _write_csv(out / "ca_surface.csv", "dataset,algorithm,c_pos,c_neg,round,train_ca",
-                       "%s,%s,%s,%s,%s,%r\n", rows)
-        )
-        return paths
-
-    # timing: grand mean per algorithm with the ratio to CGA, plus the
-    # cost-conditioned means (both views answer different questions)
-    by_alg, by_alg_cost = conditional_moments(
-        (rec.algorithm, rec.cost, rec.dataset, rec.train_seconds) for rec in store.records
-        if rec.fold not in (AVG_FOLD, ALL_FOLD) and rec.algorithm != BAYES_REFERENCE
-    )
-    base = by_alg.get("CGA", {}).get("mean")
-    rows = [(alg, stats["mean"], repr(stats["mean"] / base) if base else "")
-            for alg, stats in sorted(by_alg.items())]
-    paths.append(_write_csv(out / "timing_grand.csv", "algorithm,mean_seconds,ratio_to_cga",
-                            "%s,%r,%s\n", rows))
-    rows = [
-        (alg, _trim(cost.c_pos), _trim(cost.c_neg), stats["mean"])
-        for (alg, cost), stats in sorted(by_alg_cost.items())
-    ]
-    paths.append(
-        _write_csv(out / "timing_by_cost.csv", "algorithm,c_pos,c_neg,mean_seconds",
-                   "%s,%s,%s,%r\n", rows)
-    )
-    return paths
+    return [_write_csv(out / name, header, fmt, rows)
+            for name, header, fmt, rows in _REPORTS[kind](store)]
 
 
 def _trim(value: float) -> str:

@@ -114,12 +114,27 @@ def test_run_rejects_zero_jobs(tmp_path, capsys, config_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_run_rejects_negative_seed(tmp_path, capsys, config_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(config_path), "--out", str(tmp_path / "run"),
+              "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "costboost: error: seed must be a nonnegative integer" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("config, message", [
     (None, "No such file or directory"),
     ("{", "Expecting property name"),
     ({"datasets": [{"kind": "bayes", "n_pos": 9, "n_neg": 9}], "algorithms": ["ADA", "ADA"]},
      "algorithm names must be unique"),
-], ids=["missing", "malformed", "duplicate-algorithm"])
+    ({"datasets": [{"kind": "bayes", "name": 5, "n_pos": 9, "n_neg": 9}]},
+     "dataset name must be a string"),
+    ({"datasets": [{"kind": "bayes", "path": 5, "n_pos": 9, "n_neg": 9}]},
+     "dataset path must be a string"),
+], ids=["missing", "malformed", "duplicate-algorithm", "int-name", "int-path"])
 def test_run_reports_bad_configs_without_traceback(tmp_path, capsys, config, message):
     path = tmp_path / "config.json"
     if config is not None:

@@ -12,6 +12,7 @@ from costboost.harness import (
     AVG_FOLD,
     BAYES_REFERENCE,
     DEFAULT_COST_GRID,
+    REPORT_KINDS,
     ConvergenceSettings,
     DatasetSpec,
     ExperimentConfig,
@@ -213,6 +214,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="name"):
             DatasetSpec(kind="csv", path="data/a,b.csv")
 
+    def test_from_dict_rejects_non_string_name_and_path(self):
+        for key in ("name", "path"):
+            for value in (5, ["a"]):
+                raw = tiny_config().to_dict()
+                raw["datasets"][0][key] = value
+                with pytest.raises(ValueError, match=key):
+                    ExperimentConfig.from_dict(raw)
+
     @pytest.mark.parametrize("key, value, named", [
         ("costs", 5, "costs"), ("convergence", 5, "convergence"),
         ("algorithms", 5, "algorithms"), ("algorithms", "ADA", "algorithms"),
@@ -248,7 +257,8 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict(raw)
 
     def test_rejects_non_integer_folds_and_seed(self):
-        for key, value in (("folds", 2.7), ("folds", True), ("seed", 3.5), ("seed", True)):
+        for key, value in (("folds", 2.7), ("folds", True), ("seed", 3.5), ("seed", True),
+                           ("seed", -1)):
             raw = dict(tiny_config().to_dict(), **{key: value})
             with pytest.raises(ValueError, match=key):
                 ExperimentConfig.from_dict(raw)
@@ -625,6 +635,43 @@ class TestEmitReport:
             assert float(mean) == pytest.approx(means[alg], rel=1e-12)
             assert float(ratio) == pytest.approx(means[alg] / means["CGA"], rel=1e-12)
         assert by_cost.read_text().splitlines()[0] == "algorithm,c_pos,c_neg,mean_seconds"
+
+    def test_report_bytes_match_golden(self, tmp_path):
+        """Every deterministic report file of a sweep whose rounds do not all clamp."""
+        store = run_experiment(tiny_config(
+            datasets=(DatasetSpec(kind="twoclouds", n_pos=12, n_neg=12),),
+            algorithms=("ADA", "ABT", "CSA", "CGA")))
+        written = {kind: emit_report(store, kind, tmp_path / kind) for kind in REPORT_KINDS}
+        assert list(written) == ["appendix_tables", "delta_global", "delta_by_cost",
+                                 "ca_surface", "timing"]
+        assert {kind: [(path.name, path.read_text().splitlines()[0]) for path in paths]
+                for kind, paths in written.items()} == {
+            "appendix_tables": [("results_twoclouds.csv", "Cost,Alg,FNR,FPR,CE,NEC")],
+            "delta_global": [("delta_nec_global.csv", "algorithm,mean,variance"),
+                             ("delta_ce_global.csv", "algorithm,mean,variance")],
+            "delta_by_cost": [("delta_nec_by_cost.csv", "algorithm,c_pos,c_neg,mean,variance"),
+                              ("delta_ce_by_cost.csv", "algorithm,c_pos,c_neg,mean,variance")],
+            "ca_surface": [("ca_surface.csv", "dataset,algorithm,c_pos,c_neg,round,train_ca")],
+            # wall-clock values: only the file names and headers are pinned
+            "timing": [("timing_grand.csv", "algorithm,mean_seconds,ratio_to_cga"),
+                       ("timing_by_cost.csv", "algorithm,c_pos,c_neg,mean_seconds")],
+        }
+        digests = {path.name: sha256(path.read_bytes()).hexdigest()
+                   for kind, paths in written.items() if kind != "timing" for path in paths}
+        assert digests == {
+            "results_twoclouds.csv":
+                "d5a098ef0ebbab001cd80d4b63922f10c2f57e133b6caac2545cd2ae9efc5ebd",
+            "delta_nec_global.csv":
+                "f470b5c7d151a39433bdfccf562d12df249c35c9a7a1c7fdfc4f690be1ddaf37",
+            "delta_ce_global.csv":
+                "1e32fad209a8a77fd642c2bb44f2dae518a638c94c1e5830f2cc1b6ae0b368f6",
+            "delta_nec_by_cost.csv":
+                "148c18ab8bfcc375d56bcb129a7f1855572f98174b483d502bfb4ef229a71376",
+            "delta_ce_by_cost.csv":
+                "c5e0ccd816396b3c55e2c7e20e5056285d2eae8294e279e4f4607bb0b4d03503",
+            "ca_surface.csv":
+                "7ff41f8aadcf88ae7a56d64f9db2fc96127645743b87a1a3496b1bd87910fb37",
+        }
 
     def test_unknown_kind_rejected(self, store, tmp_path):
         with pytest.raises(ValueError):
