@@ -91,6 +91,8 @@ ALGORITHM_IDS = (
 
 _ERR_FLOOR = 1e-10
 _MASS_FLOOR = 1e-10
+_PRUNE_EVERY = 8  # CSA bisection steps between two pruning passes
+_BOUND_ULPS = 64  # rounding allowance of a CSA loss bound, see _can_still_win
 
 
 def _number(value, name) -> float:
@@ -214,29 +216,47 @@ def _floor_mass_groups(b_p, d_p, b_n, d_n):
     )
 
 
-def _csa_alpha_arrays(b_p, d_p, b_n, d_n, costs: CostPair) -> np.ndarray:
-    """Elementwise minimizer of the class-separated exponential loss.
+def _csa_alpha_arrays(b_p, d_p, b_n, d_n, costs: CostPair):
+    """Minimizers of the class-separated exponential loss, for the
+    candidates whose loss can still be the smallest.
 
-    Strict convexity makes the derivative increasing, so the root is
-    bracketed by doubling and then bisected to float resolution. Both
-    mass sides must already be floored above zero.
+    Returns ``(kept, alphas)``: the indices of the candidates not pruned,
+    in increasing order, and their minimizers. Both mass sides must
+    already be floored above zero. Equal costs take the closed form for
+    every candidate. Otherwise strict convexity makes the derivative
+    increasing, so each root is bracketed by doubling and then bisected
+    to float resolution, elementwise. Every ``_PRUNE_EVERY`` bisection
+    steps, from step log2(16 max(c)) on, ``_can_still_win`` drops the
+    candidates whose loss provably ends above another's; the rest go on
+    from their current bracket, never restarted.
+
+    Where an element stops does not depend on the rest of the batch:
+    - Its bracket is fixed from the first doubling step that moves
+      neither end, as the next step tests the same two points.
+    - Its result ``0.5 * (lo + hi)`` is fixed from the first stuck
+      midpoint (one equal to ``lo`` or ``hi``): the update there can at
+      most move the other end onto it, which leaves the result as it
+      was. Otherwise the 200th update fixes it.
+    Both loops run until every live element is fixed or at its cap, so
+    an element gives the same bits alone, in any batch, and whatever is
+    pruned beside it. With one element nothing is pruned.
     """
     c_p, c_n = costs.c_pos, costs.c_neg
+    kept = np.arange(b_p.size)
     if c_p == c_n:
-        return np.log((b_p + b_n) / (d_p + d_n)) / (2.0 * c_p)
-
-    def _term(coef, exponent):
-        # exact-zero coefficients must not turn exp overflow into NaN
-        return np.where(coef > 0.0, coef * np.exp(exponent), 0.0)
+        return kept, np.log((b_p + b_n) / (d_p + d_n)) / (2.0 * c_p)
+    # row r of the loss is masses[r] * exp(rates[r] * alpha)
+    masses = np.array((d_p, b_p, d_n, b_n), dtype=float)
+    rates = np.array((c_p, -c_p, c_n, -c_n))[:, None]
 
     def dloss(a):
-        return c_p * (_term(d_p, a * c_p) - _term(b_p, -a * c_p)) + c_n * (
-            _term(d_n, a * c_n) - _term(b_n, -a * c_n)
-        )
+        # exact-zero masses must not turn exp overflow into NaN
+        terms = np.where(masses > 0.0, masses * np.exp(rates * a), 0.0)
+        return c_p * (terms[0] - terms[1]) + c_n * (terms[2] - terms[3])
 
-    lo = np.full_like(b_p, -1.0, dtype=float)
-    hi = np.full_like(b_p, 1.0, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
+    lo = np.full(kept.size, -1.0)
+    hi = np.full(kept.size, 1.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(64):
             down = dloss(lo) > 0  # minimizer below lo
             hi = np.where(down, lo, hi)
@@ -246,7 +266,13 @@ def _csa_alpha_arrays(b_p, d_p, b_n, d_n, costs: CostPair) -> np.ndarray:
             hi = np.where(up, hi * 2.0, hi)
             if not (down.any() or up.any()):
                 break
-        for _ in range(200):
+        # the bounds part candidates once max(c) (hi - lo) is about 1/8:
+        # from the usual bracket [-1, 1] that takes log2(16 max(c)) halvings
+        first = max(0, math.ceil(math.log2(16.0 * max(c_p, c_n))))
+        for step in range(200):
+            if step >= first and (step - first) % _PRUNE_EVERY == 0 and kept.size > 1:
+                live = _can_still_win(lo, hi, masses, rates)
+                kept, lo, hi, masses = kept[live], lo[live], hi[live], masses[:, live]
             mid = 0.5 * (lo + hi)
             stuck = (mid == lo) | (mid == hi)
             if stuck.all():
@@ -254,7 +280,59 @@ def _csa_alpha_arrays(b_p, d_p, b_n, d_n, costs: CostPair) -> np.ndarray:
             g = dloss(mid)
             hi = np.where(g >= 0, mid, hi)
             lo = np.where(g <= 0, mid, lo)
-    return 0.5 * (lo + hi)
+    return kept, 0.5 * (lo + hi)
+
+
+def _can_still_win(lo, hi, masses, rates) -> np.ndarray:
+    """Mask of the candidates whose final loss can still be the smallest.
+
+    Each candidate's final alpha lies in its bracket [lo, hi] and its
+    loss f is convex, so the final loss is at most max(f(lo), f(hi)).
+    The tangents at lo and hi lie below f, so on [lo, hi] f is at least
+    min(f(lo), f(hi), V), V the value where the tangents meet, at
+    lo + (f(lo) - f(hi) + f'(hi) w) / (f'(hi) - f'(lo)), w = hi - lo.
+    (min(f(lo), f(hi)) is no upper bound: the final alpha need not sit
+    at the better end.) A candidate is dropped when its lower bound
+    exceeds the smallest upper bound by more than rounding can explain.
+    Its final loss then ends strictly above that of the bounding
+    candidate, which is kept now and, if dropped later, ends above
+    another; so it can win neither on loss nor on a tie.
+
+    The margin covers every rounding. Let u = 2**-53, c = max(c_pos,
+    c_neg), R = c max(|lo|, |hi|) and E = u (1 + R) (1 + c w) (f(lo) +
+    f(hi)). Allowing each exp call 4 ulp (8u; numpy validates its
+    float64 exp to 1 ulp), a term m exp(x c') carries (|x| c' + 9) u of
+    itself: the product x c', exp, the product with m. Hence:
+    - f at an end is within (R + 12) u f and f' within (R + 13) u c f,
+      as |f'| <= c f; over [lo, hi] a tangent built from the computed
+      values is then off by at most 13 E.
+    - With f'(lo) <= 0 <= f'(hi) the denominator adds two nonnegative
+      numbers and |f'(lo)| / (f'(hi) - f'(lo)) <= 1, so the roundings
+      in V cost at most 10 u (f(lo) + f(hi) + w (f'(hi) - f'(lo))),
+      under 10 E.
+    - ``csa_loss`` at the final alpha is within (R + 12) u f <= 12 E of
+      the exact loss, for the dropped candidate and the bounding one.
+    A dropped candidate's computed final loss therefore exceeds its
+    lower bound minus 35 E, and the bounding candidate's stays under its
+    upper bound plus 24 E. Each side takes ``_BOUND_ULPS`` (64) E, which
+    leaves room for second-order terms and the few roundings of the
+    comparison, plus the smallest normal float for subnormal underflow.
+    Where R u is large the margin exceeds f and nothing is dropped.
+    Candidates with a non-finite bound or an endpoint derivative of the
+    wrong sign are kept.
+    """
+    terms = masses[:, None] * np.exp(rates[:, None] * np.array((lo, hi)))
+    f_lo, f_hi = terms.sum(axis=0)
+    g_lo, g_hi = (rates[:, None] * terms).sum(axis=0)
+    c = rates.max()
+    width = hi - lo
+    meet = (f_lo - f_hi + g_hi * width) / (g_hi - g_lo)
+    lower = np.minimum(np.minimum(f_lo, f_hi), f_lo + g_lo * meet)
+    margin = (_BOUND_ULPS * 2.0**-53 * (1.0 + c * np.maximum(np.abs(lo), np.abs(hi)))
+              * (1.0 + c * width) * (f_lo + f_hi) + np.finfo(float).tiny)
+    upper = np.maximum(f_lo, f_hi) + margin
+    dropped = (g_lo <= 0) & (g_hi >= 0) & (lower - margin > np.fmin.reduce(upper))
+    return ~dropped
 
 
 def solve_csa_alpha(masses: ClassMasses, costs: CostPair) -> float:
@@ -263,18 +341,20 @@ def solve_csa_alpha(masses: ClassMasses, costs: CostPair) -> float:
     Mass sides that sum to zero are floored at 1e-10 so the loss keeps a
     finite minimizer. Equal costs reduce to the closed form
     ln((b_p+b_n)/(d_p+d_n)) / (2c), evaluated with the scalar libm log.
+    Otherwise the masses are a batch of one for ``_csa_alpha_arrays``,
+    which prunes nothing there.
     """
-    if min(masses.b_p, masses.d_p, masses.b_n, masses.d_n) < 0:
-        raise ValueError("masses must be nonnegative")
     arrays = [
         np.asarray([m], dtype=float)
         for m in (masses.b_p, masses.d_p, masses.b_n, masses.d_n)
     ]
+    if not all(np.isfinite(m[0]) and m[0] >= 0 for m in arrays):
+        raise ValueError("masses must be finite and nonnegative")
     b_p, d_p, b_n, d_n = _floor_mass_groups(*arrays)
     if costs.c_pos == costs.c_neg:
         ratio = float(b_p[0] + b_n[0]) / float(d_p[0] + d_n[0])
         return math.log(ratio) / (2.0 * costs.c_pos)
-    return float(_csa_alpha_arrays(b_p, d_p, b_n, d_n, costs)[0])
+    return float(_csa_alpha_arrays(b_p, d_p, b_n, d_n, costs)[1][0])
 
 
 def _csa_select(columns: SortedColumns, weights, costs: CostPair):
@@ -283,23 +363,28 @@ def _csa_select(columns: SortedColumns, weights, costs: CostPair):
     The candidates are the cuts of ``train_stump``, with the class masses
     of polarity +1; the polarity -1 twin shares the optimal loss with the
     vote weight negated, so each pair is solved once, all in one flat
-    batch. Ties break on (loss, plain weighted error, feature, threshold,
-    polarity +1) -- the candidates come in (feature, threshold) order, so
-    the first index among tied candidates realizes that hierarchy.
+    batch. ``_csa_alpha_arrays`` solves only the candidates whose loss
+    can still be the smallest: the rest are pruned by tangent bounds that
+    prove their loss ends strictly higher, so the selected stump, its
+    alpha and every candidate tied with it on loss come out bit for bit
+    as a full solve of the batch gives them. Ties break on (loss, plain
+    weighted error, feature, threshold, polarity +1) -- the candidates
+    come in (feature, threshold) order, so the first index among tied
+    candidates realizes that hierarchy.
     """
     b_p, d_p, b_n, d_n = _candidates(columns, weights)
-    fb_p, fd_p, fb_n, fd_n = _floor_mass_groups(b_p, d_p, b_n, d_n)
-    alphas = _csa_alpha_arrays(fb_p, fd_p, fb_n, fd_n, costs)
-    losses = csa_loss(alphas, ClassMasses(fb_p, fd_p, fb_n, fd_n), costs)
-    err_plus = d_p + d_n
-    err_minus = b_p + b_n
+    floored = _floor_mass_groups(b_p, d_p, b_n, d_n)
+    kept, alphas = _csa_alpha_arrays(*floored, costs)
+    losses = csa_loss(alphas, ClassMasses(*(m[kept] for m in floored)), costs)
+    err_plus = (d_p + d_n)[kept]
+    err_minus = (b_p + b_n)[kept]
 
     candidates = np.flatnonzero(losses == losses.min())
     pair_err = np.minimum(err_plus[candidates], err_minus[candidates])
     j = candidates[np.flatnonzero(pair_err == pair_err.min())[0]]
     polarity = 1 if err_plus[j] <= err_minus[j] else -1
     alpha = float(alphas[j]) if polarity == 1 else -float(alphas[j])
-    return _cut_stump(columns, j, polarity), alpha
+    return _cut_stump(columns, kept[j], polarity), alpha
 
 
 def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rounds,

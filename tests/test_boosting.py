@@ -2,10 +2,14 @@ from hashlib import sha256
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from costboost.boosting import (
     ALGORITHM_IDS,
     CostPair,
+    _csa_alpha_arrays,
+    _csa_select,
+    _floor_mass_groups,
     adjust_threshold,
     boost_round,
     csa_loss,
@@ -17,7 +21,8 @@ from costboost.boosting import (
 )
 from costboost.datasets import gen_bayes, gen_two_clouds
 from costboost.metrics import pcf
-from costboost.stumps import ClassMasses, Stump, predict_matrix, sort_columns, stump_predict
+from costboost.stumps import (ClassMasses, Stump, _candidates, _cut_stump, predict_matrix,
+                              sort_columns, stump_predict)
 
 ERR_FLOOR = 1e-10
 UNIT = CostPair(1, 1)
@@ -203,6 +208,154 @@ class TestSolveCsaAlpha:
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError):
             solve_csa_alpha(ClassMasses(-0.1, 0.4, 0.4, 0.3), UNIT)
+
+    @pytest.mark.parametrize("costs", [UNIT, CostPair(1, 3)])
+    @pytest.mark.parametrize("masses", [(np.nan, 0.2, 0.3, 0.1), (np.inf, 0.2, 0.3, 0.1),
+                                        (0.4, 0.2, 0.3, -np.inf), (0.4, np.nan, np.inf, 0.1)])
+    def test_rejects_non_finite_mass(self, masses, costs):
+        # a NaN mass once came back as a finite alpha, an infinite one as
+        # the saturated bracket
+        with pytest.raises(ValueError, match="finite"):
+            solve_csa_alpha(ClassMasses(*masses), costs)
+
+
+def full_batch_alphas(b_p, d_p, b_n, d_n, costs):
+    """The CSA solve without pruning: every candidate bracketed and bisected
+    to the end. Also returns, per element, the bisection updates made
+    before its midpoint first got stuck (200 at the cap) and whether a
+    derivative evaluated exactly 0."""
+    c_p, c_n = costs.c_pos, costs.c_neg
+    updates = np.zeros(b_p.size, dtype=int)
+    zero = np.zeros(b_p.size, dtype=bool)
+    if c_p == c_n:
+        return np.log((b_p + b_n) / (d_p + d_n)) / (2.0 * c_p), updates, zero
+
+    def _term(coef, exponent):
+        return np.where(coef > 0.0, coef * np.exp(exponent), 0.0)
+
+    def dloss(a):
+        return c_p * (_term(d_p, a * c_p) - _term(b_p, -a * c_p)) + c_n * (
+            _term(d_n, a * c_n) - _term(b_n, -a * c_n)
+        )
+
+    lo = np.full_like(b_p, -1.0, dtype=float)
+    hi = np.full_like(b_p, 1.0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(64):
+            down = dloss(lo) > 0
+            hi = np.where(down, lo, hi)
+            lo = np.where(down, lo * 2.0, lo)
+            up = dloss(hi) < 0
+            lo = np.where(up, hi, lo)
+            hi = np.where(up, hi * 2.0, hi)
+            if not (down.any() or up.any()):
+                break
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            stuck = (mid == lo) | (mid == hi)
+            if stuck.all():
+                break
+            g = dloss(mid)
+            updates += ~stuck
+            zero |= g == 0
+            hi = np.where(g >= 0, mid, hi)
+            lo = np.where(g <= 0, mid, lo)
+    return 0.5 * (lo + hi), updates, zero
+
+
+def full_batch_csa_select(columns, weights, costs):
+    """``_csa_select`` over the full batch, with its (loss, plain error,
+    feature, threshold, polarity +1) tie-break."""
+    b_p, d_p, b_n, d_n = _candidates(columns, weights)
+    floored = _floor_mass_groups(b_p, d_p, b_n, d_n)
+    alphas = full_batch_alphas(*floored, costs)[0]
+    losses = csa_loss(alphas, ClassMasses(*floored), costs)
+    err_plus = d_p + d_n
+    err_minus = b_p + b_n
+    candidates = np.flatnonzero(losses == losses.min())
+    pair_err = np.minimum(err_plus[candidates], err_minus[candidates])
+    j = candidates[np.flatnonzero(pair_err == pair_err.min())[0]]
+    polarity = 1 if err_plus[j] <= err_minus[j] else -1
+    alpha = float(alphas[j]) if polarity == 1 else -float(alphas[j])
+    return _cut_stump(columns, j, polarity), alpha
+
+
+class TestPrunedCsaSelection:
+    """The pruned solve selects what a full solve of the batch selects,
+    stump and alpha bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=24),
+        n_features=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        costs=st.sampled_from([(1, 100), (50, 1), (1, 10), (3, 2)])
+        | st.tuples(st.floats(0.05, 200.0), st.floats(0.05, 200.0)),
+        mass=st.sampled_from(["random", "no_positive", "no_negative", "one_sample"]),
+        duplicate=st.booleans(),
+    )
+    def test_matches_full_batch(self, n, n_features, seed, costs, mass, duplicate):
+        rng = np.random.default_rng(seed)
+        features = rng.integers(0, 6, size=(n, n_features)).astype(float)
+        if duplicate and n_features > 1:
+            features[:, -1] = features[:, 0]  # exact loss ties across features
+        labels = rng.choice([-1, 1], size=n)
+        weights = rng.random(n) * (rng.random(n) < 0.8)
+        # one-sided masses leave whole sides empty, which the floor fills
+        if mass == "no_positive":
+            weights[labels > 0] = 0.0
+        elif mass == "no_negative":
+            weights[labels < 0] = 0.0
+        elif mass == "one_sample":
+            weights = np.where(np.arange(n) == rng.integers(n), 1.0, 0.0)
+        costs = CostPair(*costs)
+        columns = sort_columns(features, labels)
+        stump, alpha = _csa_select(columns, weights, costs)
+        expected_stump, expected_alpha = full_batch_csa_select(columns, weights, costs)
+        assert stump == expected_stump
+        assert repr(alpha) == repr(expected_alpha)
+
+    @pytest.mark.parametrize("costs", [CostPair(1, 100), CostPair(50, 1)])
+    def test_full_size_bayes_rounds_match_full_batch(self, costs):
+        # a pruning bound with a sign slip passed small sweeps but picked
+        # another stump at round 9 here, at a 1.8e-5 relative loss gap
+        data = gen_bayes(500, 500, seed=3)
+        features, labels = data.features[:666], data.labels[:666]
+        columns = sort_columns(features, labels)
+        weights = init_weights("CSA", labels, costs)
+        for t in range(12):
+            result = boost_round("CSA", weights, features, labels, costs, 12,
+                                 columns=columns)
+            expected_stump, expected_alpha = full_batch_csa_select(columns, weights, costs)
+            assert result.stump == expected_stump, t
+            assert repr(result.alpha) == repr(expected_alpha), t
+            weights = result.weights
+
+    @pytest.mark.parametrize("costs, capped", [(CostPair(1, 2), False),
+                                               (CostPair(1e45, 2e45), True)])
+    def test_batch_does_not_change_an_element(self, costs, capped):
+        quadruples = np.array([(0.4, 0.1, 0.3, 0.2), (0.3, 0.3, 0.2, 0.2),
+                               (0.1, 0.4, 0.2, 0.3), (0.25, 0.25, 0.5, 0.0),
+                               (0.5, 0.0, 0.25, 0.25), (0.3, 0.3, 0.0, 1e-300)])
+        # scaled to a minimal loss of 1 up to rounding, no bound can part
+        # them; at twice that loss the copies can be dropped
+        minima = [csa_loss(solve_csa_alpha(ClassMasses(*q), costs), ClassMasses(*q), costs)
+                  for q in quadruples]
+        best = quadruples / np.array(minima)[:, None]
+        batch = np.concatenate([2.0 * best[:3], best, 2.0 * best[3:]])
+        alone = [solve_csa_alpha(ClassMasses(*q), costs) for q in batch]
+
+        kept, alphas = _csa_alpha_arrays(*batch.T, costs)
+        assert set(range(3, 3 + len(best))) <= set(kept.tolist())
+        assert kept.size < len(batch)
+        for index, alpha in zip(kept, alphas):
+            assert repr(float(alpha)) == repr(alone[index])
+
+        # the batch holds early stops, exactly zero derivatives and, at
+        # the huge costs, stops at the 200-update cap
+        _, updates, zero = full_batch_alphas(*batch.T, costs)
+        assert (updates < 200).any() and zero.any()
+        assert (updates == 200).any() == capped
 
 
 class TestAdjustThreshold:
