@@ -50,7 +50,7 @@ but training continues with the clamped value.
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -187,48 +187,49 @@ def _clamped(value, low):
     return clamped, clamped != value
 
 
-def csa_loss(alpha, masses: ClassMasses, costs: CostPair):
-    """Class-separated exponential loss of a stump at vote weight alpha."""
-    return (
-        masses.b_p * np.exp(-alpha * costs.c_pos)
-        + masses.d_p * np.exp(alpha * costs.c_pos)
-        + masses.b_n * np.exp(-alpha * costs.c_neg)
-        + masses.d_n * np.exp(alpha * costs.c_neg)
-    )
+def _rates(costs: CostPair) -> np.ndarray:
+    """Exponent rate of each mass row b_p, d_p, b_n, d_n in the loss."""
+    return np.array((-costs.c_pos, costs.c_pos, -costs.c_neg, costs.c_neg))
 
 
-def _floor_mass_groups(b_p, d_p, b_n, d_n):
-    """Floor the correct-side and wrong-side masses away from zero.
-
-    Each side of the loss needs positive total mass or the minimizer
-    diverges; flooring whole sides (instead of every mass) leaves
-    nonzero configurations untouched, so the equal-cost closed form
-    stays exact.
-    """
-    b_zero = (b_p + b_n) <= 0.0
-    d_zero = (d_p + d_n) <= 0.0
-    floor = _MASS_FLOOR
-    return (
-        np.where(b_zero, floor, b_p),
-        np.where(d_zero, floor, d_p),
-        np.where(b_zero, floor, b_n),
-        np.where(d_zero, floor, d_n),
-    )
+def _terms(masses, rates, alpha):
+    """Loss terms mass * exp(rate * alpha); an exact-zero mass gives 0, not 0 * inf."""
+    return np.where(masses > 0.0, masses * np.exp(rates * alpha), 0.0)
 
 
-def _csa_alpha_arrays(b_p, d_p, b_n, d_n, costs: CostPair):
+def csa_loss(alpha, masses, costs: CostPair):
+    """Class-separated exponential loss of a stump at vote weight alpha;
+    ``masses`` is a ``ClassMasses`` or a block with rows b_p, d_p, b_n, d_n."""
+    rows = astuple(masses) if isinstance(masses, ClassMasses) else masses
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_p, d_p, b_n, d_n = (_terms(m, r, alpha) for m, r in zip(rows, _rates(costs)))
+    return b_p + d_p + b_n + d_n
+
+
+def _floor_mass_groups(masses) -> np.ndarray:
+    """Floor the correct-side and wrong-side masses of a block with rows
+    b_p, d_p, b_n, d_n away from zero. Each side of the loss needs positive
+    total mass or the minimizer diverges; flooring whole sides (instead of
+    every mass) leaves nonzero configurations untouched, so the equal-cost
+    closed form stays exact."""
+    empty = masses[:2] + masses[2:] <= 0.0  # rows: the b side, the d side
+    return np.where(np.concatenate((empty, empty)), _MASS_FLOOR, masses)
+
+
+def _csa_alpha_arrays(masses, costs: CostPair):
     """Minimizers of the class-separated exponential loss, for the
     candidates whose loss can still be the smallest.
 
-    Returns ``(kept, alphas)``: the indices of the candidates not pruned,
-    in increasing order, and their minimizers. Both mass sides must
-    already be floored above zero. Equal costs take the closed form for
-    every candidate. Otherwise strict convexity makes the derivative
-    increasing, so each root is bracketed by doubling and then bisected
-    to float resolution, elementwise. Every ``_PRUNE_EVERY`` bisection
-    steps, from step log2(16 max(c)) on, ``_can_still_win`` drops the
-    candidates whose loss provably ends above another's; the rest go on
-    from their current bracket, never restarted.
+    ``masses`` is the candidates' b_p, d_p, b_n, d_n block, both sides
+    floored above zero. Returns ``(kept, alphas)``: the indices of the
+    candidates not pruned, in increasing order, and their minimizers.
+    Equal costs take the closed form for every candidate. Otherwise
+    strict convexity makes the derivative increasing, so each root is
+    bracketed by doubling and then bisected to float resolution,
+    elementwise. Every ``_PRUNE_EVERY`` bisection steps, from step
+    log2(16 max(c)) on, ``_can_still_win`` drops the candidates whose
+    loss provably ends above another's; the rest go on from their
+    current bracket, never restarted.
 
     Where an element stops does not depend on the rest of the batch:
     - Its bracket is fixed from the first doubling step that moves
@@ -242,17 +243,15 @@ def _csa_alpha_arrays(b_p, d_p, b_n, d_n, costs: CostPair):
     pruned beside it. With one element nothing is pruned.
     """
     c_p, c_n = costs.c_pos, costs.c_neg
-    kept = np.arange(b_p.size)
+    kept = np.arange(masses.shape[1])
     if c_p == c_n:
+        b_p, d_p, b_n, d_n = masses
         return kept, np.log((b_p + b_n) / (d_p + d_n)) / (2.0 * c_p)
-    # row r of the loss is masses[r] * exp(rates[r] * alpha)
-    masses = np.array((d_p, b_p, d_n, b_n), dtype=float)
-    rates = np.array((c_p, -c_p, c_n, -c_n))[:, None]
+    rates = _rates(costs)[:, None]
 
     def dloss(a):
-        # exact-zero masses must not turn exp overflow into NaN
-        terms = np.where(masses > 0.0, masses * np.exp(rates * a), 0.0)
-        return c_p * (terms[0] - terms[1]) + c_n * (terms[2] - terms[3])
+        b_p, d_p, b_n, d_n = _terms(masses, rates, a)
+        return c_p * (d_p - b_p) + c_n * (d_n - b_n)
 
     lo = np.full(kept.size, -1.0)
     hi = np.full(kept.size, 1.0)
@@ -344,17 +343,14 @@ def solve_csa_alpha(masses: ClassMasses, costs: CostPair) -> float:
     Otherwise the masses are a batch of one for ``_csa_alpha_arrays``,
     which prunes nothing there.
     """
-    arrays = [
-        np.asarray([m], dtype=float)
-        for m in (masses.b_p, masses.d_p, masses.b_n, masses.d_n)
-    ]
-    if not all(np.isfinite(m[0]) and m[0] >= 0 for m in arrays):
+    block = np.array(astuple(masses), dtype=float)[:, None]
+    if not np.all(np.isfinite(block) & (block >= 0)):
         raise ValueError("masses must be finite and nonnegative")
-    b_p, d_p, b_n, d_n = _floor_mass_groups(*arrays)
+    floored = _floor_mass_groups(block)
     if costs.c_pos == costs.c_neg:
-        ratio = float(b_p[0] + b_n[0]) / float(d_p[0] + d_n[0])
-        return math.log(ratio) / (2.0 * costs.c_pos)
-    return float(_csa_alpha_arrays(b_p, d_p, b_n, d_n, costs)[1][0])
+        b_p, d_p, b_n, d_n = floored[:, 0]
+        return math.log(float(b_p + b_n) / float(d_p + d_n)) / (2.0 * costs.c_pos)
+    return float(_csa_alpha_arrays(floored, costs)[1][0])
 
 
 def _csa_select(columns: SortedColumns, weights, costs: CostPair):
@@ -372,12 +368,11 @@ def _csa_select(columns: SortedColumns, weights, costs: CostPair):
     come in (feature, threshold) order, so the first index among tied
     candidates realizes that hierarchy.
     """
-    b_p, d_p, b_n, d_n = _candidates(columns, weights)
-    floored = _floor_mass_groups(b_p, d_p, b_n, d_n)
-    kept, alphas = _csa_alpha_arrays(*floored, costs)
-    losses = csa_loss(alphas, ClassMasses(*(m[kept] for m in floored)), costs)
-    err_plus = (d_p + d_n)[kept]
-    err_minus = (b_p + b_n)[kept]
+    masses = _candidates(columns, weights)
+    floored = _floor_mass_groups(masses)
+    kept, alphas = _csa_alpha_arrays(floored, costs)
+    losses = csa_loss(alphas, floored[:, kept], costs)
+    err_minus, err_plus = masses[:2, kept] + masses[2:, kept]  # b side, d side
 
     candidates = np.flatnonzero(losses == losses.min())
     pair_err = np.minimum(err_plus[candidates], err_minus[candidates])
@@ -465,8 +460,11 @@ def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rou
             factor_w = np.where(wrong, c, 1.0) * w
     step = {"CB0": 0.0, "CB1": 1.0}.get(algorithm, alpha)
 
-    unnorm = factor_w * np.exp(-step * scale * agreement)
+    with np.errstate(over="ignore", invalid="ignore"):
+        unnorm = factor_w * np.exp(-step * scale * agreement)
     z = float(unnorm.sum())
+    if not math.isfinite(z):
+        raise ValueError(f"{algorithm} weight update overflows at {costs}")
     return RoundResult(stump, float(alpha), unnorm / z, z, degenerate)
 
 

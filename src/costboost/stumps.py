@@ -12,8 +12,8 @@ feature index, then lowest threshold, then polarity +1.
 The columns are sorted once per ensemble: ``sort_columns`` validates a
 training set and builds its ``SortedColumns`` block, and every round's
 ``_candidates`` scans that block with the round's weights, giving the
-one candidate table both stump selectors read: ``train_stump`` here,
-and CSA's joint stump/alpha selection in ``boosting``.
+one (4, cuts) class-mass block, rows b_p, d_p, b_n, d_n, that both
+stump selectors read: ``train_stump`` here and CSA in ``boosting``.
 """
 
 from dataclasses import dataclass
@@ -153,22 +153,23 @@ def _candidates(columns: SortedColumns, weights, multiplier=None):
     """Polarity +1 class masses of every valid cut of ``columns``.
 
     The selection mass is ``weights`` times ``multiplier`` (1 when
-    omitted). Returns b_p, d_p, b_n, d_n per valid cut, in (feature,
-    threshold) order: the polarity +1 stump errs on the positives at or
-    below the cut and the negatives above it; polarity -1 swaps b and d.
+    omitted). Returns the block of rows b_p, d_p, b_n, d_n over the valid
+    cuts in (feature, threshold) order: the polarity +1 stump errs on the
+    positives at or below the cut and the negatives above; -1 swaps b, d.
     """
     mass = _selection_mass(weights, multiplier, columns.n_samples)[columns.order]
     # column b holds the class mass below cut b; the last column the total
-    n_features, n_samples = mass.shape
-    pos_below = np.zeros((n_features, n_samples + 1))
-    neg_below = np.zeros((n_features, n_samples + 1))
+    pos_below, neg_below = np.zeros((2, mass.shape[0], mass.shape[1] + 1))
     np.cumsum(np.where(columns.positive, mass, 0.0), axis=1, out=pos_below[:, 1:])
     np.cumsum(np.where(columns.positive, 0.0, mass), axis=1, out=neg_below[:, 1:])
-    d_p = pos_below.take(columns.below)
-    b_n = neg_below.take(columns.below)
-    b_p = pos_below[:, -1][columns.feature] - d_p
-    d_n = neg_below[:, -1][columns.feature] - b_n
-    return b_p, d_p, b_n, d_n
+    masses = np.empty((4, columns.below.size))
+    b_p, d_p, b_n, d_n = masses
+    # the indices are valid: "clip" spares the copy "raise" makes of ``out``
+    pos_below.take(columns.below, out=d_p, mode="clip")
+    neg_below.take(columns.below, out=b_n, mode="clip")
+    np.subtract(pos_below[:, -1][columns.feature], d_p, out=b_p)
+    np.subtract(neg_below[:, -1][columns.feature], b_n, out=d_n)
+    return masses
 
 
 def _cut_stump(columns: SortedColumns, j, polarity) -> Stump:

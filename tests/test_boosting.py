@@ -1,8 +1,10 @@
+import re
+import warnings
 from hashlib import sha256
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from costboost.boosting import (
     ALGORITHM_IDS,
@@ -204,6 +206,12 @@ class TestSolveCsaAlpha:
     def test_empty_sides_are_floored(self):
         alpha = solve_csa_alpha(ClassMasses(0.5, 0.0, 0.5, 0.0), UNIT)
         assert alpha == 0.5 * np.log(1.0 / 2e-10)
+        # an exact-zero mass adds 0 where its exp overflows (alpha c > 709),
+        # not 0 * inf = NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = csa_loss(710.0, ClassMasses(0.5, 0.0, 0.5, 0.0), UNIT)
+        assert 0.0 < loss == 0.5 * np.exp(-710.0) + 0.5 * np.exp(-710.0)
 
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError):
@@ -266,10 +274,11 @@ def full_batch_alphas(b_p, d_p, b_n, d_n, costs):
 def full_batch_csa_select(columns, weights, costs):
     """``_csa_select`` over the full batch, with its (loss, plain error,
     feature, threshold, polarity +1) tie-break."""
-    b_p, d_p, b_n, d_n = _candidates(columns, weights)
-    floored = _floor_mass_groups(b_p, d_p, b_n, d_n)
+    masses = _candidates(columns, weights)
+    floored = _floor_mass_groups(masses)
     alphas = full_batch_alphas(*floored, costs)[0]
-    losses = csa_loss(alphas, ClassMasses(*floored), costs)
+    losses = csa_loss(alphas, floored, costs)
+    b_p, d_p, b_n, d_n = masses
     err_plus = d_p + d_n
     err_minus = b_p + b_n
     candidates = np.flatnonzero(losses == losses.min())
@@ -294,6 +303,11 @@ class TestPrunedCsaSelection:
         mass=st.sampled_from(["random", "no_positive", "no_negative", "one_sample"]),
         duplicate=st.booleans(),
     )
+    # an exact-zero mass whose exp overflows once made the loss NaN and the
+    # selection raise
+    @example(n=4, n_features=5, seed=0, costs=(0.0625, 29.0), mass="random", duplicate=False)
+    @example(n=12, n_features=1, seed=0, costs=(29.0, 0.0625), mass="no_positive",
+             duplicate=False)
     def test_matches_full_batch(self, n, n_features, seed, costs, mass, duplicate):
         rng = np.random.default_rng(seed)
         features = rng.integers(0, 6, size=(n, n_features)).astype(float)
@@ -345,7 +359,7 @@ class TestPrunedCsaSelection:
         batch = np.concatenate([2.0 * best[:3], best, 2.0 * best[3:]])
         alone = [solve_csa_alpha(ClassMasses(*q), costs) for q in batch]
 
-        kept, alphas = _csa_alpha_arrays(*batch.T, costs)
+        kept, alphas = _csa_alpha_arrays(batch.T, costs)
         assert set(range(3, 3 + len(best))) <= set(kept.tolist())
         assert kept.size < len(batch)
         for index, alpha in zip(kept, alphas):
@@ -466,6 +480,15 @@ class TestTrainEnsemble:
             assert train_err <= bound + 1e-12
             if classifier.alphas[t] > 0 and np.all(score != 0):
                 assert train_err < bound
+
+    @pytest.mark.parametrize("costs", [CostPair(1, 1e4), CostPair(1e4, 1)])
+    def test_weight_update_overflow_is_named(self, costs):
+        # unchecked, the overflowed weights fail the next round as "weights
+        # must have a positive total", which hides the cause
+        data = gen_bayes(20, 20, seed=1)
+        message = re.escape(f"CSA weight update overflows at {costs!r}")
+        with pytest.raises(ValueError, match=message):
+            train_ensemble("CSA", data.features, data.labels, costs, rounds=20)
 
     def test_trace_is_fully_populated(self):
         features, labels = fixed_instance(16, 2, seed=3)

@@ -396,6 +396,14 @@ class TestRunExperiment:
         # the other algorithm is unaffected, including its averages
         assert sum(1 for r in store.records if r.algorithm == "ADA") == 8
 
+    def test_weight_update_overflow_is_a_recorded_failure(self):
+        config = tiny_config(datasets=(DatasetSpec(kind="bayes", n_pos=20, n_neg=20),),
+                             algorithms=("CSA",), costs=((1, 10000),), rounds=20)
+        store = run_experiment(config)
+        assert store.failures
+        assert all(f.message == "ValueError('CSA weight update overflows at "
+                   "CostPair(c_pos=1.0, c_neg=10000.0)')" for f in store.failures)
+
     def test_programming_errors_stop_the_sweep(self, monkeypatch):
         import costboost.harness as harness
 
