@@ -55,8 +55,9 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .metrics import confusion_rates, classification_asymmetry, nec, pcf
-from .stumps import (ClassMasses, SortedColumns, Stump, _candidates, _cut_stump,
-                     candidate_thresholds, predict_matrix, sort_columns, train_stump)
+from .stumps import (ClassMasses, ScanWorkspace, SortedColumns, Stump, _candidates,
+                     _cut_stump, candidate_thresholds, predict_matrix, scan_workspace,
+                     sort_columns, train_stump)
 
 __all__ = [
     "ALGORITHM_IDS",
@@ -353,7 +354,8 @@ def solve_csa_alpha(masses: ClassMasses, costs: CostPair) -> float:
     return float(_csa_alpha_arrays(floored, costs)[1][0])
 
 
-def _csa_select(columns: SortedColumns, weights, costs: CostPair):
+def _csa_select(columns: SortedColumns, weights, costs: CostPair, *,
+                work: ScanWorkspace | None = None):
     """Joint stump/alpha selection minimizing the per-round loss.
 
     The candidates are the cuts of ``train_stump``, with the class masses
@@ -366,9 +368,10 @@ def _csa_select(columns: SortedColumns, weights, costs: CostPair):
     as a full solve of the batch gives them. Ties break on (loss, plain
     weighted error, feature, threshold, polarity +1) -- the candidates
     come in (feature, threshold) order, so the first index among tied
-    candidates realizes that hierarchy.
+    candidates realizes that hierarchy. ``work`` is the scan's workspace,
+    as in ``train_stump``.
     """
-    masses = _candidates(columns, weights)
+    masses = _candidates(columns, weights, work=work)
     floored = _floor_mass_groups(masses)
     kept, alphas = _csa_alpha_arrays(floored, costs)
     losses = csa_loss(alphas, floored[:, kept], costs)
@@ -383,7 +386,8 @@ def _csa_select(columns: SortedColumns, weights, costs: CostPair):
 
 
 def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rounds,
-                *, columns: SortedColumns | None = None) -> RoundResult:
+                *, columns: SortedColumns | None = None,
+                work: ScanWorkspace | None = None) -> RoundResult:
     """One boosting round of the requested algorithm.
 
     Takes the sample weights (nonnegative, one per sample, with a positive
@@ -393,7 +397,8 @@ def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rou
     flag marks rounds whose error term hit the clamp. Every variant shares
     the update factor * w * exp(-step * scale * y * h); see the module
     docstring for what each one supplies. ``columns`` is
-    ``sort_columns(features, labels)``, built here when omitted.
+    ``sort_columns(features, labels)``, built here when omitted, and
+    ``work`` its ``scan_workspace``, built by the stump scan when omitted.
     """
     _check_algorithm(algorithm)
     if total_rounds < 1:
@@ -416,7 +421,7 @@ def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rou
         w = scaled / scaled.sum()
 
     if algorithm == "CSA":
-        stump, alpha = _csa_select(columns, w, costs)
+        stump, alpha = _csa_select(columns, w, costs, work=work)
     else:
         # the AdaC family defines its per-sample costs inside [0, 1]; rescaling
         # by the larger cost keeps the correlation statistics below 1 in
@@ -425,7 +430,7 @@ def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rou
         multiplier = (c_norm * c_norm if algorithm == "AC3"
                       else c_norm if algorithm in ("AC1", "AC2") else None)
         stump = train_stump(features, labels, w, per_sample_multiplier=multiplier,
-                            columns=columns)
+                            columns=columns, work=work)
     pred = predict_matrix(stump, features)
     wrong = pred != labels
     agreement = labels * pred  # +1 correct, -1 wrong
@@ -500,16 +505,20 @@ def adjust_threshold(scores, labels, costs: CostPair) -> float:
     return float(candidates[pick])
 
 
-def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int):
+def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int, *,
+                   columns: SortedColumns | None = None):
     """Train one boosted ensemble and return (classifier, trace).
 
-    Deterministic given the inputs. The columns are sorted once, for
-    every round. The trace's training NEC and asymmetry come after the
-    loop, from the ``_staged_scores`` of every round prefix.
+    Deterministic given the inputs. ``columns`` is ``sort_columns(features,
+    labels)``, built here when omitted; every round scans it through one
+    ``scan_workspace``. The trace's training NEC and asymmetry come after
+    the loop, from the ``_staged_scores`` of every round prefix.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    columns = sort_columns(features, labels)
+    if columns is None:
+        columns = sort_columns(features, labels)
+    work = scan_workspace(columns)
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels).astype(int)
 
@@ -517,7 +526,7 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int):
     kept = []  # every round but its weights
     for _ in range(rounds):
         result = boost_round(algorithm, weights, features, labels, costs, rounds,
-                             columns=columns)
+                             columns=columns, work=work)
         weights = result.weights
         kept.append((result.stump, result.alpha, result.z, result.degenerate))
     stumps, alphas, zs, degenerate = map(list, zip(*kept))

@@ -9,9 +9,10 @@ receive reference rows from the cost-optimal rule evaluated on the whole
 set ("BAY" rows, fold label "all").
 
 The cell is the one unit of work: ``run_experiment`` builds a flat list
-of cells and maps ``_run_cell`` over it. With ``jobs > 1`` each
-(dataset, algorithm) group of cells is one worker task, so a worker
-receives each dataset once per group.
+of cells and maps ``_run_cell`` over it. Every cell of one (dataset,
+fold) shares one ``_Fold``, whose training columns are sorted once per
+process. With ``jobs > 1`` each (dataset, algorithm) group of cells is
+one worker task, so a worker receives each fold once per group.
 
 Everything written to a run directory is byte-deterministic for a fixed
 config and seed, independent of worker count, with one deliberate
@@ -25,6 +26,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +56,7 @@ from .metrics import (
     delta_table,
     nec,
 )
+from .stumps import sort_columns
 
 __all__ = [
     "DEFAULT_COST_GRID",
@@ -473,23 +476,56 @@ def _resolve_rounds(config: ExperimentConfig, spec: DatasetSpec, data: Dataset) 
     return config.rounds
 
 
+@dataclass(frozen=True, eq=False)
+class _Fold:
+    """One cross-validation split of a dataset, shared by every cell of it.
+
+    ``columns``, the ``SortedColumns`` of the training rows, is built on
+    first use in the process that runs the cell and never pickled: a
+    worker task sorts each fold it receives once, and the unpickled copy
+    of a block would come back writeable.
+    """
+
+    dataset: str
+    fold: str
+    x_train: np.ndarray
+    y_train: np.ndarray
+    x_test: np.ndarray
+    y_test: np.ndarray
+
+    @classmethod
+    def of(cls, data: Dataset, folds, fold: int) -> "_Fold":
+        train, test = folds.train_indices(fold), folds.test_indices(fold)
+        return cls(data.name, str(fold), data.features[train], data.labels[train],
+                   data.features[test], data.labels[test])
+
+    @cached_property
+    def columns(self):
+        return sort_columns(self.x_train, self.y_train)
+
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k != "columns"}
+
+
 def _run_cell(cell):
     """Train, truncate and evaluate one sweep cell.
 
-    ``cell`` is (algorithm, data, folds, fold, cost, rounds, convergence).
-    Returns the fold record and its trace rows, or a ``CellFailure`` when
-    the cell raised: one failed cell must not kill the sweep, but
-    ``TypeError``, ``AttributeError`` and ``NameError`` mark a programming
-    error and propagate.
+    ``cell`` is (algorithm, split, cost, rounds, convergence), ``split``
+    the ``_Fold`` every cell of its (dataset, fold) shares. The sort of its
+    training columns is left out of ``train_seconds``. Returns the fold
+    record and its trace rows, or a ``CellFailure`` when the cell raised:
+    one failed cell must not kill the sweep, but ``TypeError``,
+    ``AttributeError`` and ``NameError`` mark a programming error and
+    propagate.
     """
-    algorithm, data, folds, fold, cost, rounds, convergence = cell
+    algorithm, split, cost, rounds, convergence = cell
     try:
-        train_idx = folds.train_indices(fold)
-        test_idx = folds.test_indices(fold)
-        x_train, y_train = data.features[train_idx], data.labels[train_idx]
+        x_train, y_train = split.x_train, split.y_train
+        columns = split.columns
 
         start = time.perf_counter()
-        classifier, trace = train_ensemble(algorithm, x_train, y_train, cost, rounds)
+        classifier, trace = train_ensemble(algorithm, x_train, y_train, cost, rounds,
+                                           columns=columns)
         elapsed = time.perf_counter() - start
 
         cutoff = None
@@ -507,17 +543,17 @@ def _run_cell(cell):
             truncated = decision_scores(classifier, x_train, cutoff)
             threshold = adjust_threshold(truncated, y_train, cost)
 
-        scores = decision_scores(classifier, data.features[test_idx], cutoff)
+        scores = decision_scores(classifier, split.x_test, cutoff)
         pred = np.where(scores - threshold >= 0, 1, -1)
-        record = _record(algorithm, data.name, cost, str(fold),
-                         confusion_rates(pred, data.labels[test_idx]), train_seconds=elapsed,
+        record = _record(algorithm, split.dataset, cost, split.fold,
+                         confusion_rates(pred, split.y_test), train_seconds=elapsed,
                          effective_rounds=cutoff, trained_rounds=rounds)
         trace_rows = list(zip(range(1, rounds + 1), classifier.alphas, trace.zs,
                               trace.train_nec, trace.train_ca))
     except (TypeError, AttributeError, NameError):
         raise  # a programming error, not a failed cell
     except Exception as exc:  # cell failures must not kill the sweep
-        return CellFailure(data.name, algorithm, cost, str(fold), repr(exc))
+        return CellFailure(split.dataset, algorithm, cost, split.fold, repr(exc))
     return record, trace_rows
 
 
@@ -572,13 +608,14 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunStore:
         rounds = _resolve_rounds(config, spec, data)
         if data.gauss is not None:
             store.records.extend(_bayes_reference_records(data, costs))
-        cells.extend((algorithm, data, folds, fold, cost, rounds, config.convergence)
+        splits = [_Fold.of(data, folds, fold) for fold in range(config.folds)]
+        cells.extend((algorithm, split, cost, rounds, config.convergence)
                      for algorithm in config.algorithms
                      for cost in costs
-                     for fold in range(config.folds))
+                     for split in splits)
 
     if jobs > 1:
-        # one task per (dataset, algorithm) group, so each ships its dataset once
+        # one task per (dataset, algorithm) group, so each ships and sorts its folds once
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_cell, cells, chunksize=len(costs) * config.folds))
     else:

@@ -9,11 +9,13 @@ consecutive distinct sorted values plus one threshold below the minimum
 Ties are broken deterministically: lowest weighted error, then lowest
 feature index, then lowest threshold, then polarity +1.
 
-The columns are sorted once per ensemble: ``sort_columns`` validates a
-training set and builds its ``SortedColumns`` block, and every round's
+The columns are sorted once per training set: ``sort_columns`` validates
+it and builds its ``SortedColumns`` block, and every round's
 ``_candidates`` scans that block with the round's weights, giving the
 one (4, cuts) class-mass block, rows b_p, d_p, b_n, d_n, that both
-stump selectors read: ``train_stump`` here and CSA in ``boosting``.
+stump selectors read: ``train_stump`` here and CSA in ``boosting``. A
+scan writes only into a ``ScanWorkspace``, so the rounds of one ensemble
+reuse one allocation.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,9 @@ __all__ = [
     "Stump",
     "ClassMasses",
     "SortedColumns",
+    "ScanWorkspace",
     "sort_columns",
+    "scan_workspace",
     "train_stump",
     "stump_predict",
     "class_masses",
@@ -82,19 +86,21 @@ def _check_features_labels(features, labels):
     return features, labels
 
 
-def _selection_mass(weights, multiplier, n_samples) -> np.ndarray:
-    """``weights`` times ``multiplier`` (1 when omitted), validated."""
+def _selection_mass(weights, multiplier, out) -> None:
+    """Validate ``weights`` and ``multiplier`` (1 when omitted), one entry
+    per entry of ``out``, and write their product into ``out``."""
     weights = check_weights(weights)
-    if weights.shape != (n_samples,):
+    if weights.shape != out.shape:
         raise ValueError("weights must have one entry per sample")
     if multiplier is None:
-        return weights
+        out[:] = weights
+        return
     multiplier = np.asarray(multiplier, dtype=float)
-    if multiplier.shape != (n_samples,):
+    if multiplier.shape != out.shape:
         raise ValueError("multiplier must have one entry per sample")
     if np.any(multiplier < 0) or not np.all(np.isfinite(multiplier)):
         raise ValueError("multiplier must be nonnegative and finite")
-    return weights * multiplier
+    np.multiply(weights, multiplier, out=out)
 
 
 def candidate_thresholds(values) -> np.ndarray:
@@ -113,21 +119,20 @@ class SortedColumns:
     """Pre-sorted column block of one training set, built by ``sort_columns``.
 
     Row f of ``order`` is the stable sort order of feature column f and
-    row f of ``xs`` its sorted values; ``positive`` marks the sorted
-    samples of class +1, every other sample is a negative. Cut b of a
-    column splits its sorted values between index b-1 and b (b = 0 lies
-    below the minimum); a cut between equal values is not a candidate.
-    ``below`` holds, for each valid cut in (feature, threshold) order, the
-    flat index f * (n + 1) + b into a (features, samples + 1) table of the
-    class mass below each cut, and ``feature`` its feature. The arrays are
-    read-only.
+    row f of ``xs`` its sorted values; ``classes`` (2, features, samples)
+    marks the sorted samples of class +1 in row 0 and the others, the
+    negatives, in row 1. Cut b of a column splits its sorted values
+    between index b-1 and b (b = 0 lies below the minimum); a cut between
+    equal values is not a candidate. ``below`` holds, for each valid cut
+    in (feature, threshold) order, the flat index f * (n + 1) + b into a
+    (features, samples + 1) table of the class mass below each cut. The
+    arrays are read-only.
     """
 
     order: np.ndarray
     xs: np.ndarray
-    positive: np.ndarray
+    classes: np.ndarray
     below: np.ndarray
-    feature: np.ndarray
 
     @property
     def n_samples(self) -> int:
@@ -143,61 +148,110 @@ def sort_columns(features, labels) -> SortedColumns:
     valid = np.ones(xs.shape, dtype=bool)
     np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, 1:])
     feature, cut = np.nonzero(valid)
-    columns = SortedColumns(order, xs, positive, feature * (xs.shape[1] + 1) + cut, feature)
+    columns = SortedColumns(order, xs, np.stack((positive, ~positive)),
+                            feature * (xs.shape[1] + 1) + cut)
     for array in vars(columns).values():
         array.setflags(write=False)
     return columns
 
 
-def _candidates(columns: SortedColumns, weights, multiplier=None):
+@dataclass(frozen=True, eq=False)
+class ScanWorkspace:
+    """The buffers a scan of a ``SortedColumns`` block writes, built by
+    ``scan_workspace``: views of ``block``, one allocation.
+
+    ``mass`` holds the selection masses and ``sides`` them in each
+    column's order, split by class. ``below`` and ``above`` are the
+    (2, features, samples + 1) class mass below and above each cut,
+    ``masses`` the (4, cuts) block ``_candidates`` returns and ``errs``
+    the (cuts, 2) errors of ``train_stump``. A scan is done with
+    ``sides`` once ``below`` is summed and with ``above`` once
+    ``masses`` is filled, so the three share one memory.
+    """
+
+    block: np.ndarray
+    mass: np.ndarray
+    sides: np.ndarray
+    below: np.ndarray
+    above: np.ndarray
+    masses: np.ndarray
+    errs: np.ndarray
+
+
+def scan_workspace(columns: SortedColumns) -> ScanWorkspace:
+    """One workspace for the scans of ``columns``, its zeros in place."""
+    f, n = columns.xs.shape
+    cuts = columns.below.size
+    shapes = ((n,), (2, f, n + 1), (2, f, n + 1), (4, cuts))
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    block = np.empty(sum(sizes))
+    mass, below, above, masses = (part.reshape(shape) for part, shape
+                                  in zip(np.split(block, np.cumsum(sizes)[:-1]), shapes))
+    below[:, :, 0] = 0.0
+    # each column has at most n valid cuts: cuts <= f * n
+    shared = above.reshape(-1)
+    return ScanWorkspace(block, mass, shared[:2 * f * n].reshape(2, f, n), below, above,
+                         masses, shared[:2 * cuts].reshape(cuts, 2))
+
+
+def _candidates(columns: SortedColumns, weights, multiplier=None, *,
+                work: ScanWorkspace | None = None):
     """Polarity +1 class masses of every valid cut of ``columns``.
 
     The selection mass is ``weights`` times ``multiplier`` (1 when
     omitted). Returns the block of rows b_p, d_p, b_n, d_n over the valid
     cuts in (feature, threshold) order: the polarity +1 stump errs on the
     positives at or below the cut and the negatives above; -1 swaps b, d.
+    The block lives in ``work``, ``scan_workspace(columns)`` (built here
+    when omitted), until its next scan.
     """
-    mass = _selection_mass(weights, multiplier, columns.n_samples)[columns.order]
-    # column b holds the class mass below cut b; the last column the total
-    pos_below, neg_below = np.zeros((2, mass.shape[0], mass.shape[1] + 1))
-    np.cumsum(np.where(columns.positive, mass, 0.0), axis=1, out=pos_below[:, 1:])
-    np.cumsum(np.where(columns.positive, 0.0, mass), axis=1, out=neg_below[:, 1:])
-    masses = np.empty((4, columns.below.size))
-    b_p, d_p, b_n, d_n = masses
+    if work is None:
+        work = scan_workspace(columns)
+    _selection_mass(weights, multiplier, work.mass)
     # the indices are valid: "clip" spares the copy "raise" makes of ``out``
-    pos_below.take(columns.below, out=d_p, mode="clip")
-    neg_below.take(columns.below, out=b_n, mode="clip")
-    np.subtract(pos_below[:, -1][columns.feature], d_p, out=b_p)
-    np.subtract(neg_below[:, -1][columns.feature], b_n, out=d_n)
+    positives, negatives = work.sides
+    np.take(work.mass, columns.order, out=positives, mode="clip")
+    np.multiply(positives, columns.classes[1], out=negatives)
+    np.multiply(positives, columns.classes[0], out=positives)
+    # column b holds the class mass below cut b; the last column the total
+    below, above, masses = work.below, work.above, work.masses
+    np.cumsum(work.sides, axis=2, out=below[:, :, 1:])
+    np.subtract(below[:, :, -1:], below, out=above)
+    # rows d_p and b_n lie below the cut, b_p and d_n above it
+    np.take(below.reshape(2, -1), columns.below, axis=1, out=masses[1:3], mode="clip")
+    np.take(above[0].reshape(-1), columns.below, out=masses[0], mode="clip")
+    np.take(above[1].reshape(-1), columns.below, out=masses[3], mode="clip")
     return masses
 
 
 def _cut_stump(columns: SortedColumns, j, polarity) -> Stump:
     """Stump of the given polarity at valid cut j of ``columns``."""
-    f = int(columns.feature[j])
-    b = int(columns.below[j]) - f * (columns.n_samples + 1)
+    f, b = divmod(int(columns.below[j]), columns.n_samples + 1)
     xs = columns.xs[f]
     threshold = xs[0] - 1.0 if b == 0 else (xs[b - 1] + xs[b]) / 2.0
     return Stump(feature_index=f, threshold=float(threshold), polarity=polarity)
 
 
 def train_stump(features, labels, weights, per_sample_multiplier=None, *,
-                columns: SortedColumns | None = None) -> Stump:
+                columns: SortedColumns | None = None,
+                work: ScanWorkspace | None = None) -> Stump:
     """Exhaustively select the stump minimizing the weighted error.
 
     The objective is sum_i m_i * w_i * [h(x_i) != y_i] with m_i given by
     ``per_sample_multiplier`` (1 when omitted). The scan is one
     vectorized pass over all (feature, cut, polarity) candidates built
     from per-feature cumulative sums; deterministic for fixed inputs.
-    ``columns`` is ``sort_columns(features, labels)``, built here when
-    omitted.
+    ``columns`` is ``sort_columns(features, labels)`` and ``work`` its
+    ``scan_workspace``, each built here when omitted.
     """
     if columns is None:
         columns = sort_columns(features, labels)
-    b_p, d_p, b_n, d_n = _candidates(columns, weights, per_sample_multiplier)
+    if work is None:
+        work = scan_workspace(columns)
+    b_p, d_p, b_n, d_n = _candidates(columns, weights, per_sample_multiplier, work=work)
     # flat order (feature, threshold, polarity +1 first): the first
     # minimum realizes the tie-break
-    errs = np.empty((b_p.size, 2))
+    errs = work.errs
     np.add(d_p, d_n, out=errs[:, 0])
     np.add(b_n, b_p, out=errs[:, 1])
     j, minus = divmod(int(np.argmin(errs)), 2)

@@ -569,6 +569,23 @@ class TestTrainEnsemble:
         assert len(trace) == rounds
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("algorithm", ["ADA", "CSA"])
+    def test_given_columns_are_not_sorted_again(self, monkeypatch, algorithm):
+        import costboost.boosting as boosting
+        import costboost.stumps as stumps
+
+        features, labels = fixed_instance(20, 3, seed=8)
+        columns = sort_columns(features, labels)
+        expected = train_ensemble(algorithm, features, labels, CostPair(1, 3), 5)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sorted again")
+
+        monkeypatch.setattr(boosting, "sort_columns", unreachable)
+        monkeypatch.setattr(stumps, "sort_columns", unreachable)
+        given = train_ensemble(algorithm, features, labels, CostPair(1, 3), 5, columns=columns)
+        assert repr(given) == repr(expected)
+
     @pytest.mark.parametrize("rounds", [1, 9])
     def test_calls_boost_round_once_per_round(self, monkeypatch, rounds):
         import costboost.boosting as boosting
@@ -576,13 +593,17 @@ class TestTrainEnsemble:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[0])
+            # benchmark spans read the algorithm and the features by position
+            calls.append((args[0], args[2]))
             return boost_round(*args, **kwargs)
 
         monkeypatch.setattr(boosting, "boost_round", counted)
         features, labels = fixed_instance(20, 3, seed=8)
-        train_ensemble("AC2", features, labels, CostPair(1, 3), rounds)
-        assert calls == ["AC2"] * rounds
+        for columns in (None, sort_columns(features, labels)):
+            calls.clear()
+            train_ensemble("AC2", features, labels, CostPair(1, 3), rounds, columns=columns)
+            assert [algorithm for algorithm, _ in calls] == ["AC2"] * rounds
+            assert all(np.array_equal(seen, features) for _, seen in calls)
 
     def test_rejects_zero_rounds(self):
         features, labels = fixed_instance(6, 1, seed=0)

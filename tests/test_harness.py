@@ -1,5 +1,6 @@
 import copy
 import json
+import pickle
 import re
 from hashlib import sha256
 
@@ -17,6 +18,7 @@ from costboost.harness import (
     DatasetSpec,
     ExperimentConfig,
     RunStore,
+    _Fold,
     _derived_seed,
     detect_convergence,
     emit_report,
@@ -439,6 +441,28 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="features must be a nonempty 2-D matrix"):
             run_experiment(tiny_config(datasets=(spec,), algorithms=("ADA",), costs=((1, 1),)))
 
+    def test_sorts_each_training_fold_once(self, monkeypatch):
+        import costboost.boosting as boosting
+        import costboost.harness as harness
+        import costboost.stumps as stumps
+
+        calls = []
+        sort_columns = stumps.sort_columns
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return sort_columns(*args, **kwargs)
+
+        for module in (harness, boosting, stumps):
+            monkeypatch.setattr(module, "sort_columns", counted)
+        config = tiny_config(datasets=(DatasetSpec(kind="bayes", n_pos=12, n_neg=12),
+                                       DatasetSpec(kind="twoclouds", n_pos=9, n_neg=10)),
+                             algorithms=("ADA", "AC3", "CSA"))
+        store = run_experiment(config)
+        assert not store.failures
+        assert len(store.traces) == 2 * 3 * 2 * 3  # datasets x algorithms x costs x folds
+        assert len(calls) == 2 * 3  # datasets x folds
+
     def test_rounds_default_is_dataset_size(self):
         config = tiny_config(rounds="dataset-size", costs=((1, 1),),
                              algorithms=("ADA",))
@@ -566,8 +590,8 @@ class TestRunStoreRoundTrip:
 
         kept = []
 
-        def keeping(*args):
-            classifier, trace = train_ensemble(*args)
+        def keeping(*args, **kwargs):
+            classifier, trace = train_ensemble(*args, **kwargs)
             kept.append((classifier, copy.deepcopy(classifier)))
             return classifier, trace
 
@@ -583,6 +607,24 @@ class TestRunStoreRoundTrip:
         assert any(r.effective_rounds < r.trained_rounds for r in store.records)
         for classifier, snapshot in kept:
             assert classifier == snapshot
+
+
+class TestFold:
+    def test_pickles_without_its_sorted_block(self):
+        data = gen_bayes(10, 11, seed=3)
+        split = _Fold.of(data, stratified_kfold(data.labels, 3, 4), 1)
+        before = pickle.dumps(split)
+        columns = split.columns
+        assert split.columns is columns  # built once, then cached
+        after = pickle.dumps(split)
+        assert len(after) == len(before)
+        copied = pickle.loads(after)
+        assert "columns" not in vars(copied)
+        for name in ("x_train", "y_train", "x_test", "y_test"):
+            assert np.array_equal(getattr(copied, name), getattr(split, name))
+        # the copy sorts its own block, read-only like every block
+        with pytest.raises(ValueError):
+            copied.columns.order[0, 0] = 1
 
 
 @pytest.fixture(scope="module")

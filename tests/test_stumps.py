@@ -11,6 +11,7 @@ from costboost.stumps import (
     candidate_thresholds,
     class_masses,
     predict_matrix,
+    scan_workspace,
     sort_columns,
     stump_predict,
     train_stump,
@@ -185,6 +186,36 @@ class TestSortedColumns:
         for (weights, _), (stump, alpha) in zip(inputs[::2], picks):
             fresh_stump, fresh_alpha = _csa_select(sort_columns(features, labels), weights,
                                                    costs)
+            assert stump == fresh_stump
+            assert repr(alpha) == repr(fresh_alpha)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=16),
+        n_features=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_reused_workspace_matches_fresh_scans(self, n, n_features, seed):
+        rng = np.random.default_rng(seed)
+        features = rng.integers(0, 4, size=(n, n_features)).astype(float)
+        labels = rng.choice([-1, 1], size=n)
+        columns = sort_columns(features, labels)
+        work = scan_workspace(columns)
+        costs = CostPair(1.0, 4.0)
+        c_norm = costs.per_sample(labels) / 4.0
+        # round after round, as an ensemble scans: new weights, another multiplier
+        for multiplier in (None, c_norm, c_norm * c_norm, None, c_norm * c_norm, c_norm):
+            weights = rng.random(n)
+            weights /= weights.sum()
+            scan = _candidates(columns, weights, multiplier, work=work)
+            assert np.shares_memory(scan, work.block)
+            fresh = _candidates(columns, weights, multiplier)
+            assert scan.tobytes() == fresh.tobytes()
+            assert (train_stump(features, labels, weights, multiplier, columns=columns,
+                                work=work)
+                    == train_stump(features, labels, weights, multiplier))
+            stump, alpha = _csa_select(columns, weights, costs, work=work)
+            fresh_stump, fresh_alpha = _csa_select(columns, weights, costs)
             assert stump == fresh_stump
             assert repr(alpha) == repr(fresh_alpha)
 
