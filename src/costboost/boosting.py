@@ -354,8 +354,7 @@ def solve_csa_alpha(masses: ClassMasses, costs: CostPair) -> float:
     return float(_csa_alpha_arrays(floored, costs)[1][0])
 
 
-def _csa_select(columns: SortedColumns, weights, costs: CostPair, *,
-                work: ScanWorkspace | None = None):
+def _csa_select(work: ScanWorkspace, weights, costs: CostPair):
     """Joint stump/alpha selection minimizing the per-round loss.
 
     The candidates are the cuts of ``train_stump``, with the class masses
@@ -371,7 +370,7 @@ def _csa_select(columns: SortedColumns, weights, costs: CostPair, *,
     candidates realizes that hierarchy. ``work`` is the scan's workspace,
     as in ``train_stump``.
     """
-    masses = _candidates(columns, weights, work=work)
+    masses = _candidates(work, weights)
     floored = _floor_mass_groups(masses)
     kept, alphas = _csa_alpha_arrays(floored, costs)
     losses = csa_loss(alphas, floored[:, kept], costs)
@@ -382,12 +381,11 @@ def _csa_select(columns: SortedColumns, weights, costs: CostPair, *,
     j = candidates[np.flatnonzero(pair_err == pair_err.min())[0]]
     polarity = 1 if err_plus[j] <= err_minus[j] else -1
     alpha = float(alphas[j]) if polarity == 1 else -float(alphas[j])
-    return _cut_stump(columns, kept[j], polarity), alpha
+    return _cut_stump(work.columns, kept[j], polarity), alpha
 
 
 def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rounds,
-                *, columns: SortedColumns | None = None,
-                work: ScanWorkspace | None = None) -> RoundResult:
+                *, work: ScanWorkspace | None = None) -> RoundResult:
     """One boosting round of the requested algorithm.
 
     Takes the sample weights (nonnegative, one per sample, with a positive
@@ -396,15 +394,15 @@ def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rou
     renormalized weights and the pre-normalization sum z. The degenerate
     flag marks rounds whose error term hit the clamp. Every variant shares
     the update factor * w * exp(-step * scale * y * h); see the module
-    docstring for what each one supplies. ``columns`` is
-    ``sort_columns(features, labels)``, built here when omitted, and
-    ``work`` its ``scan_workspace``, built by the stump scan when omitted.
+    docstring for what each one supplies. ``work`` is
+    ``scan_workspace(sort_columns(features, labels))``, built here when
+    omitted.
     """
     _check_algorithm(algorithm)
     if total_rounds < 1:
         raise ValueError("total_rounds must be >= 1")
-    if columns is None:
-        columns = sort_columns(features, labels)
+    if work is None:
+        work = scan_workspace(sort_columns(features, labels))
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels).astype(int)
     # every entry and the length are checked by the stump scan
@@ -421,7 +419,7 @@ def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rou
         w = scaled / scaled.sum()
 
     if algorithm == "CSA":
-        stump, alpha = _csa_select(columns, w, costs, work=work)
+        stump, alpha = _csa_select(work, w, costs)
     else:
         # the AdaC family defines its per-sample costs inside [0, 1]; rescaling
         # by the larger cost keeps the correlation statistics below 1 in
@@ -429,8 +427,7 @@ def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rou
         c_norm = c / max(costs.c_pos, costs.c_neg)
         multiplier = (c_norm * c_norm if algorithm == "AC3"
                       else c_norm if algorithm in ("AC1", "AC2") else None)
-        stump = train_stump(features, labels, w, per_sample_multiplier=multiplier,
-                            columns=columns, work=work)
+        stump = train_stump(features, labels, w, per_sample_multiplier=multiplier, work=work)
     pred = predict_matrix(stump, features)
     wrong = pred != labels
     agreement = labels * pred  # +1 correct, -1 wrong
@@ -510,9 +507,9 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int, *,
     """Train one boosted ensemble and return (classifier, trace).
 
     Deterministic given the inputs. ``columns`` is ``sort_columns(features,
-    labels)``, built here when omitted; every round scans it through one
-    ``scan_workspace``. The trace's training NEC and asymmetry come after
-    the loop, from the ``_staged_scores`` of every round prefix.
+    labels)``, built here when omitted; every round scans it through the
+    one ``scan_workspace`` that holds it. The trace's training NEC and
+    asymmetry come after the loop, from the ``_staged_scores`` of every round prefix.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -525,8 +522,7 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int, *,
     weights = init_weights(algorithm, labels, costs)
     kept = []  # every round but its weights
     for _ in range(rounds):
-        result = boost_round(algorithm, weights, features, labels, costs, rounds,
-                             columns=columns, work=work)
+        result = boost_round(algorithm, weights, features, labels, costs, rounds, work=work)
         weights = result.weights
         kept.append((result.stump, result.alpha, result.z, result.degenerate))
     stumps, alphas, zs, degenerate = map(list, zip(*kept))

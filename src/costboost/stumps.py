@@ -2,20 +2,22 @@
 
 A stump thresholds a single feature: the prediction is ``polarity`` for
 feature values strictly greater than ``threshold`` and ``-polarity``
-otherwise. Training searches every feature, every midpoint between
-consecutive distinct sorted values plus one threshold below the minimum
-(so a feature can also cast a constant vote), and both polarities.
+otherwise. Training searches every feature, every cut between
+consecutive distinct sorted values plus one below the minimum (so a
+feature can also cast a constant vote), and both polarities. A cut's
+threshold lies in [lower, upper) of its two sorted values: their
+midpoint, or the float below the upper one where that rounds onto it.
 
 Ties are broken deterministically: lowest weighted error, then lowest
 feature index, then lowest threshold, then polarity +1.
 
 The columns are sorted once per training set: ``sort_columns`` validates
-it and builds its ``SortedColumns`` block, and every round's
-``_candidates`` scans that block with the round's weights, giving the
-one (4, cuts) class-mass block, rows b_p, d_p, b_n, d_n, that both
-stump selectors read: ``train_stump`` here and CSA in ``boosting``. A
-scan writes only into a ``ScanWorkspace``, so the rounds of one ensemble
-reuse one allocation.
+it and builds its ``SortedColumns`` block, and ``scan_workspace`` wraps
+that block with the buffers its scans write, one ``ScanWorkspace`` per
+ensemble. Every round's ``_candidates`` scans the workspace's block with
+the round's weights, giving the one (4, cuts) class-mass block, rows
+b_p, d_p, b_n, d_n, that both stump selectors read: ``train_stump`` here
+and CSA in ``boosting``.
 """
 
 from dataclasses import dataclass
@@ -157,8 +159,8 @@ def sort_columns(features, labels) -> SortedColumns:
 
 @dataclass(frozen=True, eq=False)
 class ScanWorkspace:
-    """The buffers a scan of a ``SortedColumns`` block writes, built by
-    ``scan_workspace``: views of ``block``, one allocation.
+    """The ``SortedColumns`` block ``columns`` and the buffers a scan of it
+    writes, built by ``scan_workspace``: views of ``block``, one allocation.
 
     ``mass`` holds the selection masses and ``sides`` them in each
     column's order, split by class. ``below`` and ``above`` are the
@@ -169,6 +171,7 @@ class ScanWorkspace:
     ``masses`` is filled, so the three share one memory.
     """
 
+    columns: SortedColumns
     block: np.ndarray
     mass: np.ndarray
     sides: np.ndarray
@@ -190,23 +193,20 @@ def scan_workspace(columns: SortedColumns) -> ScanWorkspace:
     below[:, :, 0] = 0.0
     # each column has at most n valid cuts: cuts <= f * n
     shared = above.reshape(-1)
-    return ScanWorkspace(block, mass, shared[:2 * f * n].reshape(2, f, n), below, above,
-                         masses, shared[:2 * cuts].reshape(cuts, 2))
+    return ScanWorkspace(columns, block, mass, shared[:2 * f * n].reshape(2, f, n), below,
+                         above, masses, shared[:2 * cuts].reshape(cuts, 2))
 
 
-def _candidates(columns: SortedColumns, weights, multiplier=None, *,
-                work: ScanWorkspace | None = None):
-    """Polarity +1 class masses of every valid cut of ``columns``.
+def _candidates(work: ScanWorkspace, weights, multiplier=None):
+    """Polarity +1 class masses of every valid cut of ``work.columns``.
 
     The selection mass is ``weights`` times ``multiplier`` (1 when
     omitted). Returns the block of rows b_p, d_p, b_n, d_n over the valid
     cuts in (feature, threshold) order: the polarity +1 stump errs on the
     positives at or below the cut and the negatives above; -1 swaps b, d.
-    The block lives in ``work``, ``scan_workspace(columns)`` (built here
-    when omitted), until its next scan.
+    The block lives in ``work`` until its next scan.
     """
-    if work is None:
-        work = scan_workspace(columns)
+    columns = work.columns
     _selection_mass(weights, multiplier, work.mass)
     # the indices are valid: "clip" spares the copy "raise" makes of ``out``
     positives, negatives = work.sides
@@ -225,15 +225,20 @@ def _candidates(columns: SortedColumns, weights, multiplier=None, *,
 
 
 def _cut_stump(columns: SortedColumns, j, polarity) -> Stump:
-    """Stump of the given polarity at valid cut j of ``columns``."""
+    """Stump of the given polarity at valid cut j of ``columns``. Its
+    threshold lies in [xs[b-1], xs[b]), below xs[0] for b = 0: summed
+    halves cannot overflow, and where the midpoint or xs[0] - 1 rounds
+    onto xs[b] the next float down stands in."""
     f, b = divmod(int(columns.below[j]), columns.n_samples + 1)
     xs = columns.xs[f]
-    threshold = xs[0] - 1.0 if b == 0 else (xs[b - 1] + xs[b]) / 2.0
+    threshold = xs[0] - 1.0 if b == 0 else xs[b - 1] / 2.0 + xs[b] / 2.0
+    if not threshold < xs[b]:
+        with np.errstate(over="ignore"):  # below -max lies only -inf
+            threshold = np.nextafter(xs[b], -np.inf)
     return Stump(feature_index=f, threshold=float(threshold), polarity=polarity)
 
 
 def train_stump(features, labels, weights, per_sample_multiplier=None, *,
-                columns: SortedColumns | None = None,
                 work: ScanWorkspace | None = None) -> Stump:
     """Exhaustively select the stump minimizing the weighted error.
 
@@ -241,21 +246,19 @@ def train_stump(features, labels, weights, per_sample_multiplier=None, *,
     ``per_sample_multiplier`` (1 when omitted). The scan is one
     vectorized pass over all (feature, cut, polarity) candidates built
     from per-feature cumulative sums; deterministic for fixed inputs.
-    ``columns`` is ``sort_columns(features, labels)`` and ``work`` its
-    ``scan_workspace``, each built here when omitted.
+    ``work`` is ``scan_workspace(sort_columns(features, labels))``, built
+    here when omitted.
     """
-    if columns is None:
-        columns = sort_columns(features, labels)
     if work is None:
-        work = scan_workspace(columns)
-    b_p, d_p, b_n, d_n = _candidates(columns, weights, per_sample_multiplier, work=work)
+        work = scan_workspace(sort_columns(features, labels))
+    b_p, d_p, b_n, d_n = _candidates(work, weights, per_sample_multiplier)
     # flat order (feature, threshold, polarity +1 first): the first
     # minimum realizes the tie-break
     errs = work.errs
     np.add(d_p, d_n, out=errs[:, 0])
     np.add(b_n, b_p, out=errs[:, 1])
     j, minus = divmod(int(np.argmin(errs)), 2)
-    return _cut_stump(columns, j, -1 if minus else 1)
+    return _cut_stump(work.columns, j, -1 if minus else 1)
 
 
 def stump_predict(stump: Stump, features_row) -> int:

@@ -24,7 +24,7 @@ from costboost.boosting import (
 from costboost.datasets import gen_bayes, gen_two_clouds
 from costboost.metrics import pcf
 from costboost.stumps import (ClassMasses, Stump, _candidates, _cut_stump, predict_matrix,
-                              sort_columns, stump_predict)
+                              scan_workspace, sort_columns, stump_predict, train_stump)
 
 ERR_FLOOR = 1e-10
 UNIT = CostPair(1, 1)
@@ -105,11 +105,11 @@ class TestBoostRound:
 
     @pytest.mark.parametrize("algorithm", ["ADA", "ASB", "AC3", "CSA"])
     def test_rejects_block_of_another_sample_count(self, algorithm):
-        columns = sort_columns(*fixed_instance(6, 2, seed=1))
+        work = scan_workspace(sort_columns(*fixed_instance(6, 2, seed=1)))
         features, labels = fixed_instance(8, 2, seed=1)
         with pytest.raises(ValueError):
             boost_round(algorithm, np.full(8, 1 / 8), features, labels, CostPair(1, 3), 3,
-                        columns=columns)
+                        work=work)
 
     @pytest.mark.parametrize("algorithm", ["ADA", "AC3", "CSA"])
     @pytest.mark.parametrize("defect", ["nan_feature", "labels_0_1", "labels_2_minus1"])
@@ -274,7 +274,7 @@ def full_batch_alphas(b_p, d_p, b_n, d_n, costs):
 def full_batch_csa_select(columns, weights, costs):
     """``_csa_select`` over the full batch, with its (loss, plain error,
     feature, threshold, polarity +1) tie-break."""
-    masses = _candidates(columns, weights)
+    masses = _candidates(scan_workspace(columns), weights)
     floored = _floor_mass_groups(masses)
     alphas = full_batch_alphas(*floored, costs)[0]
     losses = csa_loss(alphas, floored, costs)
@@ -324,7 +324,7 @@ class TestPrunedCsaSelection:
             weights = np.where(np.arange(n) == rng.integers(n), 1.0, 0.0)
         costs = CostPair(*costs)
         columns = sort_columns(features, labels)
-        stump, alpha = _csa_select(columns, weights, costs)
+        stump, alpha = _csa_select(scan_workspace(columns), weights, costs)
         expected_stump, expected_alpha = full_batch_csa_select(columns, weights, costs)
         assert stump == expected_stump
         assert repr(alpha) == repr(expected_alpha)
@@ -336,10 +336,10 @@ class TestPrunedCsaSelection:
         data = gen_bayes(500, 500, seed=3)
         features, labels = data.features[:666], data.labels[:666]
         columns = sort_columns(features, labels)
+        work = scan_workspace(columns)
         weights = init_weights("CSA", labels, costs)
         for t in range(12):
-            result = boost_round("CSA", weights, features, labels, costs, 12,
-                                 columns=columns)
+            result = boost_round("CSA", weights, features, labels, costs, 12, work=work)
             expected_stump, expected_alpha = full_batch_csa_select(columns, weights, costs)
             assert result.stump == expected_stump, t
             assert repr(result.alpha) == repr(expected_alpha), t
@@ -604,6 +604,22 @@ class TestTrainEnsemble:
             train_ensemble("AC2", features, labels, CostPair(1, 3), rounds, columns=columns)
             assert [algorithm for algorithm, _ in calls] == ["AC2"] * rounds
             assert all(np.array_equal(seen, features) for _, seen in calls)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHM_IDS)
+    def test_calls_train_stump_once_per_non_csa_round(self, monkeypatch, algorithm):
+        import costboost.boosting as boosting
+
+        shapes = []
+
+        def counted(*args, **kwargs):
+            # benchmark spans read the feature matrix's shape by position
+            shapes.append(args[0].shape)
+            return train_stump(*args, **kwargs)
+
+        monkeypatch.setattr(boosting, "train_stump", counted)
+        features, labels = fixed_instance(20, 3, seed=8)
+        train_ensemble(algorithm, features, labels, CostPair(1, 3), 4)
+        assert shapes == ([] if algorithm == "CSA" else [(20, 3)] * 4)
 
     def test_rejects_zero_rounds(self):
         features, labels = fixed_instance(6, 1, seed=0)

@@ -58,6 +58,22 @@ class TestTrainStump:
         best = min(err for err, *_ in brute_force_candidates(features, labels, weights))
         assert oracle_error(features, labels, weights, stump) == best
 
+    @pytest.mark.parametrize("column, labels", [
+        # x - 1.0 == x from 2**53 on: the below-minimum cut must still lie below
+        ([1e17, 2e17], [1, 1]),
+        # adjacent floats: the midpoint rounds up onto the upper value
+        ([1.0000000000000002, 1.0000000000000004], [-1, 1]),
+        # the sum of the two values overflows to inf
+        ([1e308, 1.7e308], [-1, 1]),
+        # no float lies below the most negative one: only -inf does
+        ([-1.7976931348623157e308, 0.0], [1, 1]),
+    ], ids=["large_minimum", "adjacent_floats", "overflow", "lowest_float"])
+    def test_threshold_makes_the_scanned_cut(self, column, labels):
+        features, labels = np.array(column)[:, None], np.array(labels)
+        weights = np.array([0.5, 0.5])
+        stump = train_stump(features, labels, weights)
+        assert oracle_error(features, labels, weights, stump) == 0.0
+
     def test_multiplier_weighted_objective(self):
         rng = np.random.default_rng(7)
         features = rng.normal(size=(10, 2))
@@ -170,12 +186,14 @@ class TestSortedColumns:
             inputs += [(weights, None), (weights, rng.integers(0, 4, size=n) / 4.0)]
         costs = CostPair(1.0, 2.5)
         # every scan of the one block first, so stale state would show
-        scans = [_candidates(columns, w, m) for w, m in inputs]
-        stumps = [train_stump(features, labels, w, m, columns=columns) for w, m in inputs]
-        picks = [_csa_select(columns, w, costs) for w, _ in inputs[::2]]
+        scans = [_candidates(scan_workspace(columns), w, m) for w, m in inputs]
+        stumps = [train_stump(features, labels, w, m, work=scan_workspace(columns))
+                  for w, m in inputs]
+        picks = [_csa_select(scan_workspace(columns), w, costs) for w, _ in inputs[::2]]
 
         for (weights, multiplier), scan, stump in zip(inputs, scans, stumps):
-            fresh = _candidates(sort_columns(features, labels), weights, multiplier)
+            fresh = _candidates(scan_workspace(sort_columns(features, labels)), weights,
+                                multiplier)
             assert [a.tobytes() for a in scan] == [a.tobytes() for a in fresh]
             assert stump == train_stump(features, labels, weights, multiplier)
             mass = weights if multiplier is None else weights * multiplier
@@ -184,8 +202,8 @@ class TestSortedColumns:
                 assert (masses.b_p, masses.d_p, masses.b_n, masses.d_n) == tuple(
                     float(m[j]) for m in scan)
         for (weights, _), (stump, alpha) in zip(inputs[::2], picks):
-            fresh_stump, fresh_alpha = _csa_select(sort_columns(features, labels), weights,
-                                                   costs)
+            fresh_stump, fresh_alpha = _csa_select(
+                scan_workspace(sort_columns(features, labels)), weights, costs)
             assert stump == fresh_stump
             assert repr(alpha) == repr(fresh_alpha)
 
@@ -207,15 +225,14 @@ class TestSortedColumns:
         for multiplier in (None, c_norm, c_norm * c_norm, None, c_norm * c_norm, c_norm):
             weights = rng.random(n)
             weights /= weights.sum()
-            scan = _candidates(columns, weights, multiplier, work=work)
+            scan = _candidates(work, weights, multiplier)
             assert np.shares_memory(scan, work.block)
-            fresh = _candidates(columns, weights, multiplier)
+            fresh = _candidates(scan_workspace(columns), weights, multiplier)
             assert scan.tobytes() == fresh.tobytes()
-            assert (train_stump(features, labels, weights, multiplier, columns=columns,
-                                work=work)
+            assert (train_stump(features, labels, weights, multiplier, work=work)
                     == train_stump(features, labels, weights, multiplier))
-            stump, alpha = _csa_select(columns, weights, costs, work=work)
-            fresh_stump, fresh_alpha = _csa_select(columns, weights, costs)
+            stump, alpha = _csa_select(work, weights, costs)
+            fresh_stump, fresh_alpha = _csa_select(scan_workspace(columns), weights, costs)
             assert stump == fresh_stump
             assert repr(alpha) == repr(fresh_alpha)
 
@@ -229,7 +246,7 @@ class TestSortedColumns:
         rng = np.random.default_rng(3)
         features = rng.normal(size=(6, 2))
         labels = np.array([-1, 1, -1, 1, 1, -1])
-        columns = sort_columns(features, labels)
+        work = scan_workspace(sort_columns(features, labels))
         weights, multiplier = np.full(6, 1 / 6), None
         if defect == "short_weights":
             weights = np.full(5, 0.2)
@@ -238,12 +255,12 @@ class TestSortedColumns:
         else:
             multiplier = np.ones(5)
         with pytest.raises(ValueError):
-            _candidates(columns, weights, multiplier)
+            _candidates(work, weights, multiplier)
         with pytest.raises(ValueError):
-            train_stump(features, labels, weights, multiplier, columns=columns)
+            train_stump(features, labels, weights, multiplier, work=work)
         if multiplier is None:
             with pytest.raises(ValueError):
-                _csa_select(columns, weights, CostPair(1, 3))
+                _csa_select(work, weights, CostPair(1, 3))
 
     @pytest.mark.parametrize("defect", ["nan_feature", "labels_0_1", "labels_2_minus1"])
     def test_train_stump_without_block_rejects_invalid_training_inputs(self, defect):
