@@ -19,7 +19,6 @@ from .boosting import (
     boost_round,
     decision_scores,
     init_weights,
-    predict_ensemble,
     solve_csa_alpha,
     train_ensemble,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "load_csv_balanced",
     "nec",
     "pcf",
-    "predict_ensemble",
     "run_experiment",
     "solve_csa_alpha",
     "stratified_kfold",

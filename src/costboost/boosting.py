@@ -30,18 +30,19 @@ with z the normalizing sum. Here c is the per-sample cost (c_pos on
 positives, c_neg on negatives), cn = c / max(c_pos, c_neg), and
 beta = (1 + cn) / 2 on mistakes, (1 - cn) / 2 on hits:
 
-    variant          m      alpha from                            factor  step       scale
-    ADA ABT ASB CGA  1      err = sum(w [h != y])                 1       alpha      1
-    CB0 / CB1 / CB2  1      err = sum(w [h != y])                 c|1     0/1/alpha  1
-    AC2              cn     err = sum(cn w [h != y]) / sum(cn w)  cn      alpha      1
-    ADC              1      r = sum(beta w y h)                   1       alpha      beta
-    AC1              cn     r = sum(cn w y h)                     1       alpha      cn
-    AC3              cn^2   r = sum(cn^2 w y h) / sum(cn w)       1       alpha      cn
-    CSA              joint  class-separated exponential loss      1       alpha      c
+    variant          select  alpha  v     norm       factor  step       scale
+    ADA ABT ASB CGA  1       err    1     1          1       alpha      1
+    CB0 / CB1 / CB2  1       err    1     1          c|1     0/1/alpha  1
+    AC2              cn      err    cn    sum(cn w)  cn      alpha      1
+    ADC              1       r      beta  1          1       alpha      beta
+    AC1              cn      r      cn    1          1       alpha      cn
+    AC3              cn^2    r      cn^2  sum(cn w)  1       alpha      cn
+    CSA              joint   loss   1     1          1       alpha      c
 
-where c|1 is c on mistakes and 1 on hits, an error gives
-alpha = ln((1 - err) / err) / 2 and a correlation r gives
-alpha = ln((1 + r) / (1 - r)) / 2.
+where c|1 is c on mistakes and 1 on hits. An err = sum(v w [h != y]) /
+norm gives alpha = ln((1 - err) / err) / 2, an r = sum(v w y h) / norm
+gives alpha = ln((1 + r) / (1 - r)) / 2. ``_RULES`` is this table, plus
+``init`` and ``prescale`` for CGA's initial weights and ASB's pre-scaling.
 
 Error terms are clamped away from 0 and 1 (floor 1e-10) so alpha stays
 finite; a round whose error term hits the clamp is flagged degenerate
@@ -51,6 +52,7 @@ but training continues with the clamped value.
 import math
 import numbers
 from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,24 +73,39 @@ __all__ = [
     "csa_loss",
     "adjust_threshold",
     "train_ensemble",
-    "predict_ensemble",
     "decision_scores",
 ]
 
-ALGORITHM_IDS = (
-    "ADA",
-    "ABT",
-    "ASB",
-    "ADC",
-    "CB0",
-    "CB1",
-    "CB2",
-    "AC1",
-    "AC2",
-    "AC3",
-    "CSA",
-    "CGA",
-)
+
+class _Rule(NamedTuple):
+    """A row of the module docstring's table, naming the terms ``_rule`` fills in."""
+
+    init: object = "1"  # initial weights, proportional to this term
+    prescale: object = None  # every round's weights times this, renormalized
+    select: object = None  # selection multiplier m; None is 1
+    alpha: str = "err"  # "err", "r", or "loss", CSA's joint stump/alpha pick
+    v: object = "1"
+    norm: object = None  # the statistic's divisor is sum(norm * w); None is 1
+    factor: object = "1"
+    step: object = None  # None is alpha
+    scale: object = "1"
+
+
+_RULES = {
+    "ADA": _Rule(),
+    "ABT": _Rule(),
+    "ASB": _Rule(prescale="sqrt(k)^(y/T)"),
+    "ADC": _Rule(alpha="r", v="beta", scale="beta"),
+    "CB0": _Rule(factor="c|1", step=0.0),
+    "CB1": _Rule(factor="c|1", step=1.0),
+    "CB2": _Rule(factor="c|1"),
+    "AC1": _Rule(select="cn", alpha="r", v="cn", scale="cn"),
+    "AC2": _Rule(select="cn", v="cn", norm="cn", factor="cn"),
+    "AC3": _Rule(select="cn^2", alpha="r", v="cn^2", norm="cn", scale="cn"),
+    "CSA": _Rule(alpha="loss", scale="c"),
+    "CGA": _Rule(init="c"),
+}
+ALGORITHM_IDS = tuple(_RULES)
 
 _ERR_FLOOR = 1e-10
 _MASS_FLOOR = 1e-10
@@ -165,21 +182,38 @@ class RoundResult:
     degenerate: bool = False
 
 
-def _check_algorithm(algorithm):
-    if algorithm not in ALGORITHM_IDS:
+def _rule(algorithm, labels, costs: CostPair, total_rounds) -> _Rule:
+    """The ``_RULES`` row of ``algorithm`` with the values of every term for
+    these labels, costs and round budget; built once per ensemble."""
+    if algorithm not in _RULES:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    labels = np.asarray(labels)
+    if labels.size == 0:
+        raise ValueError("labels must be nonempty")
+    c = costs.per_sample(labels)
+    # the AdaC family defines its per-sample costs inside [0, 1]; rescaling
+    # by the larger cost keeps the correlation statistics below 1 in
+    # magnitude (and is exact at unit costs, where it divides by 1.0)
+    cn = c / max(costs.c_pos, costs.c_neg)
+    terms = {None: None, "1": 1.0, "c": c, "cn": cn, "cn^2": cn * cn,
+             "c|1": (c, 1.0), "beta": (0.5 * (1.0 + cn), 0.5 * (1.0 - cn))}  # (mistake, hit)
+    row = _RULES[algorithm]
+    if row.prescale:  # ASB spreads ln(sqrt(k)), k = c_pos / c_neg, over T = total_rounds
+        shift = np.log(np.sqrt(costs.c_pos / costs.c_neg)) / total_rounds
+        terms["sqrt(k)^(y/T)"] = np.exp(labels * shift)
+    raw = np.broadcast_to(terms[row.init], (labels.size,))
+    fields = ("prescale", "select", "v", "norm", "factor", "scale")
+    return row._replace(init=raw / raw.sum(), **{f: terms[getattr(row, f)] for f in fields})
+
+
+def _on(wrong, term):
+    """A per-sample term's values in a round: a pair is split by ``wrong``."""
+    return np.where(wrong, *term) if isinstance(term, tuple) else term
 
 
 def init_weights(algorithm, labels, costs: CostPair) -> np.ndarray:
     """Initial sample weights: cost-proportional for CGA, uniform else."""
-    _check_algorithm(algorithm)
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("labels must be nonempty")
-    if algorithm == "CGA":
-        raw = costs.per_sample(labels)
-        return raw / raw.sum()
-    return np.full(labels.size, 1.0 / labels.size)
+    return _rule(algorithm, labels, costs, 1).init  # the budget only scales ASB
 
 
 def _clamped(value, low):
@@ -200,10 +234,9 @@ def _terms(masses, rates, alpha):
 
 def csa_loss(alpha, masses, costs: CostPair):
     """Class-separated exponential loss of a stump at vote weight alpha;
-    ``masses`` is a ``ClassMasses`` or a block with rows b_p, d_p, b_n, d_n."""
-    rows = astuple(masses) if isinstance(masses, ClassMasses) else masses
+    ``masses`` is a block with rows b_p, d_p, b_n, d_n."""
     with np.errstate(over="ignore", invalid="ignore"):
-        b_p, d_p, b_n, d_n = (_terms(m, r, alpha) for m, r in zip(rows, _rates(costs)))
+        b_p, d_p, b_n, d_n = (_terms(m, r, alpha) for m, r in zip(masses, _rates(costs)))
     return b_p + d_p + b_n + d_n
 
 
@@ -385,86 +418,60 @@ def _csa_select(work: ScanWorkspace, weights, costs: CostPair):
 
 
 def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rounds,
-                *, work: ScanWorkspace | None = None) -> RoundResult:
+                *, work: ScanWorkspace | None = None, rule: _Rule | None = None) -> RoundResult:
     """One boosting round of the requested algorithm.
 
     Takes the sample weights (nonnegative, one per sample, with a positive
     total) and ``total_rounds``, the round budget ASB spreads its
     asymmetry over. Returns the selected stump, its vote weight alpha, the
     renormalized weights and the pre-normalization sum z. The degenerate
-    flag marks rounds whose error term hit the clamp. Every variant shares
-    the update factor * w * exp(-step * scale * y * h); see the module
-    docstring for what each one supplies. ``work`` is
-    ``scan_workspace(sort_columns(features, labels))``, built here when
-    omitted.
+    flag marks rounds whose error term hit the clamp. ``rule``, the
+    variant's terms of the module docstring's table, is ``_rule(algorithm,
+    labels, costs, total_rounds)`` and ``work`` is
+    ``scan_workspace(sort_columns(features, labels))``, each built here
+    when omitted.
     """
-    _check_algorithm(algorithm)
     if total_rounds < 1:
         raise ValueError("total_rounds must be >= 1")
     if work is None:
         work = scan_workspace(sort_columns(features, labels))
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels).astype(int)
+    if rule is None:
+        rule = _rule(algorithm, labels, costs, total_rounds)
     # every entry and the length are checked by the stump scan
     w = np.asarray(weights, dtype=float)
     if not w.sum() > 0:
         raise ValueError("weights must have a positive total")
-    c = costs.per_sample(labels)
-
-    if algorithm == "ASB":
-        # spread ln(sqrt(C_P/C_N)) over the fixed round budget, then a
-        # plain ADA round on the re-normalized weights
-        k = costs.c_pos / costs.c_neg
-        scaled = w * np.exp(labels * (np.log(np.sqrt(k)) / total_rounds))
+    if rule.prescale is not None:
+        scaled = w * rule.prescale
         w = scaled / scaled.sum()
 
-    if algorithm == "CSA":
+    if rule.alpha == "loss":
         stump, alpha = _csa_select(work, w, costs)
     else:
-        # the AdaC family defines its per-sample costs inside [0, 1]; rescaling
-        # by the larger cost keeps the correlation statistics below 1 in
-        # magnitude (and is exact at unit costs, where it divides by 1.0)
-        c_norm = c / max(costs.c_pos, costs.c_neg)
-        multiplier = (c_norm * c_norm if algorithm == "AC3"
-                      else c_norm if algorithm in ("AC1", "AC2") else None)
-        stump = train_stump(features, labels, w, per_sample_multiplier=multiplier, work=work)
+        stump = train_stump(features, labels, w, per_sample_multiplier=rule.select, work=work)
     pred = predict_matrix(stump, features)
     wrong = pred != labels
     agreement = labels * pred  # +1 correct, -1 wrong
 
-    # factor * w and scale of the update; products are only reordered by
-    # exact factors (1.0 or agreement = +-1), so every bit matches the
-    # per-variant formulas
-    factor_w, scale = w, 1.0
-    if algorithm == "CSA":
-        degenerate = min(float(np.sum(w[~wrong])), float(np.sum(w[wrong]))) <= _MASS_FLOOR
-        scale = c
-    elif algorithm in ("ADC", "AC1", "AC3"):
-        # alpha from the correlation r = sum(g * w * y * h) / norm
-        if algorithm == "ADC":
-            g = scale = np.where(wrong, 0.5 * (1.0 + c_norm), 0.5 * (1.0 - c_norm))
-        else:
-            g, scale = multiplier, c_norm
-        norm = float(np.sum(c_norm * w)) if algorithm == "AC3" else 1.0
-        r, degenerate = _clamped(float(np.sum(g * w * agreement)) / norm,
-                                  -(1.0 - _ERR_FLOOR))
+    # products are only reordered or multiplied by exact factors (1.0 or
+    # agreement = +-1), so every bit matches the per-variant formulas
+    norm = 1.0 if rule.norm is None else float(np.sum(rule.norm * w))
+    vw = _on(wrong, rule.v) * w
+    if rule.alpha == "err":
+        err, degenerate = _clamped(float(np.sum(vw[wrong])) / norm, _ERR_FLOOR)
+        alpha = 0.5 * np.log((1.0 - err) / err)
+    elif rule.alpha == "r":
+        r, degenerate = _clamped(float(np.sum(vw * agreement)) / norm, -(1.0 - _ERR_FLOOR))
         alpha = 0.5 * np.log((1.0 + r) / (1.0 - r))
     else:
-        # alpha from the weighted error (cost-weighted for AC2)
-        if algorithm == "AC2":
-            factor_w = c_norm * w
-            err = float(np.sum(factor_w[wrong])) / float(np.sum(factor_w))
-        else:
-            err = float(np.sum(w[wrong]))
-        err, degenerate = _clamped(err, _ERR_FLOOR)
-        alpha = 0.5 * np.log((1.0 - err) / err)
-        if algorithm in ("CB0", "CB1", "CB2"):
-            factor_w = np.where(wrong, c, 1.0) * w
-    step = {"CB0": 0.0, "CB1": 1.0}.get(algorithm, alpha)
+        degenerate = min(float(np.sum(w[~wrong])), float(np.sum(w[wrong]))) <= _MASS_FLOOR
+    step = alpha if rule.step is None else rule.step
 
     with np.errstate(over="ignore", invalid="ignore"):
-        unnorm = factor_w * np.exp(-step * scale * agreement)
-    z = float(unnorm.sum())
+        unnorm = _terms(_on(wrong, rule.factor) * w, -_on(wrong, rule.scale) * agreement, step)
+        z = float(unnorm.sum())
     if not math.isfinite(z):
         raise ValueError(f"{algorithm} weight update overflows at {costs}")
     return RoundResult(stump, float(alpha), unnorm / z, z, degenerate)
@@ -519,10 +526,11 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int, *,
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels).astype(int)
 
-    weights = init_weights(algorithm, labels, costs)
-    kept = []  # every round but its weights
+    rule = _rule(algorithm, labels, costs, rounds)
+    weights, kept = rule.init, []  # kept: every round but its weights
     for _ in range(rounds):
-        result = boost_round(algorithm, weights, features, labels, costs, rounds, work=work)
+        result = boost_round(algorithm, weights, features, labels, costs, rounds, work=work,
+                             rule=rule)
         weights = result.weights
         kept.append((result.stump, result.alpha, result.z, result.degenerate))
     stumps, alphas, zs, degenerate = map(list, zip(*kept))
@@ -557,10 +565,3 @@ def decision_scores(classifier: StrongClassifier, features, round_cutoff=None) -
     return _staged_scores(classifier.stumps[:round_cutoff], classifier.alphas[:round_cutoff],
                           np.asarray(features, dtype=float))[-1]
 
-
-def predict_ensemble(classifier: StrongClassifier, features_row, round_cutoff=None) -> int:
-    """Sign of the weighted vote, truncated as in ``decision_scores``, minus
-    the decision threshold; a zero margin counts as +1."""
-    row = np.asarray(features_row, dtype=float).reshape(1, -1)
-    score = decision_scores(classifier, row, round_cutoff)[0]
-    return 1 if score - classifier.decision_threshold >= 0 else -1

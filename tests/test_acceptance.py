@@ -9,6 +9,7 @@ operating points.
 import json
 import math
 import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -153,6 +154,7 @@ def grid_argmin(masses: ClassMasses, costs: CostPair, lo=-10.0, hi=10.0,
     argmin lies within one coarse step of the coarse-grid argmin; the
     result equals a full fine scan of [lo, hi] at a fraction of the work.
     """
+    masses = np.array(astuple(masses))
     coarse_grid = np.arange(lo, hi + coarse / 2, coarse)
     center = coarse_grid[int(np.argmin(csa_loss(coarse_grid, masses, costs)))]
     lo_f = max(lo, center - coarse)
@@ -171,7 +173,7 @@ def test_grid_oracle_matches_full_scan():
         masses = ClassMasses(*rng.uniform(0.05, 1.0, size=4))
         costs = CostPair(*rng.uniform(0.5, 4.0, size=2))
         full = np.arange(-2.0, 2.0 + 5e-7, 1e-6)
-        expected = float(full[int(np.argmin(csa_loss(full, masses, costs)))])
+        expected = float(full[int(np.argmin(csa_loss(full, np.array(astuple(masses)), costs)))])
         assert abs(grid_argmin(masses, costs, lo=-2.0, hi=2.0) - expected) <= 1e-6
 
 

@@ -1,5 +1,6 @@
 import re
 import warnings
+from dataclasses import astuple
 from hashlib import sha256
 
 import numpy as np
@@ -17,7 +18,6 @@ from costboost.boosting import (
     csa_loss,
     decision_scores,
     init_weights,
-    predict_ensemble,
     solve_csa_alpha,
     train_ensemble,
 )
@@ -174,7 +174,7 @@ class TestSolveCsaAlpha:
         costs = CostPair(1, 2)
         alpha = solve_csa_alpha(masses, costs)
         grid = np.arange(-10.0, 10.0, 1e-6)
-        losses = csa_loss(grid, masses, costs)
+        losses = csa_loss(grid, np.array(astuple(masses)), costs)
         assert abs(alpha - grid[int(np.argmin(losses))]) < 1e-6
 
     def test_stationarity_tolerance(self):
@@ -190,7 +190,7 @@ class TestSolveCsaAlpha:
             costs = CostPair(*rng.uniform(0.5, 100.0, size=2))
             alpha = solve_csa_alpha(masses, costs)
             assert abs(dloss(alpha, masses, costs)) < 1e-12 * csa_loss(
-                alpha, masses, costs
+                alpha, np.array(astuple(masses)), costs
             )
 
     def test_beats_random_probes(self):
@@ -199,9 +199,10 @@ class TestSolveCsaAlpha:
             masses = ClassMasses(*rng.uniform(0.01, 1.0, size=4))
             costs = CostPair(*rng.uniform(0.5, 10.0, size=2))
             alpha = solve_csa_alpha(masses, costs)
-            value = csa_loss(alpha, masses, costs)
+            block = np.array(astuple(masses))
+            value = csa_loss(alpha, block, costs)
             probes = rng.uniform(-10, 10, size=1000)
-            assert value <= csa_loss(probes, masses, costs).min() + 1e-12
+            assert value <= csa_loss(probes, block, costs).min() + 1e-12
 
     def test_empty_sides_are_floored(self):
         alpha = solve_csa_alpha(ClassMasses(0.5, 0.0, 0.5, 0.0), UNIT)
@@ -210,7 +211,7 @@ class TestSolveCsaAlpha:
         # not 0 * inf = NaN
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            loss = csa_loss(710.0, ClassMasses(0.5, 0.0, 0.5, 0.0), UNIT)
+            loss = csa_loss(710.0, np.array((0.5, 0.0, 0.5, 0.0)), UNIT)
         assert 0.0 < loss == 0.5 * np.exp(-710.0) + 0.5 * np.exp(-710.0)
 
     def test_rejects_negative_mass(self):
@@ -353,7 +354,7 @@ class TestPrunedCsaSelection:
                                (0.5, 0.0, 0.25, 0.25), (0.3, 0.3, 0.0, 1e-300)])
         # scaled to a minimal loss of 1 up to rounding, no bound can part
         # them; at twice that loss the copies can be dropped
-        minima = [csa_loss(solve_csa_alpha(ClassMasses(*q), costs), ClassMasses(*q), costs)
+        minima = [csa_loss(solve_csa_alpha(ClassMasses(*q), costs), q, costs)
                   for q in quadruples]
         best = quadruples / np.array(minima)[:, None]
         batch = np.concatenate([2.0 * best[:3], best, 2.0 * best[3:]])
@@ -481,14 +482,24 @@ class TestTrainEnsemble:
             if classifier.alphas[t] > 0 and np.all(score != 0):
                 assert train_err < bound
 
-    @pytest.mark.parametrize("costs", [CostPair(1, 1e4), CostPair(1e4, 1)])
+    @pytest.mark.parametrize("costs", [CostPair(1.7e308, 1.7e308), CostPair(1.6e308, 1.6e308)])
     def test_weight_update_overflow_is_named(self, costs):
         # unchecked, the overflowed weights fail the next round as "weights
-        # must have a positive total", which hides the cause
-        data = gen_bayes(20, 20, seed=1)
-        message = re.escape(f"CSA weight update overflows at {costs!r}")
+        # must have a positive total", which hides the cause; here the
+        # mistakes' positive weights times c sum past the float range
+        features, labels = np.arange(12.0)[:, None], np.array([1, -1] * 6)
+        message = re.escape(f"CB1 weight update overflows at {costs!r}")
         with pytest.raises(ValueError, match=message):
-            train_ensemble("CSA", data.features, data.labels, costs, rounds=20)
+            train_ensemble("CB1", features, labels, costs, rounds=3)
+
+    @pytest.mark.parametrize("costs", [CostPair(1, 1e4), CostPair(1e4, 1)])
+    def test_weight_update_masks_underflowed_weights(self, costs):
+        # a weight that underflowed to 0 may meet an exponent above 709;
+        # its term is 0, not 0 * inf = NaN, so training completes
+        data = gen_bayes(20, 20, seed=1)
+        classifier, trace = train_ensemble("CSA", data.features, data.labels, costs, rounds=20)
+        assert classifier.trained_rounds == 20
+        assert all(np.isfinite(z) and z > 0 for z in trace.zs)
 
     def test_trace_is_fully_populated(self):
         features, labels = fixed_instance(16, 2, seed=3)
@@ -606,6 +617,29 @@ class TestTrainEnsemble:
             assert all(np.array_equal(seen, features) for _, seen in calls)
 
     @pytest.mark.parametrize("algorithm", ALGORITHM_IDS)
+    @pytest.mark.parametrize("rounds", [1, 9])
+    def test_builds_one_rule_per_ensemble(self, monkeypatch, algorithm, rounds):
+        import costboost.boosting as boosting
+
+        rule = boosting._rule
+        rules, rounds_seen = [], []
+
+        def counted_rule(*args, **kwargs):
+            rules.append(args[0])
+            return rule(*args, **kwargs)
+
+        def counted_round(*args, **kwargs):
+            rounds_seen.append(args[0])
+            return boost_round(*args, **kwargs)
+
+        monkeypatch.setattr(boosting, "_rule", counted_rule)
+        monkeypatch.setattr(boosting, "boost_round", counted_round)
+        features, labels = fixed_instance(20, 3, seed=8)
+        train_ensemble(algorithm, features, labels, CostPair(1, 3), rounds)
+        assert rules == [algorithm]
+        assert rounds_seen == [algorithm] * rounds
+
+    @pytest.mark.parametrize("algorithm", ALGORITHM_IDS)
     def test_calls_train_stump_once_per_non_csa_round(self, monkeypatch, algorithm):
         import costboost.boosting as boosting
 
@@ -650,26 +684,7 @@ class TestTrainEnsemble:
 
 
 class TestPredictEnsemble:
-    def test_single_stump_matches_stump_predict(self):
-        features, labels = fixed_instance(10, 2, seed=51)
-        classifier, _ = train_ensemble("ADA", features, labels, UNIT, rounds=1)
-        stump = classifier.stumps[0]
-        for row in features:
-            assert predict_ensemble(classifier, row) == stump_predict(stump, row)
-
-    def test_threshold_above_total_vote_forces_negative(self):
-        features, labels = fixed_instance(10, 2, seed=52)
-        classifier, _ = train_ensemble("ADA", features, labels, UNIT, rounds=3)
-        classifier.decision_threshold = sum(abs(a) for a in classifier.alphas) + 1.0
-        assert all(predict_ensemble(classifier, row) == -1 for row in features)
-
-    def test_zero_margin_counts_positive(self):
-        classifier, _ = train_ensemble(
-            "ADA", np.array([[0.0], [1.0], [2.0], [3.0]]),
-            np.array([-1, -1, 1, 1]), UNIT, rounds=1
-        )
-        classifier.alphas[0] = 0.0  # every score collapses to the threshold
-        assert predict_ensemble(classifier, np.array([5.0])) == 1
+    """The vote of a trained ensemble, through ``decision_scores``."""
 
     def test_cutoff_prefixes_the_vote(self):
         data = gen_bayes(30, 30, seed=0)
@@ -690,7 +705,7 @@ class TestPredictEnsemble:
         features, labels = fixed_instance(8, 1, seed=54)
         classifier, _ = train_ensemble("ADA", features, labels, UNIT, rounds=2)
         with pytest.raises(ValueError):
-            predict_ensemble(classifier, features[0], round_cutoff=3)
+            decision_scores(classifier, features, round_cutoff=3)
 
 
 class TestUnitCostReductions:
