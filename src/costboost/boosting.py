@@ -199,11 +199,21 @@ def _rule(algorithm, labels, costs: CostPair, total_rounds) -> _Rule:
              "c|1": (c, 1.0), "beta": (0.5 * (1.0 + cn), 0.5 * (1.0 - cn))}  # (mistake, hit)
     row = _RULES[algorithm]
     if row.prescale:  # ASB spreads ln(sqrt(k)), k = c_pos / c_neg, over T = total_rounds
-        shift = np.log(np.sqrt(costs.c_pos / costs.c_neg)) / total_rounds
-        terms["sqrt(k)^(y/T)"] = np.exp(labels * shift)
+        k = costs.c_pos / costs.c_neg
+        if 0.0 < k < math.inf:
+            terms["sqrt(k)^(y/T)"] = np.exp(labels * (np.log(np.sqrt(k)) / total_rounds))
+        else:  # k over- or underflows: the same shift from the logs, its
+            # largest term made 1, which the renormalization undoes
+            shift = (math.log(costs.c_pos) - math.log(costs.c_neg)) / (2.0 * total_rounds)
+            terms["sqrt(k)^(y/T)"] = np.exp(labels * shift - abs(shift))
     raw = np.broadcast_to(terms[row.init], (labels.size,))
+    with np.errstate(over="ignore"):
+        total = raw.sum()
+    if not math.isfinite(total):  # huge costs: scale them to at most 1 first
+        raw = raw / raw.max()
+        total = raw.sum()
     fields = ("prescale", "select", "v", "norm", "factor", "scale")
-    return row._replace(init=raw / raw.sum(), **{f: terms[getattr(row, f)] for f in fields})
+    return row._replace(init=raw / total, **{f: terms[getattr(row, f)] for f in fields})
 
 
 def _on(wrong, term):
@@ -414,7 +424,7 @@ def _csa_select(work: ScanWorkspace, weights, costs: CostPair):
     j = candidates[np.flatnonzero(pair_err == pair_err.min())[0]]
     polarity = 1 if err_plus[j] <= err_minus[j] else -1
     alpha = float(alphas[j]) if polarity == 1 else -float(alphas[j])
-    return _cut_stump(work.columns, kept[j], polarity), alpha
+    return _cut_stump(work.columns, work.columns.below[kept[j]], polarity), alpha
 
 
 def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rounds,
@@ -510,30 +520,46 @@ def adjust_threshold(scores, labels, costs: CostPair) -> float:
 
 
 def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int, *,
-                   columns: SortedColumns | None = None):
+                   columns: SortedColumns | None = None, shared: dict | None = None):
     """Train one boosted ensemble and return (classifier, trace).
 
     Deterministic given the inputs. ``columns`` is ``sort_columns(features,
     labels)``, built here when omitted; every round scans it through the
     one ``scan_workspace`` that holds it. The trace's training NEC and
     asymmetry come after the loop, from the ``_staged_scores`` of every round prefix.
+
+    ``shared`` is a dict that belongs to this one training set. A variant
+    whose ``_RULES`` row is ADA's but for ``init`` never reads the costs
+    while training, so its rounds (stumps, alphas, ``z`` and degenerate
+    flags) follow from the bytes of its initial weights and ``rounds``
+    alone: they are trained once per such key, kept in ``shared``, and a
+    later call with an equal key reads them back instead. The trace and
+    ABT's threshold are derived from them at this call's costs either way.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if columns is None:
         columns = sort_columns(features, labels)
-    work = scan_workspace(columns)
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels).astype(int)
 
     rule = _rule(algorithm, labels, costs, rounds)
-    weights, kept = rule.init, []  # kept: every round but its weights
-    for _ in range(rounds):
-        result = boost_round(algorithm, weights, features, labels, costs, rounds, work=work,
-                             rule=rule)
-        weights = result.weights
-        kept.append((result.stump, result.alpha, result.z, result.degenerate))
-    stumps, alphas, zs, degenerate = map(list, zip(*kept))
+    key = None
+    if shared is not None and _RULES[algorithm][1:] == _RULES["ADA"][1:]:
+        key = (rule.init.tobytes(), rounds)
+    kept = shared.get(key) if key is not None else None
+    if kept is None:
+        work = scan_workspace(columns)
+        weights, trained = rule.init, []
+        for _ in range(rounds):
+            result = boost_round(algorithm, weights, features, labels, costs, rounds,
+                                 work=work, rule=rule)
+            weights = result.weights
+            trained.append((result.stump, result.alpha, result.z, result.degenerate))
+        kept = tuple(zip(*trained))  # stumps, alphas, zs, degenerate flags
+        if key is not None:
+            shared[key] = kept
+    stumps, alphas, zs, degenerate = map(list, kept)
 
     scores = _staged_scores(stumps, alphas, features)
     rates = confusion_rates(np.where(scores[1:] >= 0.0, 1, -1), labels)

@@ -228,7 +228,10 @@ def _linear_rule(params: GaussParams, costs):
     cov_inv = np.linalg.inv(params.cov_matrix())
     w = cov_inv @ (mu_p - mu_n)
     b = -0.5 * float(w @ (mu_p + mu_n))
-    tau = math.log(costs.c_neg / costs.c_pos)
+    ratio = costs.c_neg / costs.c_pos
+    # a ratio past the float range (0 or inf) takes the difference of the logs
+    tau = (math.log(ratio) if 0.0 < ratio < math.inf
+           else math.log(costs.c_neg) - math.log(costs.c_pos))
     return w, b, tau
 
 

@@ -11,8 +11,12 @@ set ("BAY" rows, fold label "all").
 The cell is the one unit of work: ``run_experiment`` builds a flat list
 of cells and maps ``_run_cell`` over it. Every cell of one (dataset,
 fold) shares one ``_Fold``, whose training columns are sorted once per
-process. With ``jobs > 1`` each (dataset, algorithm) group of cells is
-one worker task, so a worker receives each fold once per group.
+process. The variants that train without reading the costs (ADA, ABT,
+and CGA where its initial weights come out uniform) also share one
+ensemble per fold and process there; each cell derives its cost's
+trace, cutoff and threshold from it. With ``jobs > 1`` each (dataset,
+algorithm) group of cells is one worker task, so a worker receives each
+fold once per group.
 
 Everything written to a run directory is byte-deterministic for a fixed
 config and seed, independent of worker count, with one deliberate
@@ -483,7 +487,9 @@ class _Fold:
     ``columns``, the ``SortedColumns`` of the training rows, is built on
     first use in the process that runs the cell and never pickled: a
     worker task sorts each fold it receives once, and the unpickled copy
-    of a block would come back writeable.
+    of a block would come back writeable. ``ensembles`` is the
+    ``train_ensemble`` ``shared`` dict of the fold, whose cost-blind
+    rounds are trained once per process the same way, and freed with it.
     """
 
     dataset: str
@@ -503,8 +509,12 @@ class _Fold:
     def columns(self):
         return sort_columns(self.x_train, self.y_train)
 
+    @cached_property
+    def ensembles(self) -> dict:
+        return {}
+
     def __getstate__(self):
-        return {k: v for k, v in vars(self).items() if k != "columns"}
+        return {k: v for k, v in vars(self).items() if k not in ("columns", "ensembles")}
 
 
 def _run_cell(cell):
@@ -512,7 +522,9 @@ def _run_cell(cell):
 
     ``cell`` is (algorithm, split, cost, rounds, convergence), ``split``
     the ``_Fold`` every cell of its (dataset, fold) shares. The sort of its
-    training columns is left out of ``train_seconds``. Returns the fold
+    training columns is left out of ``train_seconds``; a cell that reads
+    a cost-blind ensemble back from ``split.ensembles`` counts only its
+    own trace and threshold there. Returns the fold
     record and its trace rows, or a ``CellFailure`` when the cell raised:
     one failed cell must not kill the sweep, but ``TypeError``,
     ``AttributeError`` and ``NameError`` mark a programming error and
@@ -525,7 +537,7 @@ def _run_cell(cell):
 
         start = time.perf_counter()
         classifier, trace = train_ensemble(algorithm, x_train, y_train, cost, rounds,
-                                           columns=columns)
+                                           columns=columns, shared=split.ensembles)
         elapsed = time.perf_counter() - start
 
         cutoff = None

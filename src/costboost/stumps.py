@@ -14,10 +14,12 @@ feature index, then lowest threshold, then polarity +1.
 The columns are sorted once per training set: ``sort_columns`` validates
 it and builds its ``SortedColumns`` block, and ``scan_workspace`` wraps
 that block with the buffers its scans write, one ``ScanWorkspace`` per
-ensemble. Every round's ``_candidates`` scans the workspace's block with
-the round's weights, giving the one (4, cuts) class-mass block, rows
-b_p, d_p, b_n, d_n, that both stump selectors read: ``train_stump`` here
-and CSA in ``boosting``.
+ensemble. Every round's ``_scan`` sums the workspace's block with the
+round's weights into the class mass below and above every cut of every
+column. ``train_stump`` scores that full table, its cuts between equal
+values masked by the block's ``pad``; ``_candidates`` gathers the valid
+cuts into the (4, cuts) class-mass block, rows b_p, d_p, b_n, d_n, that
+CSA in ``boosting`` reads.
 """
 
 from dataclasses import dataclass
@@ -125,16 +127,18 @@ class SortedColumns:
     marks the sorted samples of class +1 in row 0 and the others, the
     negatives, in row 1. Cut b of a column splits its sorted values
     between index b-1 and b (b = 0 lies below the minimum); a cut between
-    equal values is not a candidate. ``below`` holds, for each valid cut
-    in (feature, threshold) order, the flat index f * (n + 1) + b into a
-    (features, samples + 1) table of the class mass below each cut. The
-    arrays are read-only.
+    equal values, or above the maximum (b = n), is not a candidate.
+    ``below`` holds, for each valid cut in (feature, threshold) order, the
+    flat index f * (n + 1) + b into a (features, samples + 1) table of
+    the class mass below each cut; ``pad`` is that table with 0 at the
+    valid cuts and +inf elsewhere. The arrays are read-only.
     """
 
     order: np.ndarray
     xs: np.ndarray
     classes: np.ndarray
     below: np.ndarray
+    pad: np.ndarray
 
     @property
     def n_samples(self) -> int:
@@ -147,11 +151,12 @@ def sort_columns(features, labels) -> SortedColumns:
     order = np.argsort(features.T, axis=1, kind="stable")
     xs = np.take_along_axis(features.T, order, axis=1)
     positive = (labels > 0)[order]
-    valid = np.ones(xs.shape, dtype=bool)
-    np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, 1:])
-    feature, cut = np.nonzero(valid)
+    f, n = xs.shape
+    valid = np.zeros((f, n + 1), dtype=bool)
+    valid[:, 0] = True
+    np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, 1:n])
     columns = SortedColumns(order, xs, np.stack((positive, ~positive)),
-                            feature * (xs.shape[1] + 1) + cut)
+                            np.flatnonzero(valid), np.where(valid, 0.0, np.inf))
     for array in vars(columns).values():
         array.setflags(write=False)
     return columns
@@ -163,12 +168,14 @@ class ScanWorkspace:
     writes, built by ``scan_workspace``: views of ``block``, one allocation.
 
     ``mass`` holds the selection masses and ``sides`` them in each
-    column's order, split by class. ``below`` and ``above`` are the
-    (2, features, samples + 1) class mass below and above each cut,
-    ``masses`` the (4, cuts) block ``_candidates`` returns and ``errs``
-    the (cuts, 2) errors of ``train_stump``. A scan is done with
-    ``sides`` once ``below`` is summed and with ``above`` once
-    ``masses`` is filled, so the three share one memory.
+    column's order, split by class. ``below`` is the (2, features,
+    samples + 1) class mass below each cut, row 0 positive, row 1
+    negative. ``above`` is the mass above each cut that the stump of
+    polarity (+1, -1)[p] gets wrong, in row p: the negatives in row 0,
+    the positives in row 1. ``train_stump`` adds ``below`` into it in
+    place, giving each cut's weighted error. ``masses`` is the (4, cuts)
+    block ``_candidates`` returns. A scan is done with ``sides`` once
+    ``below`` is summed, so the two share one memory.
     """
 
     columns: SortedColumns
@@ -178,7 +185,6 @@ class ScanWorkspace:
     below: np.ndarray
     above: np.ndarray
     masses: np.ndarray
-    errs: np.ndarray
 
 
 def scan_workspace(columns: SortedColumns) -> ScanWorkspace:
@@ -191,10 +197,25 @@ def scan_workspace(columns: SortedColumns) -> ScanWorkspace:
     mass, below, above, masses = (part.reshape(shape) for part, shape
                                   in zip(np.split(block, np.cumsum(sizes)[:-1]), shapes))
     below[:, :, 0] = 0.0
-    # each column has at most n valid cuts: cuts <= f * n
-    shared = above.reshape(-1)
-    return ScanWorkspace(columns, block, mass, shared[:2 * f * n].reshape(2, f, n), below,
-                         above, masses, shared[:2 * cuts].reshape(cuts, 2))
+    return ScanWorkspace(columns, block, mass, above.reshape(-1)[:2 * f * n].reshape(2, f, n),
+                         below, above, masses)
+
+
+def _scan(work: ScanWorkspace, weights, multiplier=None):
+    """Fill ``work.below`` and ``work.above`` for the selection mass
+    ``weights`` times ``multiplier`` (1 when omitted) and return them."""
+    columns = work.columns
+    _selection_mass(weights, multiplier, work.mass)
+    # the indices are valid: "clip" spares the copy "raise" makes of ``out``
+    positives, negatives = work.sides
+    np.take(work.mass, columns.order, out=positives, mode="clip")
+    np.multiply(positives, columns.classes[1], out=negatives)
+    np.multiply(positives, columns.classes[0], out=positives)
+    # column b holds the class mass below cut b; the last column the total
+    below, above = work.below, work.above
+    np.cumsum(work.sides, axis=2, out=below[:, :, 1:])
+    np.subtract(below[::-1, :, -1:], below[::-1], out=above)
+    return below, above
 
 
 def _candidates(work: ScanWorkspace, weights, multiplier=None):
@@ -206,30 +227,22 @@ def _candidates(work: ScanWorkspace, weights, multiplier=None):
     positives at or below the cut and the negatives above; -1 swaps b, d.
     The block lives in ``work`` until its next scan.
     """
-    columns = work.columns
-    _selection_mass(weights, multiplier, work.mass)
-    # the indices are valid: "clip" spares the copy "raise" makes of ``out``
-    positives, negatives = work.sides
-    np.take(work.mass, columns.order, out=positives, mode="clip")
-    np.multiply(positives, columns.classes[1], out=negatives)
-    np.multiply(positives, columns.classes[0], out=positives)
-    # column b holds the class mass below cut b; the last column the total
-    below, above, masses = work.below, work.above, work.masses
-    np.cumsum(work.sides, axis=2, out=below[:, :, 1:])
-    np.subtract(below[:, :, -1:], below, out=above)
+    below, above = _scan(work, weights, multiplier)
+    index, masses = work.columns.below, work.masses
     # rows d_p and b_n lie below the cut, b_p and d_n above it
-    np.take(below.reshape(2, -1), columns.below, axis=1, out=masses[1:3], mode="clip")
-    np.take(above[0].reshape(-1), columns.below, out=masses[0], mode="clip")
-    np.take(above[1].reshape(-1), columns.below, out=masses[3], mode="clip")
+    np.take(below.reshape(2, -1), index, axis=1, out=masses[1:3], mode="clip")
+    np.take(above[1].reshape(-1), index, out=masses[0], mode="clip")
+    np.take(above[0].reshape(-1), index, out=masses[3], mode="clip")
     return masses
 
 
-def _cut_stump(columns: SortedColumns, j, polarity) -> Stump:
-    """Stump of the given polarity at valid cut j of ``columns``. Its
-    threshold lies in [xs[b-1], xs[b]), below xs[0] for b = 0: summed
-    halves cannot overflow, and where the midpoint or xs[0] - 1 rounds
-    onto xs[b] the next float down stands in."""
-    f, b = divmod(int(columns.below[j]), columns.n_samples + 1)
+def _cut_stump(columns: SortedColumns, index, polarity) -> Stump:
+    """Stump of the given polarity at the cut with flat index f * (n + 1)
+    + b, as ``columns.below`` holds it. Its threshold lies in [xs[b-1],
+    xs[b]), below xs[0] for b = 0: summed halves cannot overflow, and
+    where the midpoint or xs[0] - 1 rounds onto xs[b] the next float down
+    stands in."""
+    f, b = divmod(int(index), columns.n_samples + 1)
     xs = columns.xs[f]
     threshold = xs[0] - 1.0 if b == 0 else xs[b - 1] / 2.0 + xs[b] / 2.0
     if not threshold < xs[b]:
@@ -251,14 +264,18 @@ def train_stump(features, labels, weights, per_sample_multiplier=None, *,
     """
     if work is None:
         work = scan_workspace(sort_columns(features, labels))
-    b_p, d_p, b_n, d_n = _candidates(work, weights, per_sample_multiplier)
-    # flat order (feature, threshold, polarity +1 first): the first
-    # minimum realizes the tie-break
-    errs = work.errs
-    np.add(d_p, d_n, out=errs[:, 0])
-    np.add(b_n, b_p, out=errs[:, 1])
-    j, minus = divmod(int(np.argmin(errs)), 2)
-    return _cut_stump(work.columns, j, -1 if minus else 1)
+    below, errs = _scan(work, weights, per_sample_multiplier)
+    # row p: the error of polarity (+1, -1)[p] at every cut, +inf where
+    # the cut is no candidate; the pad goes first, so no sum at such a cut
+    # can overflow where no valid cut's sum does
+    np.add(errs, work.columns.pad, out=errs)
+    np.add(below, errs, out=errs)
+    errs = errs.reshape(2, -1)
+    plus, minus = np.argmin(errs, axis=1)
+    # ties: lowest feature, then threshold (both the flat index), then +1
+    if (errs[1, minus], minus) < (errs[0, plus], plus):
+        return _cut_stump(work.columns, minus, -1)
+    return _cut_stump(work.columns, plus, 1)
 
 
 def stump_predict(stump: Stump, features_row) -> int:

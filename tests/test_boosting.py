@@ -13,6 +13,7 @@ from costboost.boosting import (
     _csa_alpha_arrays,
     _csa_select,
     _floor_mass_groups,
+    _rule,
     adjust_threshold,
     boost_round,
     csa_loss,
@@ -287,7 +288,7 @@ def full_batch_csa_select(columns, weights, costs):
     j = candidates[np.flatnonzero(pair_err == pair_err.min())[0]]
     polarity = 1 if err_plus[j] <= err_minus[j] else -1
     alpha = float(alphas[j]) if polarity == 1 else -float(alphas[j])
-    return _cut_stump(columns, j, polarity), alpha
+    return _cut_stump(columns, columns.below[j], polarity), alpha
 
 
 class TestPrunedCsaSelection:
@@ -659,6 +660,81 @@ class TestTrainEnsemble:
         features, labels = fixed_instance(6, 1, seed=0)
         with pytest.raises(ValueError):
             train_ensemble("ADA", features, labels, UNIT, rounds=0)
+
+    def test_cost_blind_variants_share_one_ensemble(self, monkeypatch):
+        import costboost.boosting as boosting
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return boost_round(*args, **kwargs)
+
+        monkeypatch.setattr(boosting, "boost_round", counted)
+        features, labels = fixed_instance(20, 3, seed=8)
+        cells = [("ADA", UNIT), ("ADA", CostPair(1, 10)), ("ABT", CostPair(10, 1)),
+                 ("CGA", UNIT), ("CGA", CostPair(2, 2)), ("ABT", UNIT)]
+        alone = [repr(train_ensemble(a, features, labels, c, 6)) for a, c in cells]
+        calls.clear()
+        shared = {}
+        assert alone == [repr(train_ensemble(a, features, labels, c, 6, shared=shared))
+                         for a, c in cells]
+        assert calls == ["ADA"] * 6
+        assert len(shared) == 1
+        calls.clear()
+        train_ensemble("CGA", features, labels, CostPair(1, 10), 6, shared=shared)
+        train_ensemble("ADA", features, labels, UNIT, 7, shared=shared)
+        assert calls == ["CGA"] * 6 + ["ADA"] * 7  # other initial weights, another budget
+
+    @pytest.mark.parametrize("algorithm", ["ASB", "ADC", "CB0", "CB1", "CB2", "AC1", "AC2",
+                                           "AC3", "CSA"])
+    def test_cost_dependent_variants_never_reuse_rounds(self, monkeypatch, algorithm):
+        import costboost.boosting as boosting
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return boost_round(*args, **kwargs)
+
+        monkeypatch.setattr(boosting, "boost_round", counted)
+        features, labels = fixed_instance(20, 3, seed=8)
+        shared = {}
+        train_ensemble("ADA", features, labels, UNIT, 5, shared=shared)
+        before = dict(shared)
+        for _ in range(2):
+            got = train_ensemble(algorithm, features, labels, UNIT, 5, shared=shared)
+            assert repr(got) == repr(train_ensemble(algorithm, features, labels, UNIT, 5))
+        assert calls == ["ADA"] * 5 + [algorithm] * 20
+        assert shared == before
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cost_init_survives_a_cost_sum_past_the_float_range(self):
+        # 12 costs of 1e308 sum to inf: scaled by the larger cost first,
+        # the initial weights come out uniform, ADA's to the byte
+        features, labels = np.arange(12.0)[:, None], np.array([1, -1] * 6)
+        huge = CostPair(1e308, 1e308)
+        assert init_weights("CGA", labels, huge).tobytes() == np.full(12, 1 / 12).tobytes()
+        classifier, trace = train_ensemble("CGA", features, labels, huge, rounds=3)
+        reference, _ = train_ensemble("ADA", features, labels, huge, rounds=3)
+        assert repr(classifier) == repr(reference)
+        assert all(np.isfinite(z) for z in trace.zs)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("costs", [CostPair(1e300, 1e-300), CostPair(1e-300, 1e300),
+                                       CostPair(1e308, 5e-324)])
+    @pytest.mark.parametrize("rounds", [1, 6])
+    def test_prescale_survives_a_cost_ratio_past_the_float_range(self, costs, rounds):
+        # c_pos / c_neg over- or underflows; the shift comes from the logs
+        features, labels = np.arange(12.0)[:, None], np.array([1, -1] * 6)
+        classifier, trace = train_ensemble("ASB", features, labels, costs, rounds)
+        assert classifier.trained_rounds == rounds
+        assert all(np.isfinite(a) for a in classifier.alphas)
+        assert all(np.isfinite(z) and z > 0 for z in trace.zs)
+        # the pre-scale favours the costlier class, as a finite ratio does
+        prescale = _rule("ASB", labels, costs, rounds).prescale
+        costly = labels > 0 if costs.c_pos > costs.c_neg else labels < 0
+        assert prescale[costly].min() > prescale[~costly].max()
 
     def test_unclamped_ensembles_match_golden(self):
         """Whole ensembles of all twelve variants, pinned byte for byte:

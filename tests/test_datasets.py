@@ -132,6 +132,15 @@ class TestBayesOptimalRates:
         assert rates.fpr < 1e-12
         assert rates.fnr > 1.0 - 1e-6
 
+    @pytest.mark.parametrize("costs, expected", [(CostPair(1e300, 1e-300), 1),
+                                                 (CostPair(1e-300, 1e300), -1)])
+    def test_cost_ratio_past_the_float_range(self, costs, expected):
+        # the ratio over- or underflows; the threshold comes from the logs
+        data = gen_bayes(6, 6, seed=0)
+        assert (bayes_optimal_predict(DEFAULT_GAUSS, costs, data.coords) == expected).all()
+        rates = bayes_optimal_rates(DEFAULT_GAUSS, costs)
+        assert (rates.fnr, rates.fpr) == ((0.0, 1.0) if expected == 1 else (1.0, 0.0))
+
     def test_correlated_covariance_against_monte_carlo(self):
         params = GaussParams(
             mean_pos=(0.8, 0.3), mean_neg=(-0.6, -0.1),

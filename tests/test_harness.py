@@ -7,7 +7,8 @@ from hashlib import sha256
 import numpy as np
 import pytest
 
-from costboost.boosting import CostPair, adjust_threshold, decision_scores, train_ensemble
+from costboost.boosting import (ALGORITHM_IDS, CostPair, adjust_threshold, decision_scores,
+                                train_ensemble)
 from costboost.datasets import gen_bayes, stratified_kfold
 from costboost.harness import (
     AVG_FOLD,
@@ -465,6 +466,49 @@ class TestRunExperiment:
         assert len(store.traces) == 2 * 3 * 2 * 3  # datasets x algorithms x costs x folds
         assert len(calls) == 2 * 3  # datasets x folds
 
+    def test_shared_ensembles_give_the_records_of_independent_training(self, monkeypatch):
+        """Every variant at every default cost: the sweep, whose cost-blind
+        cells share one ensemble per fold, writes what cells trained alone
+        write, record for record and trace row for trace row."""
+        import costboost.harness as harness
+
+        def alone(*args, shared=None, **kwargs):
+            return train_ensemble(*args, **kwargs)
+
+        config = tiny_config(datasets=(DatasetSpec(kind="bayes", n_pos=60, n_neg=60),
+                                       DatasetSpec(kind="twoclouds", n_pos=60, n_neg=60)),
+                             algorithms=ALGORITHM_IDS, costs=DEFAULT_COST_GRID, folds=2,
+                             rounds=6)
+        stores = [run_experiment(config)]
+        monkeypatch.setattr(harness, "train_ensemble", alone)
+        stores.append(run_experiment(config))
+        shared, independent = (
+            ([(r.dataset, r.algorithm, r.cost, r.fold, r.rates, r.nec, r.effective_rounds,
+               r.trained_rounds) for r in store.records], repr(store.traces))
+            for store in stores)
+        assert not stores[0].failures
+        assert len(stores[0].traces) == 2 * 12 * 19 * 2  # datasets x variants x costs x folds
+        assert shared == independent
+
+    def test_cost_blind_cells_train_once_per_fold(self, monkeypatch):
+        import costboost.boosting as boosting
+
+        calls = []
+        boost_round = boosting.boost_round
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return boost_round(*args, **kwargs)
+
+        monkeypatch.setattr(boosting, "boost_round", counted)
+        store = run_experiment(tiny_config(algorithms=("ADA", "ABT", "CGA"),
+                                           costs=((1, 1), (2, 2), (1, 5)), folds=3, rounds=8))
+        assert not store.failures
+        assert len(store.traces) == 3 * 3 * 3
+        # ADA's first cell per fold trains for ADA, ABT and CGA at (1, 1) and
+        # (2, 2); CGA at (1, 5) starts from other weights
+        assert calls == ["ADA"] * 3 * 8 + ["CGA"] * 3 * 8
+
     def test_rounds_default_is_dataset_size(self):
         config = tiny_config(rounds="dataset-size", costs=((1, 1),),
                              algorithms=("ADA",))
@@ -618,10 +662,14 @@ class TestFold:
         before = pickle.dumps(split)
         columns = split.columns
         assert split.columns is columns  # built once, then cached
+        train_ensemble("ADA", split.x_train, split.y_train, CostPair(1, 1), 4, columns=columns,
+                       shared=split.ensembles)
+        assert len(split.ensembles) == 1
         after = pickle.dumps(split)
         assert len(after) == len(before)
         copied = pickle.loads(after)
         assert "columns" not in vars(copied)
+        assert "ensembles" not in vars(copied)
         for name in ("x_train", "y_train", "x_test", "y_test"):
             assert np.array_equal(getattr(copied, name), getattr(split, name))
         # the copy sorts its own block, read-only like every block

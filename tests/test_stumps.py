@@ -30,6 +30,16 @@ def brute_force_candidates(features, labels, mass):
     return out
 
 
+def compacted_pick(columns, weights, multiplier=None):
+    """The stump pick before the full-table scan: the valid cuts' class
+    masses gathered into one block, then the first minimum of their
+    (cuts, 2) errors in (feature, threshold, polarity +1 first) order."""
+    b_p, d_p, b_n, d_n = _candidates(scan_workspace(columns), weights, multiplier)
+    errs = np.stack((d_p + d_n, b_n + b_p), axis=1)
+    j, minus = divmod(int(np.argmin(errs)), 2)
+    return _cut_stump(columns, columns.below[j], -1 if minus else 1)
+
+
 def oracle_error(features, labels, mass, stump):
     pred = np.where(features[:, stump.feature_index] > stump.threshold,
                     stump.polarity, -stump.polarity)
@@ -164,6 +174,67 @@ class TestTrainStump:
             assert stump == Stump(feature_index=f, threshold=threshold, polarity=polarity)
 
 
+class TestFullTablePick:
+    """``train_stump`` scores every cut of the full table, the invalid ones
+    padded to +inf, and picks what the compacted valid-cut scan picks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=20),
+        n_features=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=10_000),
+        weighting=st.sampled_from(["random", "uniform", "zero", "sparse", "dyadic"]),
+        rounded=st.booleans(),
+        duplicated=st.booleans(),
+        constant=st.booleans(),
+        multiplied=st.booleans(),
+    )
+    def test_matches_the_compacted_pick(self, n, n_features, seed, weighting, rounded,
+                                        duplicated, constant, multiplied):
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(n, n_features))
+        if rounded:
+            features = np.round(features, 1)
+        if duplicated:
+            features[:, -1] = features[:, 0]
+        if constant:
+            features[:, rng.integers(n_features)] = 0.5
+        labels = rng.choice([-1, 1], size=n)
+        weights = {
+            "random": lambda: rng.random(n),
+            "uniform": lambda: np.full(n, 1.0 / n),
+            "zero": lambda: np.zeros(n),
+            "sparse": lambda: rng.random(n) * (rng.random(n) < 0.3),
+            "dyadic": lambda: rng.integers(0, 4, size=n) / 64.0,  # exact ties
+        }[weighting]()
+        multiplier = rng.integers(0, 4, size=n) / 4.0 if multiplied else None
+        columns = sort_columns(features, labels)
+        work = scan_workspace(columns)
+        expected = compacted_pick(columns, weights, multiplier)
+        assert train_stump(features, labels, weights, multiplier, work=work) == expected
+        # the error table is written in place: a second scan starts clean
+        assert train_stump(features, labels, weights, multiplier, work=work) == expected
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_at_an_invalid_cut_stays_silent(self):
+        # between the two zeros the error sums 1e308 twice; no valid cut does
+        features, labels = np.array([[0.0], [0.0], [1.0], [2.0]]), np.array([1, -1, 1, -1])
+        weights = np.array([1e308, 1e308, 0.0, 0.0])
+        expected = compacted_pick(sort_columns(features, labels), weights)
+        assert train_stump(features, labels, weights) == expected
+
+    def test_pad_masks_exactly_the_invalid_cuts(self):
+        features = np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 2.0]])
+        columns = sort_columns(features, np.array([1, -1, 1]))
+        pad = columns.pad.reshape(-1)
+        assert columns.pad.shape == (2, 4)
+        assert np.array_equal(np.flatnonzero(pad == 0.0), columns.below)
+        assert np.array_equal(columns.below, [0, 2, 4, 5])
+        assert np.isinf(np.delete(pad, columns.below)).all()
+        with pytest.raises(ValueError):
+            columns.pad[0, 0] = 1.0
+
+
 class TestSortedColumns:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -198,7 +269,8 @@ class TestSortedColumns:
             assert stump == train_stump(features, labels, weights, multiplier)
             mass = weights if multiplier is None else weights * multiplier
             for j in range(columns.below.size):
-                masses = class_masses(_cut_stump(columns, j, 1), features, labels, mass)
+                masses = class_masses(_cut_stump(columns, columns.below[j], 1), features,
+                                      labels, mass)
                 assert (masses.b_p, masses.d_p, masses.b_n, masses.d_n) == tuple(
                     float(m[j]) for m in scan)
         for (weights, _), (stump, alpha) in zip(inputs[::2], picks):
