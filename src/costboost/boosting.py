@@ -290,7 +290,10 @@ def _csa_alpha_arrays(masses, costs: CostPair):
     kept = np.arange(masses.shape[1])
     if c_p == c_n:
         b_p, d_p, b_n, d_n = masses
-        return kept, np.log((b_p + b_n) / (d_p + d_n)) / (2.0 * c_p)
+        # a cost near the float minimum can send alpha to inf here;
+        # train_ensemble rejects an ensemble whose votes leave the float range
+        with np.errstate(over="ignore"):
+            return kept, np.log((b_p + b_n) / (d_p + d_n)) / (2.0 * c_p)
     rates = _rates(costs)[:, None]
 
     def dloss(a):
@@ -535,6 +538,8 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int, *,
     alone: they are trained once per such key, kept in ``shared``, and a
     later call with an equal key reads them back instead. The trace and
     ABT's threshold are derived from them at this call's costs either way.
+    An ensemble whose summed absolute vote weights leave the float range
+    raises ``ValueError``: its staged scores would overflow.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -560,6 +565,11 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int, *,
         if key is not None:
             shared[key] = kept
     stumps, alphas, zs, degenerate = map(list, kept)
+    # every staged score is a prefix sum of +-alpha; rounding is monotone,
+    # so a finite sum of the magnitudes bounds them all
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.cumsum(np.abs(alphas))[-1]):
+            raise ValueError(f"{algorithm} votes overflow at {costs}")
 
     scores = _staged_scores(stumps, alphas, features)
     rates = confusion_rates(np.where(scores[1:] >= 0.0, 1, -1), labels)

@@ -8,15 +8,15 @@ algorithm, cost). Datasets built from the normal-mixture generator also
 receive reference rows from the cost-optimal rule evaluated on the whole
 set ("BAY" rows, fold label "all").
 
-The cell is the one unit of work: ``run_experiment`` builds a flat list
-of cells and maps ``_run_cell`` over it. Every cell of one (dataset,
-fold) shares one ``_Fold``, whose training columns are sorted once per
-process. The variants that train without reading the costs (ADA, ABT,
-and CGA where its initial weights come out uniform) also share one
-ensemble per fold and process there; each cell derives its cost's
-trace, cutoff and threshold from it. With ``jobs > 1`` each (dataset,
-algorithm) group of cells is one worker task, so a worker receives each
-fold once per group.
+The (dataset, fold) split is the unit of work: ``run_experiment``
+builds one task per split and maps ``_run_fold`` over them, in a
+process pool when ``jobs > 1``. A task sorts its training columns once
+and runs every (algorithm, cost) cell of its split on them. The
+variants that train without reading the costs (ADA, ABT, and CGA where
+its initial weights come out uniform) share one ensemble per split
+there; each cell derives its cost's trace, cutoff and threshold from
+it. The sorted block and the shared ensembles are local to the task,
+so they are freed when it returns, at any worker count.
 
 Everything written to a run directory is byte-deterministic for a fixed
 config and seed, independent of worker count, with one deliberate
@@ -30,7 +30,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -482,15 +483,7 @@ def _resolve_rounds(config: ExperimentConfig, spec: DatasetSpec, data: Dataset) 
 
 @dataclass(frozen=True, eq=False)
 class _Fold:
-    """One cross-validation split of a dataset, shared by every cell of it.
-
-    ``columns``, the ``SortedColumns`` of the training rows, is built on
-    first use in the process that runs the cell and never pickled: a
-    worker task sorts each fold it receives once, and the unpickled copy
-    of a block would come back writeable. ``ensembles`` is the
-    ``train_ensemble`` ``shared`` dict of the fold, whose cost-blind
-    rounds are trained once per process the same way, and freed with it.
-    """
+    """One cross-validation split of a dataset: its training and test rows."""
 
     dataset: str
     fold: str
@@ -505,39 +498,38 @@ class _Fold:
         return cls(data.name, str(fold), data.features[train], data.labels[train],
                    data.features[test], data.labels[test])
 
-    @cached_property
-    def columns(self):
-        return sort_columns(self.x_train, self.y_train)
 
-    @cached_property
-    def ensembles(self) -> dict:
-        return {}
+def _run_fold(task, cells, convergence) -> list:
+    """Run every (algorithm, cost) cell of ``cells`` on one split.
 
-    def __getstate__(self):
-        return {k: v for k, v in vars(self).items() if k not in ("columns", "ensembles")}
+    ``task`` is (split, rounds). The training columns are sorted once,
+    outside every cell's ``train_seconds``, and the cells share one
+    ``train_ensemble`` ``shared`` dict; both live only as long as this
+    call. Returns ``_run_cell``'s results in ``cells`` order.
+    """
+    split, rounds = task
+    columns = sort_columns(split.x_train, split.y_train)
+    shared = {}
+    return [_run_cell(algorithm, split, cost, rounds, convergence, columns, shared)
+            for algorithm, cost in cells]
 
 
-def _run_cell(cell):
+def _run_cell(algorithm, split, cost, rounds, convergence, columns, shared):
     """Train, truncate and evaluate one sweep cell.
 
-    ``cell`` is (algorithm, split, cost, rounds, convergence), ``split``
-    the ``_Fold`` every cell of its (dataset, fold) shares. The sort of its
-    training columns is left out of ``train_seconds``; a cell that reads
-    a cost-blind ensemble back from ``split.ensembles`` counts only its
-    own trace and threshold there. Returns the fold
-    record and its trace rows, or a ``CellFailure`` when the cell raised:
-    one failed cell must not kill the sweep, but ``TypeError``,
-    ``AttributeError`` and ``NameError`` mark a programming error and
-    propagate.
+    ``columns`` is ``split``'s sorted training block and ``shared`` the
+    cost-blind ensembles of the split (see ``_run_fold``); a cell that
+    reads its ensemble back from ``shared`` counts only its own trace and
+    threshold in ``train_seconds``. Returns the fold record and its trace
+    rows, or a ``CellFailure`` when the cell raised: one failed cell must
+    not kill the sweep, but ``TypeError``, ``AttributeError`` and
+    ``NameError`` mark a programming error and propagate.
     """
-    algorithm, split, cost, rounds, convergence = cell
     try:
         x_train, y_train = split.x_train, split.y_train
-        columns = split.columns
-
         start = time.perf_counter()
         classifier, trace = train_ensemble(algorithm, x_train, y_train, cost, rounds,
-                                           columns=columns, shared=split.ensembles)
+                                           columns=columns, shared=shared)
         elapsed = time.perf_counter() - start
 
         cutoff = None
@@ -602,10 +594,10 @@ def _bayes_reference_records(data: Dataset, costs) -> list:
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunStore:
     """Execute the full sweep described by ``config``.
 
-    Cells are independent jobs; any number of workers produces the same
-    records and traces, sorted by a canonical key. Per-cell failures are
-    collected as diagnostics instead of aborting the sweep. ``jobs`` must
-    be a positive integer.
+    Each (dataset, fold) split is one independent task; any number of
+    workers produces the same records and traces, sorted by a canonical
+    key. Per-cell failures are collected as diagnostics instead of
+    aborting the sweep. ``jobs`` must be a positive integer.
     """
     # type(), not isinstance(): True would pass as one worker
     if type(jobs) is not int or jobs < 1:
@@ -613,28 +605,25 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunStore:
     store = RunStore(config=config.to_dict(), environment=_environment_fingerprint())
     costs = [CostPair(*cost) for cost in config.costs]
 
-    cells = []
+    tasks = []
     for index, spec in enumerate(config.datasets):
         data = _build_dataset(spec, config.seed, index)
         folds = stratified_kfold(data.labels, config.folds, _derived_seed(config.seed, index, 1))
         rounds = _resolve_rounds(config, spec, data)
         if data.gauss is not None:
             store.records.extend(_bayes_reference_records(data, costs))
-        splits = [_Fold.of(data, folds, fold) for fold in range(config.folds)]
-        cells.extend((algorithm, split, cost, rounds, config.convergence)
-                     for algorithm in config.algorithms
-                     for cost in costs
-                     for split in splits)
+        tasks.extend((_Fold.of(data, folds, fold), rounds) for fold in range(config.folds))
 
+    cells = [(algorithm, cost) for algorithm in config.algorithms for cost in costs]
+    run = partial(_run_fold, cells=cells, convergence=config.convergence)
     if jobs > 1:
-        # one task per (dataset, algorithm) group, so each ships and sorts its folds once
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_cell, cells, chunksize=len(costs) * config.folds))
+            results = list(pool.map(run, tasks))
     else:
-        results = list(map(_run_cell, cells))
+        results = list(map(run, tasks))
 
     grouped = {}
-    for result in results:
+    for result in chain.from_iterable(results):
         if isinstance(result, CellFailure):
             store.failures.append(result)
             continue

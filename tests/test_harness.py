@@ -1,7 +1,9 @@
 import copy
+import gc
 import json
 import pickle
 import re
+import weakref
 from hashlib import sha256
 
 import numpy as np
@@ -19,7 +21,6 @@ from costboost.harness import (
     DatasetSpec,
     ExperimentConfig,
     RunStore,
-    _Fold,
     _derived_seed,
     detect_convergence,
     emit_report,
@@ -399,6 +400,17 @@ class TestRunExperiment:
         # the other algorithm is unaffected, including its averages
         assert sum(1 for r in store.records if r.algorithm == "ADA") == 8
 
+    def test_votes_past_the_float_range_fail_the_cell_by_name(self):
+        # at equal costs near the float minimum CSA's closed-form alpha
+        # leaves the float range, and the staged scores with it
+        config = tiny_config(algorithms=("CSA",), rounds=24,
+                             costs=((1e-308, 1e-308), (1e-300, 1e-300), (1e-308, 1)))
+        store = run_experiment(config)
+        assert [(f.cost, f.fold) for f in store.failures] == [
+            (CostPair(1e-308, 1e-308), fold) for fold in "012"]
+        assert all("CSA votes overflow" in f.message for f in store.failures)
+        assert len(store.traces) == 2 * 3  # the other costs train in every fold
+
     def test_extreme_costs_complete_and_round_trip(self, tmp_path):
         # every fold once failed here: an underflowed weight met an
         # overflowed exp in the update, and 0 * inf made z NaN
@@ -445,16 +457,20 @@ class TestRunExperiment:
             run_experiment(tiny_config(datasets=(spec,), algorithms=("ADA",), costs=((1, 1),)))
 
     def test_sorts_each_training_fold_once(self, monkeypatch):
+        """One block per (dataset, fold), freed before the next is sorted."""
         import costboost.boosting as boosting
         import costboost.harness as harness
         import costboost.stumps as stumps
 
-        calls = []
+        blocks = []
         sort_columns = stumps.sort_columns
 
         def counted(*args, **kwargs):
-            calls.append(1)
-            return sort_columns(*args, **kwargs)
+            gc.collect()
+            assert all(block() is None for block in blocks)
+            columns = sort_columns(*args, **kwargs)
+            blocks.append(weakref.ref(columns))
+            return columns
 
         for module in (harness, boosting, stumps):
             monkeypatch.setattr(module, "sort_columns", counted)
@@ -464,7 +480,7 @@ class TestRunExperiment:
         store = run_experiment(config)
         assert not store.failures
         assert len(store.traces) == 2 * 3 * 2 * 3  # datasets x algorithms x costs x folds
-        assert len(calls) == 2 * 3  # datasets x folds
+        assert len(blocks) == 2 * 3  # datasets x folds
 
     def test_shared_ensembles_give_the_records_of_independent_training(self, monkeypatch):
         """Every variant at every default cost: the sweep, whose cost-blind
@@ -505,9 +521,57 @@ class TestRunExperiment:
                                            costs=((1, 1), (2, 2), (1, 5)), folds=3, rounds=8))
         assert not store.failures
         assert len(store.traces) == 3 * 3 * 3
-        # ADA's first cell per fold trains for ADA, ABT and CGA at (1, 1) and
-        # (2, 2); CGA at (1, 5) starts from other weights
-        assert calls == ["ADA"] * 3 * 8 + ["CGA"] * 3 * 8
+        # the cells run fold by fold; ADA's first cell of each fold trains
+        # for ADA, ABT and CGA at (1, 1) and (2, 2); CGA at (1, 5) starts
+        # from other weights
+        assert calls == (["ADA"] * 8 + ["CGA"] * 8) * 3
+
+    def test_pool_path_runs_one_task_per_split(self, monkeypatch):
+        """``jobs > 1`` through an in-process pool that pickles each task and
+        its result the way a worker process would receive and return them."""
+        import costboost.boosting as boosting
+        import costboost.harness as harness
+
+        tasks, calls = [], []
+        boost_round = boosting.boost_round
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return boost_round(*args, **kwargs)
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, iterable):
+                for task in iterable:
+                    tasks.append(task)
+                    fn_copy, task_copy = pickle.loads(pickle.dumps((fn, task)))
+                    yield pickle.loads(pickle.dumps(fn_copy(task_copy)))
+
+        def comparable(store):
+            return ([(r.dataset, r.algorithm, r.cost, r.fold, r.rates, r.nec,
+                      r.effective_rounds, r.trained_rounds) for r in store.records],
+                    repr(store.traces), store.failures, store.config, store.environment)
+
+        config = tiny_config(datasets=(DatasetSpec(kind="bayes", n_pos=12, n_neg=12),
+                                       DatasetSpec(kind="twoclouds", n_pos=9, n_neg=10)),
+                             algorithms=("ADA", "ABT", "CGA"), costs=((1, 1), (2, 2)))
+        alone = run_experiment(config)
+        monkeypatch.setattr(boosting, "boost_round", counted)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        pooled = run_experiment(config, jobs=2)
+        assert len(tasks) == 2 * 3  # datasets x folds
+        # ADA, ABT and CGA at both equal costs share one ensemble per fold
+        assert calls == ["ADA"] * 8 * len(tasks)
+        assert not pooled.failures
+        assert comparable(pooled) == comparable(alone)
 
     def test_rounds_default_is_dataset_size(self):
         config = tiny_config(rounds="dataset-size", costs=((1, 1),),
@@ -653,28 +717,6 @@ class TestRunStoreRoundTrip:
         assert any(r.effective_rounds < r.trained_rounds for r in store.records)
         for classifier, snapshot in kept:
             assert classifier == snapshot
-
-
-class TestFold:
-    def test_pickles_without_its_sorted_block(self):
-        data = gen_bayes(10, 11, seed=3)
-        split = _Fold.of(data, stratified_kfold(data.labels, 3, 4), 1)
-        before = pickle.dumps(split)
-        columns = split.columns
-        assert split.columns is columns  # built once, then cached
-        train_ensemble("ADA", split.x_train, split.y_train, CostPair(1, 1), 4, columns=columns,
-                       shared=split.ensembles)
-        assert len(split.ensembles) == 1
-        after = pickle.dumps(split)
-        assert len(after) == len(before)
-        copied = pickle.loads(after)
-        assert "columns" not in vars(copied)
-        assert "ensembles" not in vars(copied)
-        for name in ("x_train", "y_train", "x_test", "y_test"):
-            assert np.array_equal(getattr(copied, name), getattr(split, name))
-        # the copy sorts its own block, read-only like every block
-        with pytest.raises(ValueError):
-            copied.columns.order[0, 0] = 1
 
 
 @pytest.fixture(scope="module")
