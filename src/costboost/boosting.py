@@ -109,7 +109,9 @@ ALGORITHM_IDS = tuple(_RULES)
 
 _ERR_FLOOR = 1e-10
 _MASS_FLOOR = 1e-10
-_PRUNE_EVERY = 8  # CSA bisection steps between two pruning passes
+_MAX_UPDATES = 200  # bisection updates of one CSA candidate, at most
+_NEWTON_STEPS = 4  # refinements of the CSA descent's target, see _newton_hint
+_BELOW_ONE = np.nextafter(1.0, 0.0)  # a descent target at hi: every bit of its position set
 _BOUND_ULPS = 64  # rounding allowance of a CSA loss bound, see _can_still_win
 
 
@@ -268,23 +270,43 @@ def _csa_alpha_arrays(masses, costs: CostPair):
     floored above zero. Returns ``(kept, alphas)``: the indices of the
     candidates not pruned, in increasing order, and their minimizers.
     Equal costs take the closed form for every candidate. Otherwise
-    strict convexity makes the derivative increasing, so each root is
-    bracketed by doubling and then bisected to float resolution,
-    elementwise. Every ``_PRUNE_EVERY`` bisection steps, from step
-    log2(16 max(c)) on, ``_can_still_win`` drops the candidates whose
-    loss provably ends above another's; the rest go on from their
-    current bracket, never restarted.
+    strict convexity makes the derivative increasing, and each root is
+    found by one elementwise bisection:
+    - The bracket doubles from [-1, 1] until the derivative's signs at
+      its ends enclose the root.
+    - Every element halves it log2(16 max(c)) times, which is where the
+      bounds start to part candidates, and ``_can_still_win`` drops, in
+      one pass, the candidates whose loss provably ends above another's.
+      Of the survivors, one per group of equal mass columns goes on
+      (``_distinct``); its copies take its result.
+    - ``_descend`` takes the survivors' next steps all at once. It
+      evaluates the derivative at every midpoint of the bisection path
+      toward a target, the root estimate of ``_newton_hint``, and keeps
+      each element's longest prefix of steps that bisection itself
+      takes.
+    - ``_bisect`` goes on from the first step not kept.
 
-    Where an element stops does not depend on the rest of the batch:
-    - Its bracket is fixed from the first doubling step that moves
-      neither end, as the next step tests the same two points.
+    The result is the plain bisection's, bit for bit, whatever the
+    batch, the pruning and the target:
+    - An element's bracket is fixed from the first doubling step that
+      moves neither end, as the next step tests the same two points.
     - Its result ``0.5 * (lo + hi)`` is fixed from the first stuck
       midpoint (one equal to ``lo`` or ``hi``): the update there can at
       most move the other end onto it, which leaves the result as it
-      was. Otherwise the 200th update fixes it.
-    Both loops run until every live element is fixed or at its cap, so
-    an element gives the same bits alone, in any batch, and whatever is
-    pruned beside it. With one element nothing is pruned.
+      was. Otherwise its 200th update fixes it. Each element counts its
+      updates: the descent takes no more levels than the largest count
+      leaves, and ``_bisect`` stops each element at 200.
+    - A step the descent keeps is bisection's own. Its midpoint equals
+      ``0.5 * (lo + hi)`` of the bracket the kept steps before it left,
+      and the derivative there has the sign that moves the end
+      bisection moves. The descent evaluates a (4, k, levels) block
+      where a bisection step evaluates (4, k); numpy's ``exp`` gives an
+      element the same bits in any batch shape, which every batch size
+      here already rests on. The target thus only sets how many steps
+      are kept.
+    So an element gives the same bits alone, in any batch, whatever is
+    pruned beside it, and equal columns give equal bits. With one
+    element nothing is pruned.
     """
     c_p, c_n = costs.c_pos, costs.c_neg
     kept = np.arange(masses.shape[1])
@@ -295,38 +317,110 @@ def _csa_alpha_arrays(masses, costs: CostPair):
         with np.errstate(over="ignore"):
             return kept, np.log((b_p + b_n) / (d_p + d_n)) / (2.0 * c_p)
     rates = _rates(costs)[:, None]
-
-    def dloss(a):
-        b_p, d_p, b_n, d_n = _terms(masses, rates, a)
-        return c_p * (d_p - b_p) + c_n * (d_n - b_n)
-
     lo = np.full(kept.size, -1.0)
     hi = np.full(kept.size, 1.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(64):
-            down = dloss(lo) > 0  # minimizer below lo
+            down = _slope(masses, rates, lo) > 0  # minimizer below lo
             hi = np.where(down, lo, hi)
             lo = np.where(down, lo * 2.0, lo)
-            up = dloss(hi) < 0  # minimizer above hi
+            up = _slope(masses, rates, hi) < 0  # minimizer above hi
             lo = np.where(up, hi, lo)
             hi = np.where(up, hi * 2.0, hi)
             if not (down.any() or up.any()):
                 break
         # the bounds part candidates once max(c) (hi - lo) is about 1/8:
         # from the usual bracket [-1, 1] that takes log2(16 max(c)) halvings
-        first = max(0, math.ceil(math.log2(16.0 * max(c_p, c_n))))
-        for step in range(200):
-            if step >= first and (step - first) % _PRUNE_EVERY == 0 and kept.size > 1:
-                live = _can_still_win(lo, hi, masses, rates)
-                kept, lo, hi, masses = kept[live], lo[live], hi[live], masses[:, live]
-            mid = 0.5 * (lo + hi)
-            stuck = (mid == lo) | (mid == hi)
-            if stuck.all():
-                break
-            g = dloss(mid)
-            hi = np.where(g >= 0, mid, hi)
-            lo = np.where(g <= 0, mid, lo)
-    return kept, 0.5 * (lo + hi)
+        first = min(max(0, 4 + math.ceil(math.log2(max(c_p, c_n)))), _MAX_UPDATES)
+        lo, hi, updates = _bisect(lo, hi, np.zeros(kept.size, dtype=int), first, masses, rates)
+        if kept.size > 1:
+            live = _can_still_win(lo, hi, masses, rates)
+            kept, lo, hi, updates, masses = (kept[live], lo[live], hi[live], updates[live],
+                                             masses[:, live])
+        lead, group = _distinct(masses)
+        lo, hi, updates, masses = lo[lead], hi[lead], updates[lead], masses[:, lead]
+        target = _newton_hint(lo, hi, masses, rates)
+        lo, hi, updates = _descend(lo, hi, updates, target, masses, rates)
+        lo, hi, _ = _bisect(lo, hi, updates, _MAX_UPDATES, masses, rates)
+    return kept, (0.5 * (lo + hi))[group]
+
+
+def _distinct(masses):
+    """One column index per group of equal columns of ``masses``, and the
+    group of every column."""
+    order = np.lexsort(masses)
+    ordered = masses[:, order]
+    starts = np.concatenate(([True], (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)))
+    group = np.empty(order.size, dtype=int)
+    group[order] = np.cumsum(starts) - 1
+    return order[starts], group
+
+
+def _slope(masses, rates, alpha):
+    """Derivative of the class-separated loss at ``alpha``, through ``_terms``."""
+    b_p, d_p, b_n, d_n = _terms(masses, rates, alpha)
+    return rates[1] * (d_p - b_p) + rates[3] * (d_n - b_n)
+
+
+def _bisect(lo, hi, updates, cap, masses, rates):
+    """Bisect each element until its midpoint is stuck or its update count,
+    starting at ``updates``, reaches ``cap``; returns the brackets and the
+    counts."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        step = (mid != lo) & (mid != hi) & (updates < cap)
+        if not step.any():
+            return lo, hi, updates
+        g = _slope(masses, rates, mid)
+        hi = np.where(step & (g >= 0), mid, hi)
+        lo = np.where(step & (g <= 0), mid, lo)
+        updates = updates + step
+
+
+def _newton_hint(lo, hi, masses, rates):
+    """Estimates of the loss derivatives' roots: ``_NEWTON_STEPS`` Newton
+    steps from each bracket's middle, each clipped into the bracket."""
+    alpha = 0.5 * (lo + hi)
+    for _ in range(_NEWTON_STEPS):
+        terms = rates * _terms(masses, rates, alpha)
+        alpha = np.clip(alpha - terms.sum(axis=0) / (rates * terms).sum(axis=0), lo, hi)
+    return alpha
+
+
+def _descend(lo, hi, updates, target, masses, rates):
+    """Bisection steps toward ``target``, verified in one batched evaluation.
+
+    Level l of the path toward an element's target (clipped into its
+    bracket) has the midpoint lo + w (a_l + 2^-(l+1)), w = hi - lo and
+    a_l the target's position in the bracket cut to l bits; the path
+    goes right where bit l + 1 is set. A level's left end is the running
+    max of the earlier midpoints passed on the right, its right end the
+    running min of those passed on the left. One ``_slope`` call
+    evaluates every midpoint, and each element keeps its longest prefix
+    of levels where the midpoint equals ``0.5 * (left + right)`` and the
+    derivative sends the bracket the path's way (g < 0 right, g > 0
+    left; 0 or NaN stops the prefix). A NaN target keeps no level.
+    Returns the brackets after the kept levels and the update counts.
+    """
+    width = hi - lo
+    # levels until every bracket is about one float spacing wide, plus
+    # two, within every element's update budget
+    need = np.frexp(width)[1] - np.frexp(np.maximum(-lo, hi))[1] + 54
+    levels = min(int(need.max()), _MAX_UPDATES - int(updates.max()))
+    if levels <= 0:
+        return lo, hi, updates
+    scale = 2.0 ** np.arange(levels + 1)
+    position = np.minimum((np.clip(target, lo, hi) - lo) / width, _BELOW_ONE)
+    bits = np.floor(position[:, None] * scale)  # the target's first l bits, as integers
+    right = bits[:, 1:] > 2.0 * bits[:, :-1]
+    mids = lo[:, None] + width[:, None] * ((bits[:, :-1] + 0.5) / scale[:-1])
+    lower = np.maximum.accumulate(np.column_stack((lo, np.where(right, mids, -np.inf))), axis=1)
+    upper = np.minimum.accumulate(np.column_stack((hi, np.where(right, np.inf, mids))), axis=1)
+    g = _slope(masses[..., None], rates[..., None], mids)
+    ok = (mids == 0.5 * (lower[:, :-1] + upper[:, :-1])) & np.where(right, g < 0, g > 0)
+    kept = np.where(ok.all(axis=1), levels, ok.argmin(axis=1))
+    rows = np.arange(lo.size)
+    return lower[rows, kept], upper[rows, kept], updates + kept
 
 
 def _can_still_win(lo, hi, masses, rates) -> np.ndarray:

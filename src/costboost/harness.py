@@ -605,14 +605,17 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunStore:
     store = RunStore(config=config.to_dict(), environment=_environment_fingerprint())
     costs = [CostPair(*cost) for cost in config.costs]
 
-    tasks = []
+    built = []  # every dataset is built, and can fail, before any cell trains
     for index, spec in enumerate(config.datasets):
         data = _build_dataset(spec, config.seed, index)
         folds = stratified_kfold(data.labels, config.folds, _derived_seed(config.seed, index, 1))
-        rounds = _resolve_rounds(config, spec, data)
         if data.gauss is not None:
             store.records.extend(_bayes_reference_records(data, costs))
-        tasks.extend((_Fold.of(data, folds, fold), rounds) for fold in range(config.folds))
+        built.append((data, folds, _resolve_rounds(config, spec, data)))
+    # a split's rows are copied when the sweep reaches it, so on one worker
+    # they are freed when its task returns
+    tasks = ((_Fold.of(data, folds, fold), rounds)
+             for data, folds, rounds in built for fold in range(config.folds))
 
     cells = [(algorithm, cost) for algorithm in config.algorithms for cost in costs]
     run = partial(_run_fold, cells=cells, convergence=config.convergence)

@@ -2,18 +2,24 @@ import re
 import warnings
 from dataclasses import astuple
 from hashlib import sha256
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import costboost.boosting as boosting
 from costboost.boosting import (
     ALGORITHM_IDS,
     CostPair,
+    _bisect,
     _csa_alpha_arrays,
     _csa_select,
+    _descend,
     _floor_mass_groups,
+    _rates,
     _rule,
+    _slope,
     adjust_threshold,
     boost_round,
     csa_loss,
@@ -215,6 +221,14 @@ class TestSolveCsaAlpha:
             loss = csa_loss(710.0, np.array((0.5, 0.0, 0.5, 0.0)), UNIT)
         assert 0.0 < loss == 0.5 * np.exp(-710.0) + 0.5 * np.exp(-710.0)
 
+    @pytest.mark.parametrize("costs", [CostPair(1, 1e308), CostPair(1.7e308, 2)])
+    def test_largest_costs_solve(self, costs):
+        # log2(16 max(c)) once overflowed here: every CSA cell at a cost
+        # above about 1.1e307 failed with an OverflowError
+        masses = ClassMasses(0.4, 0.1, 0.3, 0.2)
+        expected = full_batch_alphas(*np.array(astuple(masses))[:, None], costs)[0][0]
+        assert repr(solve_csa_alpha(masses, costs)) == repr(float(expected))
+
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError):
             solve_csa_alpha(ClassMasses(-0.1, 0.4, 0.4, 0.3), UNIT)
@@ -291,6 +305,39 @@ def full_batch_csa_select(columns, weights, costs):
     return _cut_stump(columns, columns.below[j], polarity), alpha
 
 
+QUADRUPLES = np.array([(0.4, 0.1, 0.3, 0.2), (0.3, 0.3, 0.2, 0.2), (0.1, 0.4, 0.2, 0.3),
+                       (0.25, 0.25, 0.5, 0.0), (0.5, 0.0, 0.25, 0.25), (0.3, 0.3, 0.0, 1e-300)])
+
+
+def tied_batch(costs):
+    """``QUADRUPLES`` scaled to a minimal loss of 1 up to rounding, which no
+    bound can part, and a batch of them with copies at twice that loss,
+    which can be dropped. Its solve holds early stops, exactly zero
+    derivatives and, at huge costs, stops at the 200-update cap."""
+    minima = [csa_loss(solve_csa_alpha(ClassMasses(*q), costs), q, costs) for q in QUADRUPLES]
+    best = QUADRUPLES / np.array(minima)[:, None]
+    return best, np.concatenate([2.0 * best[:3], best, 2.0 * best[3:]])
+
+
+TARGETS = ("lo", "hi", "nan", "inf", "-inf", "random")
+
+
+def target_hint(target, rng):
+    """A stand-in for ``_newton_hint`` that aims the descent at ``target``."""
+    def hint(lo, hi, masses, rates):
+        fixed = {"lo": lo, "hi": hi, "nan": np.nan, "inf": np.inf, "-inf": -np.inf}
+        if target == "random":
+            return lo + rng.random(lo.size) * (hi - lo)
+        return np.broadcast_to(fixed[target], lo.shape)
+    return hint
+
+
+def solve_aimed_at(masses, costs, target, rng):
+    """``_csa_alpha_arrays`` with its descent aimed at ``target``."""
+    with mock.patch.object(boosting, "_newton_hint", target_hint(target, rng)):
+        return _csa_alpha_arrays(masses, costs)
+
+
 class TestPrunedCsaSelection:
     """The pruned solve selects what a full solve of the batch selects,
     stump and alpha bit for bit."""
@@ -350,15 +397,7 @@ class TestPrunedCsaSelection:
     @pytest.mark.parametrize("costs, capped", [(CostPair(1, 2), False),
                                                (CostPair(1e45, 2e45), True)])
     def test_batch_does_not_change_an_element(self, costs, capped):
-        quadruples = np.array([(0.4, 0.1, 0.3, 0.2), (0.3, 0.3, 0.2, 0.2),
-                               (0.1, 0.4, 0.2, 0.3), (0.25, 0.25, 0.5, 0.0),
-                               (0.5, 0.0, 0.25, 0.25), (0.3, 0.3, 0.0, 1e-300)])
-        # scaled to a minimal loss of 1 up to rounding, no bound can part
-        # them; at twice that loss the copies can be dropped
-        minima = [csa_loss(solve_csa_alpha(ClassMasses(*q), costs), q, costs)
-                  for q in quadruples]
-        best = quadruples / np.array(minima)[:, None]
-        batch = np.concatenate([2.0 * best[:3], best, 2.0 * best[3:]])
+        best, batch = tied_batch(costs)
         alone = [solve_csa_alpha(ClassMasses(*q), costs) for q in batch]
 
         kept, alphas = _csa_alpha_arrays(batch.T, costs)
@@ -372,6 +411,92 @@ class TestPrunedCsaSelection:
         _, updates, zero = full_batch_alphas(*batch.T, costs)
         assert (updates < 200).any() and zero.any()
         assert (updates == 200).any() == capped
+
+
+class TestCsaDescent:
+    """The descent's target only sets how far it gets: whatever it is,
+    every element stops where plain bisection stops it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        masses=st.lists(st.tuples(*[st.sampled_from([0.0, 1e-300]) | st.floats(0.0, 1.0)] * 4),
+                        min_size=1, max_size=12),
+        costs=st.sampled_from([(1, 10), (10, 1), (1, 100), (3, 2), (1e45, 2e45)])
+        | st.tuples(st.floats(0.05, 200.0), st.floats(0.05, 200.0)),
+        target=st.sampled_from(TARGETS),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        copies=st.integers(min_value=1, max_value=3),
+    )
+    def test_any_target_gives_the_full_batch_bits(self, masses, costs, target, seed, copies):
+        costs = CostPair(*costs)
+        # copies of a column are solved once and must all get its bits
+        block = np.tile(_floor_mass_groups(np.array(masses).T), copies)
+        kept, alphas = solve_aimed_at(block, costs, target, np.random.default_rng(seed))
+        expected = full_batch_alphas(*block, costs)[0][kept]
+        assert [repr(float(a)) for a in alphas] == [repr(float(a)) for a in expected]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.tuples(*[st.sampled_from([0.0, 1e-300])
+                                            | st.floats(0.0, 1.0)] * 4),
+                                st.floats(-30.0, 30.0), st.floats(-30.0, 30.0),
+                                st.integers(min_value=0, max_value=200)),
+                      min_size=1, max_size=8),
+        costs=st.sampled_from([(1, 10), (3, 2), (1e45, 2e45)]),
+        target=st.sampled_from(TARGETS),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # the path's midpoints in [-1.1, 0.2] round apart from bisection's
+    @example(rows=[((0.7, 0.4, 0.1, 0.7), -1.1, 0.2, 0)], costs=(3, 2), target="hi", seed=0)
+    @example(rows=[((0.0, 0.0, 1e-300, 0.0), 0.0, -1.0, 0)], costs=(1, 10), target="lo", seed=0)
+    # capped after 10 more updates, the descent's included
+    @example(rows=[((0.4, 0.1, 0.3, 0.2), -1.0, 1.0, 190)], costs=(1e45, 2e45), target="random",
+             seed=0)
+    def test_descent_keeps_only_bisection_steps(self, rows, costs, target, seed):
+        # any bracket, not only the doubling's powers of two, so that the
+        # path's midpoints can round apart from the recomputed ones
+        masses, a, b, updates = (np.array(column) for column in zip(*rows))
+        block = _floor_mass_groups(masses.T)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        rates = _rates(CostPair(*costs))[:, None]
+        hint = target_hint(target, np.random.default_rng(seed))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            plain = _bisect(lo, hi, updates, 200, block, rates)
+            descended = _descend(lo, hi, updates, hint(lo, hi, block, rates), block, rates)
+            assert (descended[2] <= 200).all()
+            after = _bisect(*descended, 200, block, rates)
+        # a stuck midpoint fixes the result, 0.5 * (lo + hi), not the bracket
+        assert [repr(float(a)) for a in 0.5 * (after[0] + after[1])] == [
+            repr(float(a)) for a in 0.5 * (plain[0] + plain[1])]
+
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("costs", [CostPair(1, 2), CostPair(1e45, 2e45)])
+    def test_tied_batch_under_any_target(self, costs, target):
+        _, batch = tied_batch(costs)
+        kept, alphas = solve_aimed_at(batch.T, costs, target, np.random.default_rng(3))
+        expected = full_batch_alphas(*batch.T, costs)[0][kept]
+        assert kept.size < len(batch)
+        assert [repr(float(a)) for a in alphas] == [repr(float(a)) for a in expected]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(min_value=1, max_value=40),
+        levels=st.integers(min_value=1, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        costs=st.sampled_from([(1, 10), (10, 1), (3, 2), (1e45, 2e45)]),
+        spread=st.sampled_from([1e-3, 1.0, 100.0]),
+    )
+    def test_block_shape_does_not_change_an_element(self, k, levels, seed, costs, spread):
+        # the descent evaluates the derivative on a (4, k, levels) block,
+        # a bisection step on (4, k): each element must get the same bits
+        rng = np.random.default_rng(seed)
+        masses = rng.random((4, k)) * (rng.random((4, k)) < 0.8)
+        alpha = rng.normal(scale=spread / costs[1], size=(k, levels))
+        rates = _rates(CostPair(*costs))[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf, masked by _terms
+            block = _slope(masses[..., None], rates[..., None], alpha)
+            steps = [_slope(masses, rates, alpha[:, level]) for level in range(levels)]
+        assert block.tobytes() == np.column_stack(steps).tobytes()
 
 
 class TestAdjustThreshold:

@@ -457,7 +457,8 @@ class TestRunExperiment:
             run_experiment(tiny_config(datasets=(spec,), algorithms=("ADA",), costs=((1, 1),)))
 
     def test_sorts_each_training_fold_once(self, monkeypatch):
-        """One block per (dataset, fold), freed before the next is sorted."""
+        """One block per (dataset, fold), freed before the next is sorted;
+        each split's rows are freed before the next task starts too."""
         import costboost.boosting as boosting
         import costboost.harness as harness
         import costboost.stumps as stumps
@@ -472,15 +473,25 @@ class TestRunExperiment:
             blocks.append(weakref.ref(columns))
             return columns
 
+        splits = []
+        run_fold = harness._run_fold
+
+        def tracked(task, *args, **kwargs):
+            gc.collect()
+            assert all(split() is None for split in splits)
+            splits.append(weakref.ref(task[0]))
+            return run_fold(task, *args, **kwargs)
+
         for module in (harness, boosting, stumps):
             monkeypatch.setattr(module, "sort_columns", counted)
+        monkeypatch.setattr(harness, "_run_fold", tracked)
         config = tiny_config(datasets=(DatasetSpec(kind="bayes", n_pos=12, n_neg=12),
                                        DatasetSpec(kind="twoclouds", n_pos=9, n_neg=10)),
                              algorithms=("ADA", "AC3", "CSA"))
         store = run_experiment(config)
         assert not store.failures
         assert len(store.traces) == 2 * 3 * 2 * 3  # datasets x algorithms x costs x folds
-        assert len(blocks) == 2 * 3  # datasets x folds
+        assert len(blocks) == len(splits) == 2 * 3  # datasets x folds
 
     def test_shared_ensembles_give_the_records_of_independent_training(self, monkeypatch):
         """Every variant at every default cost: the sweep, whose cost-blind
