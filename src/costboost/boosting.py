@@ -57,9 +57,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .metrics import confusion_rates, classification_asymmetry, nec, pcf
-from .stumps import (ClassMasses, ScanWorkspace, SortedColumns, Stump, _candidates,
-                     _cut_stump, candidate_thresholds, predict_matrix, scan_workspace,
-                     sort_columns, train_stump)
+from .stumps import (ClassMasses, SortedColumns, Stump, _candidates, _cut_stump,
+                     candidate_thresholds, predict_matrix, sort_columns, train_stump)
 
 __all__ = [
     "ALGORITHM_IDS",
@@ -494,7 +493,7 @@ def solve_csa_alpha(masses: ClassMasses, costs: CostPair) -> float:
     return float(_csa_alpha_arrays(floored, costs)[1][0])
 
 
-def _csa_select(work: ScanWorkspace, weights, costs: CostPair):
+def _csa_select(columns: SortedColumns, weights, costs: CostPair):
     """Joint stump/alpha selection minimizing the per-round loss.
 
     The candidates are the cuts of ``train_stump``, with the class masses
@@ -507,10 +506,10 @@ def _csa_select(work: ScanWorkspace, weights, costs: CostPair):
     as a full solve of the batch gives them. Ties break on (loss, plain
     weighted error, feature, threshold, polarity +1) -- the candidates
     come in (feature, threshold) order, so the first index among tied
-    candidates realizes that hierarchy. ``work`` is the scan's workspace,
-    as in ``train_stump``.
+    candidates realizes that hierarchy. ``columns`` is the training set's
+    handle, as in ``train_stump``.
     """
-    masses = _candidates(work, weights)
+    masses = _candidates(columns, weights)
     floored = _floor_mass_groups(masses)
     kept, alphas = _csa_alpha_arrays(floored, costs)
     losses = csa_loss(alphas, floored[:, kept], costs)
@@ -521,11 +520,11 @@ def _csa_select(work: ScanWorkspace, weights, costs: CostPair):
     j = candidates[np.flatnonzero(pair_err == pair_err.min())[0]]
     polarity = 1 if err_plus[j] <= err_minus[j] else -1
     alpha = float(alphas[j]) if polarity == 1 else -float(alphas[j])
-    return _cut_stump(work.columns, work.columns.below[kept[j]], polarity), alpha
+    return _cut_stump(columns, columns.below[kept[j]], polarity), alpha
 
 
 def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rounds,
-                *, work: ScanWorkspace | None = None, rule: _Rule | None = None) -> RoundResult:
+                *, columns: SortedColumns | None = None, rule: _Rule | None = None) -> RoundResult:
     """One boosting round of the requested algorithm.
 
     Takes the sample weights (nonnegative, one per sample, with a positive
@@ -534,14 +533,13 @@ def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rou
     renormalized weights and the pre-normalization sum z. The degenerate
     flag marks rounds whose error term hit the clamp. ``rule``, the
     variant's terms of the module docstring's table, is ``_rule(algorithm,
-    labels, costs, total_rounds)`` and ``work`` is
-    ``scan_workspace(sort_columns(features, labels))``, each built here
-    when omitted.
+    labels, costs, total_rounds)`` and ``columns`` is
+    ``sort_columns(features, labels)``, each built here when omitted.
     """
     if total_rounds < 1:
         raise ValueError("total_rounds must be >= 1")
-    if work is None:
-        work = scan_workspace(sort_columns(features, labels))
+    if columns is None:
+        columns = sort_columns(features, labels)
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels).astype(int)
     if rule is None:
@@ -555,9 +553,9 @@ def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rou
         w = scaled / scaled.sum()
 
     if rule.alpha == "loss":
-        stump, alpha = _csa_select(work, w, costs)
+        stump, alpha = _csa_select(columns, w, costs)
     else:
-        stump = train_stump(features, labels, w, per_sample_multiplier=rule.select, work=work)
+        stump = train_stump(features, labels, w, rule.select, columns=columns)
     pred = predict_matrix(stump, features)
     wrong = pred != labels
     agreement = labels * pred  # +1 correct, -1 wrong
@@ -617,21 +615,21 @@ def adjust_threshold(scores, labels, costs: CostPair) -> float:
 
 
 def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int, *,
-                   columns: SortedColumns | None = None, shared: dict | None = None):
+                   columns: SortedColumns | None = None):
     """Train one boosted ensemble and return (classifier, trace).
 
     Deterministic given the inputs. ``columns`` is ``sort_columns(features,
-    labels)``, built here when omitted; every round scans it through the
-    one ``scan_workspace`` that holds it. The trace's training NEC and
-    asymmetry come after the loop, from the ``_staged_scores`` of every round prefix.
+    labels)``, built here when omitted, and every round scans it. The
+    trace's training NEC and asymmetry come after the loop, from the
+    ``_staged_scores`` of every round prefix.
 
-    ``shared`` is a dict that belongs to this one training set. A variant
-    whose ``_RULES`` row is ADA's but for ``init`` never reads the costs
-    while training, so its rounds (stumps, alphas, ``z`` and degenerate
-    flags) follow from the bytes of its initial weights and ``rounds``
-    alone: they are trained once per such key, kept in ``shared``, and a
-    later call with an equal key reads them back instead. The trace and
-    ABT's threshold are derived from them at this call's costs either way.
+    A variant whose ``_RULES`` row is ADA's but for ``init`` never reads
+    the costs while training, so its rounds (stumps, alphas, ``z`` and
+    degenerate flags) follow from the bytes of its initial weights and
+    ``rounds`` alone: they are trained once per such key and kept in
+    ``columns.ensembles``, and a later call on the same ``columns`` with an
+    equal key reads them back instead. The trace and ABT's threshold are
+    derived from them at this call's costs either way.
     An ensemble whose summed absolute vote weights leave the float range
     raises ``ValueError``: its staged scores would overflow.
     """
@@ -643,21 +641,19 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int, *,
     labels = np.asarray(labels).astype(int)
 
     rule = _rule(algorithm, labels, costs, rounds)
-    key = None
-    if shared is not None and _RULES[algorithm][1:] == _RULES["ADA"][1:]:
-        key = (rule.init.tobytes(), rounds)
-    kept = shared.get(key) if key is not None else None
+    cost_blind = _RULES[algorithm][1:] == _RULES["ADA"][1:]
+    key = (rule.init.tobytes(), rounds) if cost_blind else None
+    kept = columns.ensembles.get(key)  # None is never a key
     if kept is None:
-        work = scan_workspace(columns)
         weights, trained = rule.init, []
         for _ in range(rounds):
             result = boost_round(algorithm, weights, features, labels, costs, rounds,
-                                 work=work, rule=rule)
+                                 columns=columns, rule=rule)
             weights = result.weights
             trained.append((result.stump, result.alpha, result.z, result.degenerate))
         kept = tuple(zip(*trained))  # stumps, alphas, zs, degenerate flags
         if key is not None:
-            shared[key] = kept
+            columns.ensembles[key] = kept
     stumps, alphas, zs, degenerate = map(list, kept)
     # every staged score is a prefix sum of +-alpha; rounding is monotone,
     # so a finite sum of the magnitudes bounds them all

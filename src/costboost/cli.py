@@ -9,8 +9,9 @@ Subcommands::
 
 The config file is a JSON object mirroring the experiment configuration
 field-for-field (datasets, algorithms, costs, folds, rounds, seed,
-convergence). Bad input -- an invalid config or count, a missing file --
-exits with status 2 and argparse's ``costboost: error: <message>`` line.
+convergence). Bad input -- an invalid config or count, a missing file, a
+``run --out`` under a file -- exits with status 2 and argparse's
+``costboost: error: <message>`` line, before any dataset is built.
 """
 
 import argparse
@@ -23,10 +24,19 @@ from .harness import (REPORT_KINDS, ExperimentConfig, RunStore, _write_csv, emit
                       run_experiment)
 
 
+def _check_out(path) -> None:
+    """Raise where saving into ``path`` must fail: it, or its nearest
+    existing ancestor, is not a directory. Creates nothing."""
+    existing = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"cannot save the run into {path}: {existing} is not a directory")
+
+
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
+    _check_out(args.out)  # before the sweep, not after it
     store = run_experiment(config, jobs=args.jobs)
     out = store.save(args.out)
     print(f"wrote {len(store.records)} records to {out}")

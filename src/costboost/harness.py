@@ -10,13 +10,13 @@ set ("BAY" rows, fold label "all").
 
 The (dataset, fold) split is the unit of work: ``run_experiment``
 builds one task per split and maps ``_run_fold`` over them, in a
-process pool when ``jobs > 1``. A task sorts its training columns once
-and runs every (algorithm, cost) cell of its split on them. The
-variants that train without reading the costs (ADA, ABT, and CGA where
-its initial weights come out uniform) share one ensemble per split
-there; each cell derives its cost's trace, cutoff and threshold from
-it. The sorted block and the shared ensembles are local to the task,
-so they are freed when it returns, at any worker count.
+process pool when ``jobs > 1``. A task sorts its training columns once,
+into the one ``sort_columns`` handle that every (algorithm, cost) cell
+of its split trains on. The variants that train without reading the
+costs (ADA, ABT, and CGA where its initial weights come out uniform)
+train one ensemble per handle, kept in it; each cell derives its cost's
+trace, cutoff and threshold from it. The handle is local to the task,
+so it is freed when the task returns, at any worker count.
 
 Everything written to a run directory is byte-deterministic for a fixed
 config and seed, independent of worker count, with one deliberate
@@ -308,6 +308,8 @@ class RunStore:
                 sorted((f.dataset, f.algorithm, f.cost.c_pos, f.cost.c_neg, f.fold,
                         " ".join(f.message.splitlines())) for f in self.failures),
             )
+        else:  # an earlier run's failures must not load back with this one
+            (out / "failures.csv").unlink(missing_ok=True)
         with open(out / "metadata.json", "w", encoding="utf-8", newline="\n") as handle:
             json.dump(
                 {"config": self.config, "environment": self.environment},
@@ -503,33 +505,32 @@ def _run_fold(task, cells, convergence) -> list:
     """Run every (algorithm, cost) cell of ``cells`` on one split.
 
     ``task`` is (split, rounds). The training columns are sorted once,
-    outside every cell's ``train_seconds``, and the cells share one
-    ``train_ensemble`` ``shared`` dict; both live only as long as this
-    call. Returns ``_run_cell``'s results in ``cells`` order.
+    outside every cell's ``train_seconds``, into the handle every cell
+    trains on; it lives only as long as this call. Returns
+    ``_run_cell``'s results in ``cells`` order.
     """
     split, rounds = task
     columns = sort_columns(split.x_train, split.y_train)
-    shared = {}
-    return [_run_cell(algorithm, split, cost, rounds, convergence, columns, shared)
+    return [_run_cell(algorithm, split, cost, rounds, convergence, columns)
             for algorithm, cost in cells]
 
 
-def _run_cell(algorithm, split, cost, rounds, convergence, columns, shared):
+def _run_cell(algorithm, split, cost, rounds, convergence, columns):
     """Train, truncate and evaluate one sweep cell.
 
-    ``columns`` is ``split``'s sorted training block and ``shared`` the
-    cost-blind ensembles of the split (see ``_run_fold``); a cell that
-    reads its ensemble back from ``shared`` counts only its own trace and
-    threshold in ``train_seconds``. Returns the fold record and its trace
-    rows, or a ``CellFailure`` when the cell raised: one failed cell must
-    not kill the sweep, but ``TypeError``, ``AttributeError`` and
-    ``NameError`` mark a programming error and propagate.
+    ``columns`` is the ``sort_columns`` handle of ``split``'s training
+    rows; a cell whose ensemble ``train_ensemble`` reads back from it
+    counts only its own trace and threshold in ``train_seconds``.
+    Returns the fold record and its trace rows, or a ``CellFailure`` when
+    the cell raised: one failed cell must not kill the sweep, but
+    ``TypeError``, ``AttributeError`` and ``NameError`` mark a
+    programming error and propagate.
     """
     try:
         x_train, y_train = split.x_train, split.y_train
         start = time.perf_counter()
         classifier, trace = train_ensemble(algorithm, x_train, y_train, cost, rounds,
-                                           columns=columns, shared=shared)
+                                           columns=columns)
         elapsed = time.perf_counter() - start
 
         cutoff = None

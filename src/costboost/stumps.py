@@ -12,10 +12,10 @@ Ties are broken deterministically: lowest weighted error, then lowest
 feature index, then lowest threshold, then polarity +1.
 
 The columns are sorted once per training set: ``sort_columns`` validates
-it and builds its ``SortedColumns`` block, and ``scan_workspace`` wraps
-that block with the buffers its scans write, one ``ScanWorkspace`` per
-ensemble. Every round's ``_scan`` sums the workspace's block with the
-round's weights into the class mass below and above every cut of every
+it and returns its one ``SortedColumns`` handle, which holds the sorted
+block, the buffers its scans write and the ensembles trained on it.
+Every round's ``_scan`` sums the block with the round's weights, in
+those buffers, into the class mass below and above every cut of every
 column. ``train_stump`` scores that full table, its cuts between equal
 values masked by the block's ``pad``; ``_candidates`` gathers the valid
 cuts into the (4, cuts) class-mass block, rows b_p, d_p, b_n, d_n, that
@@ -30,9 +30,7 @@ __all__ = [
     "Stump",
     "ClassMasses",
     "SortedColumns",
-    "ScanWorkspace",
     "sort_columns",
-    "scan_workspace",
     "train_stump",
     "stump_predict",
     "class_masses",
@@ -120,7 +118,8 @@ def candidate_thresholds(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SortedColumns:
-    """Pre-sorted column block of one training set, built by ``sort_columns``.
+    """One training set, built by ``sort_columns``: its columns sorted once,
+    the buffers its scans write and the ensembles trained on it.
 
     Row f of ``order`` is the stable sort order of feature column f and
     row f of ``xs`` its sorted values; ``classes`` (2, features, samples)
@@ -131,7 +130,21 @@ class SortedColumns:
     ``below`` holds, for each valid cut in (feature, threshold) order, the
     flat index f * (n + 1) + b into a (features, samples + 1) table of
     the class mass below each cut; ``pad`` is that table with 0 at the
-    valid cuts and +inf elsewhere. The arrays are read-only.
+    valid cuts and +inf elsewhere. These arrays are read-only.
+
+    The scan buffers are views of ``block``, one allocation. ``mass``
+    holds the selection masses and ``sides`` them in each column's
+    order, split by class. ``mass_below`` is the (2, features, samples +
+    1) class mass below each cut, row 0 positive, row 1 negative.
+    ``above`` is the mass above each cut that the stump of polarity (+1,
+    -1)[p] gets wrong, in row p: the negatives in row 0, the positives in
+    row 1. ``train_stump`` adds ``mass_below`` into it in place, giving
+    each cut's weighted error. ``masses`` is the (4, cuts) block
+    ``_candidates`` returns. A scan is done with ``sides`` once
+    ``mass_below`` is summed, so ``sides`` and ``above`` share one memory.
+
+    ``ensembles`` maps (initial-weight bytes, rounds) to the rounds of
+    each cost-blind ensemble ``boosting.train_ensemble`` trained on this set.
     """
 
     order: np.ndarray
@@ -139,6 +152,13 @@ class SortedColumns:
     classes: np.ndarray
     below: np.ndarray
     pad: np.ndarray
+    block: np.ndarray
+    mass: np.ndarray
+    sides: np.ndarray
+    mass_below: np.ndarray
+    above: np.ndarray
+    masses: np.ndarray
+    ensembles: dict
 
     @property
     def n_samples(self) -> int:
@@ -146,7 +166,8 @@ class SortedColumns:
 
 
 def sort_columns(features, labels) -> SortedColumns:
-    """Validate a training set and sort each of its columns once."""
+    """Validate a training set, sort each of its columns once and allocate
+    the buffers its scans write, their zeros in place."""
     features, labels = _check_features_labels(features, labels)
     order = np.argsort(features.T, axis=1, kind="stable")
     xs = np.take_along_axis(features.T, order, axis=1)
@@ -155,80 +176,47 @@ def sort_columns(features, labels) -> SortedColumns:
     valid = np.zeros((f, n + 1), dtype=bool)
     valid[:, 0] = True
     np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, 1:n])
-    columns = SortedColumns(order, xs, np.stack((positive, ~positive)),
-                            np.flatnonzero(valid), np.where(valid, 0.0, np.inf))
-    for array in vars(columns).values():
+    below = np.flatnonzero(valid)
+    sort = (order, xs, np.stack((positive, ~positive)), below, np.where(valid, 0.0, np.inf))
+    for array in sort:
         array.setflags(write=False)
-    return columns
-
-
-@dataclass(frozen=True, eq=False)
-class ScanWorkspace:
-    """The ``SortedColumns`` block ``columns`` and the buffers a scan of it
-    writes, built by ``scan_workspace``: views of ``block``, one allocation.
-
-    ``mass`` holds the selection masses and ``sides`` them in each
-    column's order, split by class. ``below`` is the (2, features,
-    samples + 1) class mass below each cut, row 0 positive, row 1
-    negative. ``above`` is the mass above each cut that the stump of
-    polarity (+1, -1)[p] gets wrong, in row p: the negatives in row 0,
-    the positives in row 1. ``train_stump`` adds ``below`` into it in
-    place, giving each cut's weighted error. ``masses`` is the (4, cuts)
-    block ``_candidates`` returns. A scan is done with ``sides`` once
-    ``below`` is summed, so the two share one memory.
-    """
-
-    columns: SortedColumns
-    block: np.ndarray
-    mass: np.ndarray
-    sides: np.ndarray
-    below: np.ndarray
-    above: np.ndarray
-    masses: np.ndarray
-
-
-def scan_workspace(columns: SortedColumns) -> ScanWorkspace:
-    """One workspace for the scans of ``columns``, its zeros in place."""
-    f, n = columns.xs.shape
-    cuts = columns.below.size
-    shapes = ((n,), (2, f, n + 1), (2, f, n + 1), (4, cuts))
+    shapes = ((n,), (2, f, n + 1), (2, f, n + 1), (4, below.size))
     sizes = [int(np.prod(shape)) for shape in shapes]
     block = np.empty(sum(sizes))
-    mass, below, above, masses = (part.reshape(shape) for part, shape
-                                  in zip(np.split(block, np.cumsum(sizes)[:-1]), shapes))
-    below[:, :, 0] = 0.0
-    return ScanWorkspace(columns, block, mass, above.reshape(-1)[:2 * f * n].reshape(2, f, n),
-                         below, above, masses)
+    mass, mass_below, above, masses = (part.reshape(shape) for part, shape
+                                       in zip(np.split(block, np.cumsum(sizes)[:-1]), shapes))
+    mass_below[:, :, 0] = 0.0
+    return SortedColumns(*sort, block, mass, above.reshape(-1)[:2 * f * n].reshape(2, f, n),
+                         mass_below, above, masses, {})
 
 
-def _scan(work: ScanWorkspace, weights, multiplier=None):
-    """Fill ``work.below`` and ``work.above`` for the selection mass
-    ``weights`` times ``multiplier`` (1 when omitted) and return them."""
-    columns = work.columns
-    _selection_mass(weights, multiplier, work.mass)
+def _scan(columns: SortedColumns, weights, multiplier=None):
+    """Fill ``columns.mass_below`` and ``columns.above`` for the selection
+    mass ``weights`` times ``multiplier`` (1 when omitted) and return them."""
+    _selection_mass(weights, multiplier, columns.mass)
     # the indices are valid: "clip" spares the copy "raise" makes of ``out``
-    positives, negatives = work.sides
-    np.take(work.mass, columns.order, out=positives, mode="clip")
+    positives, negatives = columns.sides
+    np.take(columns.mass, columns.order, out=positives, mode="clip")
     np.multiply(positives, columns.classes[1], out=negatives)
     np.multiply(positives, columns.classes[0], out=positives)
     # column b holds the class mass below cut b; the last column the total
-    below, above = work.below, work.above
-    np.cumsum(work.sides, axis=2, out=below[:, :, 1:])
+    below, above = columns.mass_below, columns.above
+    np.cumsum(columns.sides, axis=2, out=below[:, :, 1:])
     np.subtract(below[::-1, :, -1:], below[::-1], out=above)
     return below, above
 
 
-def _candidates(work: ScanWorkspace, weights, multiplier=None):
-    """Polarity +1 class masses of every valid cut of ``work.columns``.
+def _candidates(columns: SortedColumns, weights, multiplier=None):
+    """Polarity +1 class masses of every valid cut of ``columns``.
 
     The selection mass is ``weights`` times ``multiplier`` (1 when
     omitted). Returns the block of rows b_p, d_p, b_n, d_n over the valid
     cuts in (feature, threshold) order: the polarity +1 stump errs on the
     positives at or below the cut and the negatives above; -1 swaps b, d.
-    The block lives in ``work`` until its next scan.
+    The block lives in ``columns`` until its next scan.
     """
-    below, above = _scan(work, weights, multiplier)
-    index, masses = work.columns.below, work.masses
+    below, above = _scan(columns, weights, multiplier)
+    index, masses = columns.below, columns.masses
     # rows d_p and b_n lie below the cut, b_p and d_n above it
     np.take(below.reshape(2, -1), index, axis=1, out=masses[1:3], mode="clip")
     np.take(above[1].reshape(-1), index, out=masses[0], mode="clip")
@@ -252,30 +240,30 @@ def _cut_stump(columns: SortedColumns, index, polarity) -> Stump:
 
 
 def train_stump(features, labels, weights, per_sample_multiplier=None, *,
-                work: ScanWorkspace | None = None) -> Stump:
+                columns: SortedColumns | None = None) -> Stump:
     """Exhaustively select the stump minimizing the weighted error.
 
     The objective is sum_i m_i * w_i * [h(x_i) != y_i] with m_i given by
     ``per_sample_multiplier`` (1 when omitted). The scan is one
     vectorized pass over all (feature, cut, polarity) candidates built
     from per-feature cumulative sums; deterministic for fixed inputs.
-    ``work`` is ``scan_workspace(sort_columns(features, labels))``, built
-    here when omitted.
+    ``columns`` is ``sort_columns(features, labels)``, built here when
+    omitted.
     """
-    if work is None:
-        work = scan_workspace(sort_columns(features, labels))
-    below, errs = _scan(work, weights, per_sample_multiplier)
+    if columns is None:
+        columns = sort_columns(features, labels)
+    below, errs = _scan(columns, weights, per_sample_multiplier)
     # row p: the error of polarity (+1, -1)[p] at every cut, +inf where
     # the cut is no candidate; the pad goes first, so no sum at such a cut
     # can overflow where no valid cut's sum does
-    np.add(errs, work.columns.pad, out=errs)
+    np.add(errs, columns.pad, out=errs)
     np.add(below, errs, out=errs)
     errs = errs.reshape(2, -1)
     plus, minus = np.argmin(errs, axis=1)
     # ties: lowest feature, then threshold (both the flat index), then +1
     if (errs[1, minus], minus) < (errs[0, plus], plus):
-        return _cut_stump(work.columns, minus, -1)
-    return _cut_stump(work.columns, plus, 1)
+        return _cut_stump(columns, minus, -1)
+    return _cut_stump(columns, plus, 1)
 
 
 def stump_predict(stump: Stump, features_row) -> int:

@@ -31,7 +31,7 @@ from costboost.boosting import (
 from costboost.datasets import gen_bayes, gen_two_clouds
 from costboost.metrics import pcf
 from costboost.stumps import (ClassMasses, Stump, _candidates, _cut_stump, predict_matrix,
-                              scan_workspace, sort_columns, stump_predict, train_stump)
+                              sort_columns, stump_predict, train_stump)
 
 ERR_FLOOR = 1e-10
 UNIT = CostPair(1, 1)
@@ -112,11 +112,11 @@ class TestBoostRound:
 
     @pytest.mark.parametrize("algorithm", ["ADA", "ASB", "AC3", "CSA"])
     def test_rejects_block_of_another_sample_count(self, algorithm):
-        work = scan_workspace(sort_columns(*fixed_instance(6, 2, seed=1)))
+        columns = sort_columns(*fixed_instance(6, 2, seed=1))
         features, labels = fixed_instance(8, 2, seed=1)
         with pytest.raises(ValueError):
             boost_round(algorithm, np.full(8, 1 / 8), features, labels, CostPair(1, 3), 3,
-                        work=work)
+                        columns=columns)
 
     @pytest.mark.parametrize("algorithm", ["ADA", "AC3", "CSA"])
     @pytest.mark.parametrize("defect", ["nan_feature", "labels_0_1", "labels_2_minus1"])
@@ -290,7 +290,7 @@ def full_batch_alphas(b_p, d_p, b_n, d_n, costs):
 def full_batch_csa_select(columns, weights, costs):
     """``_csa_select`` over the full batch, with its (loss, plain error,
     feature, threshold, polarity +1) tie-break."""
-    masses = _candidates(scan_workspace(columns), weights)
+    masses = _candidates(columns, weights)
     floored = _floor_mass_groups(masses)
     alphas = full_batch_alphas(*floored, costs)[0]
     losses = csa_loss(alphas, floored, costs)
@@ -373,7 +373,7 @@ class TestPrunedCsaSelection:
             weights = np.where(np.arange(n) == rng.integers(n), 1.0, 0.0)
         costs = CostPair(*costs)
         columns = sort_columns(features, labels)
-        stump, alpha = _csa_select(scan_workspace(columns), weights, costs)
+        stump, alpha = _csa_select(columns, weights, costs)
         expected_stump, expected_alpha = full_batch_csa_select(columns, weights, costs)
         assert stump == expected_stump
         assert repr(alpha) == repr(expected_alpha)
@@ -385,10 +385,9 @@ class TestPrunedCsaSelection:
         data = gen_bayes(500, 500, seed=3)
         features, labels = data.features[:666], data.labels[:666]
         columns = sort_columns(features, labels)
-        work = scan_workspace(columns)
         weights = init_weights("CSA", labels, costs)
         for t in range(12):
-            result = boost_round("CSA", weights, features, labels, costs, 12, work=work)
+            result = boost_round("CSA", weights, features, labels, costs, 12, columns=columns)
             expected_stump, expected_alpha = full_batch_csa_select(columns, weights, costs)
             assert result.stump == expected_stump, t
             assert repr(result.alpha) == repr(expected_alpha), t
@@ -801,14 +800,14 @@ class TestTrainEnsemble:
                  ("CGA", UNIT), ("CGA", CostPair(2, 2)), ("ABT", UNIT)]
         alone = [repr(train_ensemble(a, features, labels, c, 6)) for a, c in cells]
         calls.clear()
-        shared = {}
-        assert alone == [repr(train_ensemble(a, features, labels, c, 6, shared=shared))
+        columns = sort_columns(features, labels)
+        assert alone == [repr(train_ensemble(a, features, labels, c, 6, columns=columns))
                          for a, c in cells]
         assert calls == ["ADA"] * 6
-        assert len(shared) == 1
+        assert len(columns.ensembles) == 1
         calls.clear()
-        train_ensemble("CGA", features, labels, CostPair(1, 10), 6, shared=shared)
-        train_ensemble("ADA", features, labels, UNIT, 7, shared=shared)
+        train_ensemble("CGA", features, labels, CostPair(1, 10), 6, columns=columns)
+        train_ensemble("ADA", features, labels, UNIT, 7, columns=columns)
         assert calls == ["CGA"] * 6 + ["ADA"] * 7  # other initial weights, another budget
 
     @pytest.mark.parametrize("algorithm", ["ASB", "ADC", "CB0", "CB1", "CB2", "AC1", "AC2",
@@ -824,14 +823,14 @@ class TestTrainEnsemble:
 
         monkeypatch.setattr(boosting, "boost_round", counted)
         features, labels = fixed_instance(20, 3, seed=8)
-        shared = {}
-        train_ensemble("ADA", features, labels, UNIT, 5, shared=shared)
-        before = dict(shared)
+        columns = sort_columns(features, labels)
+        train_ensemble("ADA", features, labels, UNIT, 5, columns=columns)
+        before = dict(columns.ensembles)
         for _ in range(2):
-            got = train_ensemble(algorithm, features, labels, UNIT, 5, shared=shared)
+            got = train_ensemble(algorithm, features, labels, UNIT, 5, columns=columns)
             assert repr(got) == repr(train_ensemble(algorithm, features, labels, UNIT, 5))
         assert calls == ["ADA"] * 5 + [algorithm] * 20
-        assert shared == before
+        assert columns.ensembles == before
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_cost_init_survives_a_cost_sum_past_the_float_range(self):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import costboost.cli as cli
 from costboost.cli import main
 from costboost.datasets import load_csv_balanced
 from costboost.harness import REPORT_KINDS
@@ -148,6 +149,24 @@ def test_run_reports_bad_configs_without_traceback(tmp_path, capsys, config, mes
     assert "costboost: error: " in err and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "path-under-a-file"])
+def test_run_rejects_an_out_that_cannot_be_a_directory_before_the_sweep(
+        tmp_path, capsys, monkeypatch, config_path, under):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_experiment", unreachable)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a run directory", encoding="utf-8")
+    out = blocker / "run" if under else blocker
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(config_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"costboost: error: cannot save the run into {out}: {blocker} is not a" in err
+    assert blocker.read_text(encoding="utf-8") == "not a run directory"
 
 
 def test_report_on_missing_run_directory_is_a_usage_error(tmp_path, capsys):

@@ -499,7 +499,7 @@ class TestRunExperiment:
         write, record for record and trace row for trace row."""
         import costboost.harness as harness
 
-        def alone(*args, shared=None, **kwargs):
+        def alone(*args, columns=None, **kwargs):
             return train_ensemble(*args, **kwargs)
 
         config = tiny_config(datasets=(DatasetSpec(kind="bayes", n_pos=60, n_neg=60),
@@ -625,6 +625,16 @@ class TestRunStoreRoundTrip:
         loaded = RunStore.load(store.save(tmp_path / "run"))
         assert loaded.failures == store.failures
         assert loaded.failures[0].message == "RuntimeError(\"bad cell, 'quoted' part\")"
+
+    def test_saving_a_clean_run_over_a_failed_one_drops_its_failures(self, tmp_path):
+        # the failed run's failures.csv once stayed behind and loaded back
+        failed = run_experiment(tiny_config(algorithms=("CSA",), costs=((1e-308, 1e-308),),
+                                            rounds=24))
+        assert len(RunStore.load(failed.save(tmp_path / "run")).failures) == 3  # folds
+        clean = run_experiment(tiny_config(algorithms=("ADA",), costs=((1, 1),)))
+        loaded = RunStore.load(clean.save(tmp_path / "run"))
+        assert not (tmp_path / "run" / "failures.csv").exists()
+        assert loaded.failures == [] and loaded.records == clean.records
 
     def test_double_underscore_dataset_name_round_trips(self, tmp_path):
         spec = DatasetSpec(kind="bayes", name="a__b", n_pos=12, n_neg=12)

@@ -11,7 +11,6 @@ from costboost.stumps import (
     candidate_thresholds,
     class_masses,
     predict_matrix,
-    scan_workspace,
     sort_columns,
     stump_predict,
     train_stump,
@@ -34,7 +33,7 @@ def compacted_pick(columns, weights, multiplier=None):
     """The stump pick before the full-table scan: the valid cuts' class
     masses gathered into one block, then the first minimum of their
     (cuts, 2) errors in (feature, threshold, polarity +1 first) order."""
-    b_p, d_p, b_n, d_n = _candidates(scan_workspace(columns), weights, multiplier)
+    b_p, d_p, b_n, d_n = _candidates(columns, weights, multiplier)
     errs = np.stack((d_p + d_n, b_n + b_p), axis=1)
     j, minus = divmod(int(np.argmin(errs)), 2)
     return _cut_stump(columns, columns.below[j], -1 if minus else 1)
@@ -209,11 +208,10 @@ class TestFullTablePick:
         }[weighting]()
         multiplier = rng.integers(0, 4, size=n) / 4.0 if multiplied else None
         columns = sort_columns(features, labels)
-        work = scan_workspace(columns)
         expected = compacted_pick(columns, weights, multiplier)
-        assert train_stump(features, labels, weights, multiplier, work=work) == expected
+        assert train_stump(features, labels, weights, multiplier, columns=columns) == expected
         # the error table is written in place: a second scan starts clean
-        assert train_stump(features, labels, weights, multiplier, work=work) == expected
+        assert train_stump(features, labels, weights, multiplier, columns=columns) == expected
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_at_an_invalid_cut_stays_silent(self):
@@ -256,15 +254,14 @@ class TestSortedColumns:
             weights = rng.integers(1, 5, size=n) / 64.0
             inputs += [(weights, None), (weights, rng.integers(0, 4, size=n) / 4.0)]
         costs = CostPair(1.0, 2.5)
-        # every scan of the one block first, so stale state would show
-        scans = [_candidates(scan_workspace(columns), w, m) for w, m in inputs]
-        stumps = [train_stump(features, labels, w, m, work=scan_workspace(columns))
-                  for w, m in inputs]
-        picks = [_csa_select(scan_workspace(columns), w, costs) for w, _ in inputs[::2]]
+        # every scan of the one block first, so stale state would show; a
+        # scan's block lives only until the next scan, so each is copied
+        scans = [_candidates(columns, w, m).copy() for w, m in inputs]
+        stumps = [train_stump(features, labels, w, m, columns=columns) for w, m in inputs]
+        picks = [_csa_select(columns, w, costs) for w, _ in inputs[::2]]
 
         for (weights, multiplier), scan, stump in zip(inputs, scans, stumps):
-            fresh = _candidates(scan_workspace(sort_columns(features, labels)), weights,
-                                multiplier)
+            fresh = _candidates(sort_columns(features, labels), weights, multiplier)
             assert [a.tobytes() for a in scan] == [a.tobytes() for a in fresh]
             assert stump == train_stump(features, labels, weights, multiplier)
             mass = weights if multiplier is None else weights * multiplier
@@ -274,8 +271,8 @@ class TestSortedColumns:
                 assert (masses.b_p, masses.d_p, masses.b_n, masses.d_n) == tuple(
                     float(m[j]) for m in scan)
         for (weights, _), (stump, alpha) in zip(inputs[::2], picks):
-            fresh_stump, fresh_alpha = _csa_select(
-                scan_workspace(sort_columns(features, labels)), weights, costs)
+            fresh_stump, fresh_alpha = _csa_select(sort_columns(features, labels), weights,
+                                                   costs)
             assert stump == fresh_stump
             assert repr(alpha) == repr(fresh_alpha)
 
@@ -290,21 +287,21 @@ class TestSortedColumns:
         features = rng.integers(0, 4, size=(n, n_features)).astype(float)
         labels = rng.choice([-1, 1], size=n)
         columns = sort_columns(features, labels)
-        work = scan_workspace(columns)
         costs = CostPair(1.0, 4.0)
         c_norm = costs.per_sample(labels) / 4.0
         # round after round, as an ensemble scans: new weights, another multiplier
         for multiplier in (None, c_norm, c_norm * c_norm, None, c_norm * c_norm, c_norm):
             weights = rng.random(n)
             weights /= weights.sum()
-            scan = _candidates(work, weights, multiplier)
-            assert np.shares_memory(scan, work.block)
-            fresh = _candidates(scan_workspace(columns), weights, multiplier)
+            scan = _candidates(columns, weights, multiplier)
+            assert np.shares_memory(scan, columns.block)
+            fresh = _candidates(sort_columns(features, labels), weights, multiplier)
             assert scan.tobytes() == fresh.tobytes()
-            assert (train_stump(features, labels, weights, multiplier, work=work)
+            assert (train_stump(features, labels, weights, multiplier, columns=columns)
                     == train_stump(features, labels, weights, multiplier))
-            stump, alpha = _csa_select(work, weights, costs)
-            fresh_stump, fresh_alpha = _csa_select(scan_workspace(columns), weights, costs)
+            stump, alpha = _csa_select(columns, weights, costs)
+            fresh_stump, fresh_alpha = _csa_select(sort_columns(features, labels), weights,
+                                                   costs)
             assert stump == fresh_stump
             assert repr(alpha) == repr(fresh_alpha)
 
@@ -318,7 +315,7 @@ class TestSortedColumns:
         rng = np.random.default_rng(3)
         features = rng.normal(size=(6, 2))
         labels = np.array([-1, 1, -1, 1, 1, -1])
-        work = scan_workspace(sort_columns(features, labels))
+        columns = sort_columns(features, labels)
         weights, multiplier = np.full(6, 1 / 6), None
         if defect == "short_weights":
             weights = np.full(5, 0.2)
@@ -327,12 +324,12 @@ class TestSortedColumns:
         else:
             multiplier = np.ones(5)
         with pytest.raises(ValueError):
-            _candidates(work, weights, multiplier)
+            _candidates(columns, weights, multiplier)
         with pytest.raises(ValueError):
-            train_stump(features, labels, weights, multiplier, work=work)
+            train_stump(features, labels, weights, multiplier, columns=columns)
         if multiplier is None:
             with pytest.raises(ValueError):
-                _csa_select(work, weights, CostPair(1, 3))
+                _csa_select(columns, weights, CostPair(1, 3))
 
     @pytest.mark.parametrize("defect", ["nan_feature", "labels_0_1", "labels_2_minus1"])
     def test_train_stump_without_block_rejects_invalid_training_inputs(self, defect):
