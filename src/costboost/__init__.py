@@ -35,6 +35,7 @@ from .datasets import (
 )
 from .harness import (
     DEFAULT_COST_GRID,
+    ConvergenceSettings,
     DatasetSpec,
     ExperimentConfig,
     RunStore,
@@ -60,6 +61,7 @@ __all__ = [
     "ClassMasses",
     "CloudGeometry",
     "ConfusionRates",
+    "ConvergenceSettings",
     "CostPair",
     "Dataset",
     "DatasetSpec",

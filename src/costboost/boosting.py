@@ -579,6 +579,8 @@ def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rou
         z = float(unnorm.sum())
     if not math.isfinite(z):
         raise ValueError(f"{algorithm} weight update overflows at {costs}")
+    if z == 0.0:  # every term underflowed: no weights to renormalize
+        raise ValueError(f"{algorithm} weight update underflows at {costs}")
     return RoundResult(stump, float(alpha), unnorm / z, z, degenerate)
 
 

@@ -26,6 +26,7 @@ because they can never be reproducible.
 
 import json
 import platform
+import shutil
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -65,6 +66,7 @@ from .stumps import sort_columns
 
 __all__ = [
     "DEFAULT_COST_GRID",
+    "ConvergenceSettings",
     "DatasetSpec",
     "ExperimentConfig",
     "RunStore",
@@ -170,6 +172,20 @@ class ExperimentConfig:
     convergence: ConvergenceSettings = field(default_factory=ConvergenceSettings)
 
     def __post_init__(self):
+        for key in ("datasets", "algorithms", "costs"):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{key!r} must be a list, not {value!r}")
+            object.__setattr__(self, key, tuple(value))
+        for spec in self.datasets:
+            if not isinstance(spec, DatasetSpec):
+                raise ValueError(f"datasets entry {spec!r} must be a DatasetSpec")
+        for cost in self.costs:
+            if not isinstance(cost, (list, tuple)) or len(cost) != 2:
+                raise ValueError(f"cost entry {cost!r} must be two numbers [c_pos, c_neg]")
+        object.__setattr__(self, "costs", tuple(tuple(cost) for cost in self.costs))
+        if not isinstance(self.convergence, ConvergenceSettings):
+            raise ValueError(f"convergence {self.convergence!r} must be a ConvergenceSettings")
         if not self.datasets or not self.algorithms or not self.costs:
             raise ValueError("datasets, algorithms and costs must be nonempty")
         names = [spec.resolved_name() for spec in self.datasets]
@@ -202,18 +218,8 @@ class ExperimentConfig:
         if not isinstance(raw, dict) or not isinstance(raw.get("datasets"), list):
             raise ValueError("a config is a JSON object with a 'datasets' list")
         args = dict(_known_keys(raw, cls, "config"))
-        for key in ("algorithms", "costs"):
-            if not isinstance(args.get(key, []), list):
-                raise ValueError(f"{key!r} must be a list, not {args[key]!r}")
-        args["datasets"] = tuple(DatasetSpec(**_known_keys(spec, DatasetSpec, "datasets"))
-                                 for spec in raw["datasets"])
-        if "algorithms" in args:
-            args["algorithms"] = tuple(args["algorithms"])
-        if "costs" in args:
-            for cost in args["costs"]:
-                if not isinstance(cost, (list, tuple)) or len(cost) != 2:
-                    raise ValueError(f"cost entry {cost!r} must be two numbers [c_pos, c_neg]")
-            args["costs"] = tuple(tuple(cost) for cost in args["costs"])
+        args["datasets"] = [DatasetSpec(**_known_keys(spec, DatasetSpec, "datasets"))
+                            for spec in raw["datasets"]]
         convergence = dict(_known_keys(args.get("convergence", {}), ConvergenceSettings,
                                        "convergence"))
         enabled = convergence.get("enabled_per_algorithm", {})
@@ -276,6 +282,9 @@ class RunStore:
 
     def save(self, out_dir) -> Path:
         out = Path(out_dir)
+        if (out / "metadata.json").exists():  # an earlier run: this one replaces it
+            for owned in ("traces", "reports"):
+                shutil.rmtree(out / owned, ignore_errors=True)
         out.mkdir(parents=True, exist_ok=True)
         records = sorted(self.records, key=_record_sort_key)
         _write_csv(

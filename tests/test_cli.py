@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import costboost
 import costboost.cli as cli
 from costboost.cli import main
 from costboost.datasets import load_csv_balanced
@@ -44,6 +49,68 @@ def test_run_then_report_round_trip(tmp_path, config_path, capsys):
     assert (reports / "delta_ce_by_cost.csv").exists()
     assert (reports / "ca_surface.csv").exists()
     assert (reports / "timing_grand.csv").exists()
+
+
+def test_generated_csv_and_bayes_sweep_at_two_workers(tmp_path, capsys):
+    """A CSV written by ``gen`` and a generated set in one sweep, on a real
+    two-worker pool, through every report kind; one worker saves the same bytes."""
+    clouds = tmp_path / "clouds.csv"
+    assert main(["gen", "--dataset", "twoclouds", "--out", str(clouds),
+                 "--n-pos", "12", "--n-neg", "12"]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "datasets": [{"kind": "bayes", "n_pos": 12, "n_neg": 12},
+                     {"kind": "csv", "name": "clouds", "path": str(clouds),
+                      "label_column": "label", "positive_label": "1"}],
+        "algorithms": ["ADA", "ABT", "CSA"], "costs": [[1, 1], [1, 10]], "folds": 3,
+        "rounds": 6}), encoding="utf-8")
+    runs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
+    for jobs, run_dir in runs.items():
+        assert main(["run", "--config", str(config), "--out", str(run_dir),
+                     "--jobs", str(jobs)]) == 0
+    assert "failed" not in capsys.readouterr().err
+    for kind in REPORT_KINDS:
+        assert main(["report", "--store", str(runs[2]), "--kind", kind]) == 0
+    assert {p.name for p in (runs[2] / "reports").glob("results_*.csv")} == {
+        "results_bayes.csv", "results_clouds.csv"}
+
+    def saved(run_dir):
+        return {path.relative_to(run_dir).as_posix(): path.read_bytes()
+                for path in [run_dir / "records.csv", run_dir / "metadata.json",
+                             *(run_dir / "traces").glob("*.csv")]}
+
+    assert len(list((runs[2] / "traces").glob("clouds__*.csv"))) == 3 * 2 * 3
+    assert saved(runs[1]) == saved(runs[2])
+    assert not (runs[2] / "failures.csv").exists()
+
+
+def test_module_entry_point_exits_by_status(tmp_path):
+    """``python -m costboost.cli`` as a child process: bad input exits 2
+    with argparse's error line; a sweep with failed cells exits 0 and says so."""
+    src = str(Path(costboost.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def costboost_cli(config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return subprocess.run(
+            [sys.executable, "-m", "costboost.cli", "run", "--config", str(path),
+             "--out", str(tmp_path / "run")], env=env, capture_output=True, text=True)
+
+    bad = costboost_cli({"datasets": [{"kind": "bayes", "n_pos": 12, "n_neg": 12}],
+                         "costs": 5})
+    assert bad.returncode == 2
+    assert "costboost: error: 'costs' must be a list, not 5" in bad.stderr
+    assert "Traceback" not in bad.stderr
+    assert not (tmp_path / "run").exists()
+
+    # CSA's closed-form vote leaves the float range in every fold
+    failing = costboost_cli({"datasets": [{"kind": "bayes", "n_pos": 12, "n_neg": 12}],
+                             "algorithms": ["CSA"], "costs": [[1e-308, 1e-308]], "rounds": 24})
+    assert failing.returncode == 0, failing.stderr
+    assert failing.stderr == "3 cell(s) failed; see failures.csv\n"
+    assert "CSA votes overflow" in (tmp_path / "run" / "failures.csv").read_text()
 
 
 def test_seed_override_changes_results(tmp_path, config_path):
@@ -135,7 +202,9 @@ def test_run_rejects_negative_seed(tmp_path, capsys, config_path):
      "dataset name must be a string"),
     ({"datasets": [{"kind": "bayes", "path": 5, "n_pos": 9, "n_neg": 9}]},
      "dataset path must be a string"),
-], ids=["missing", "malformed", "duplicate-algorithm", "int-name", "int-path"])
+    ({"datasets": [{"kind": "bayes", "n_pos": 9, "n_neg": 9}], "costs": 5},
+     "'costs' must be a list, not 5"),
+], ids=["missing", "malformed", "duplicate-algorithm", "int-name", "int-path", "int-costs"])
 def test_run_reports_bad_configs_without_traceback(tmp_path, capsys, config, message):
     path = tmp_path / "config.json"
     if config is not None:

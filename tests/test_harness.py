@@ -119,6 +119,14 @@ def every_field_config():
     )
 
 
+# a value of the wrong shape, and a word its error message must hold
+MISSHAPEN = [
+    ("costs", 5, "costs"), ("convergence", 5, "convergence"),
+    ("algorithms", 5, "algorithms"), ("algorithms", "ADA", "algorithms"),
+    ("datasets", ["bayes"], "datasets"),
+]
+
+
 class TestExperimentConfig:
     @pytest.mark.parametrize("make, expected", [
         (tiny_config, {
@@ -226,15 +234,30 @@ class TestExperimentConfig:
                 with pytest.raises(ValueError, match=key):
                     ExperimentConfig.from_dict(raw)
 
-    @pytest.mark.parametrize("key, value, named", [
-        ("costs", 5, "costs"), ("convergence", 5, "convergence"),
-        ("algorithms", 5, "algorithms"), ("algorithms", "ADA", "algorithms"),
-        ("datasets", ["bayes"], "datasets"),
-    ])
+    @pytest.mark.parametrize("key, value, named", MISSHAPEN)
     def test_from_dict_rejects_misshapen_values(self, key, value, named):
         raw = dict(tiny_config().to_dict(), **{key: value})
         with pytest.raises(ValueError, match=named):
             ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("key, value, named", MISSHAPEN + [
+        ("convergence", {"tol": 1e-3}, "must be a ConvergenceSettings"),
+        ("datasets", [{"kind": "bayes", "n_pos": 12, "n_neg": 12}], "must be a DatasetSpec"),
+        ("costs", [[1, 5, 9]], re.escape("cost entry [1, 5, 9] must be two numbers")),
+    ], ids=["costs-5", "convergence-5", "algorithms-5", "algorithms-ADA", "datasets-bayes",
+            "convergence-dict", "datasets-dicts", "costs-triple"])
+    def test_constructor_rejects_what_json_loading_rejects(self, key, value, named):
+        # a dict convergence once passed and broke to_dict; costs=5, dict
+        # datasets and algorithms="ADA" raised TypeError, AttributeError and
+        # "unknown algorithm 'A'"
+        with pytest.raises(ValueError, match=named):
+            tiny_config(**{key: value})
+
+    def test_constructor_takes_lists_as_tuples(self):
+        config = tiny_config(datasets=[DatasetSpec(kind="bayes", n_pos=12, n_neg=12)],
+                             algorithms=["ADA", "CGA"], costs=[[1, 1], [1, 5]])
+        assert config == tiny_config()
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
 
     @pytest.mark.parametrize("missing", ["path", "label_column", "positive_label"])
     def test_rejects_csv_specs_without_a_column_or_label(self, missing):
@@ -420,6 +443,58 @@ class TestRunExperiment:
         assert not store.failures
         assert len(store.traces) == 3  # folds
         assert RunStore.load(store.save(tmp_path / "run")).records == store.records
+
+    @pytest.mark.parametrize("algorithm, costs", [
+        ("CGA", ((1e308, 1e308),)),
+        ("ASB", ((1e300, 1e-300), (1e-300, 1e300))),
+    ], ids=["CGA-sum-overflows", "ASB-ratio-leaves-the-range"])
+    def test_costs_past_the_float_range_train_every_fold(self, algorithm, costs):
+        # CGA's initial weights sum the costs and ASB's pre-scale divides
+        # them; both once overflowed. A RuntimeWarning is an error here
+        # (pyproject.toml), so it would fail the cell
+        store = run_experiment(tiny_config(algorithms=(algorithm,), costs=costs, rounds=6))
+        assert not store.failures
+        assert len(store.traces) == 3 * len(costs)  # folds x costs
+
+    @pytest.mark.parametrize("costs, spec, folds, rounds, seed", [
+        ((3.4e212, 1e308), DatasetSpec(kind="bayes", n_pos=4, n_neg=6), 3, 5, 70),
+        ((6.2e213, 1.5e210), DatasetSpec(kind="bayes", n_pos=6, n_neg=8), 2, 3, 57),
+    ], ids=["bayes-4-6-seed-70", "bayes-6-8-seed-57"])
+    def test_an_underflowed_weight_update_fails_the_cell_by_name(self, costs, spec, folds,
+                                                                  rounds, seed):
+        # every update term underflowed, z == 0 passed the finiteness check,
+        # and the next round failed as "weights must have a positive total"
+        config = ExperimentConfig(datasets=(spec,), algorithms=("CSA",), costs=(costs,),
+                                  folds=folds, rounds=rounds, seed=seed)
+        store = run_experiment(config)
+        assert store.failures
+        assert all(f.message.startswith("ValueError('CSA weight update underflows at")
+                   for f in store.failures)
+
+    def test_separable_csv_near_the_float_limit_has_zero_error(self, tmp_path):
+        # each stump threshold must fall inside the cut the scan scored:
+        # a plain midpoint of two values near 1.7e308 overflows
+        path = tmp_path / "huge.csv"
+        path.write_text("x1,x2,label\n" + "".join(
+            f"{v}e308,-{v}e308,{label}\n"
+            for label, values in ((0, ("1.20", "1.21", "1.22", "1.23", "1.24", "1.25")),
+                                  (1, ("1.65", "1.66", "1.67", "1.68", "1.69", "1.70")))
+            for v in values), encoding="utf-8")
+        spec = DatasetSpec(kind="csv", name="huge", path=str(path), label_column="label",
+                           positive_label="1")
+        store = run_experiment(tiny_config(datasets=(spec,), algorithms=("ADA", "CSA"),
+                                           costs=((1, 1), (1, 10)), rounds=6))
+        assert not store.failures
+        average = [r for r in store.records if r.fold == AVG_FOLD]
+        assert len(average) == 2 * 2  # algorithms x costs
+        assert all(r.rates.ce == 0.0 for r in average)
+
+    def test_per_dataset_rounds_override_the_global_setting(self):
+        config = tiny_config(datasets=(DatasetSpec(kind="bayes", n_pos=12, n_neg=12, rounds=3),
+                                       DatasetSpec(kind="twoclouds", n_pos=9, n_neg=9)))
+        trained = {(r.dataset, r.trained_rounds) for r in run_experiment(config).records
+                   if r.algorithm != BAYES_REFERENCE}
+        assert trained == {("bayes", 3), ("twoclouds", 8)}
 
     def test_programming_errors_stop_the_sweep(self, monkeypatch):
         import costboost.harness as harness
@@ -636,6 +711,18 @@ class TestRunStoreRoundTrip:
         assert not (tmp_path / "run" / "failures.csv").exists()
         assert loaded.failures == [] and loaded.records == clean.records
 
+    def test_saving_over_an_earlier_run_replaces_it(self, tmp_path):
+        # the earlier run's traces and reports once stayed beside the new run
+        run = tmp_path / "run"
+        first = run_experiment(tiny_config(algorithms=("CSA", "ADA"), costs=((1, 10),)))
+        emit_report(RunStore.load(first.save(run)), "appendix_tables", run / "reports")
+        second = run_experiment(tiny_config(algorithms=("ADA",), costs=((1, 1),)))
+        second.save(run)
+        assert sorted(p.name for p in (run / "traces").iterdir()) == sorted(
+            f"bayes__ADA__cp1.0_cn1.0__fold{fold}.csv" for fold in range(3))
+        assert not (run / "reports").exists()
+        assert RunStore.load(run).records == second.records
+
     def test_double_underscore_dataset_name_round_trips(self, tmp_path):
         spec = DatasetSpec(kind="bayes", name="a__b", n_pos=12, n_neg=12)
         store = run_experiment(tiny_config(datasets=(spec,)))
@@ -784,6 +871,16 @@ class TestEmitReport:
         assert 1 < len(lines) - 1 <= 48
         values = [float(line.split(",")[-1]) for line in lines[1:]]
         assert all(0.0 <= v <= 1.0 for v in values)
+
+    def test_ca_surface_skips_rounds_undefined_in_every_fold(self, store, tmp_path):
+        nan = float("nan")
+        rounds = {"0": [(1, 0.5, 0.9, 0.2, nan), (2, 0.5, 0.9, 0.2, 0.25)],
+                  "1": [(1, 0.5, 0.9, 0.2, nan), (2, 0.5, 0.9, 0.2, nan)]}
+        undefined = RunStore(records=store.records, traces={
+            ("bayes", "ADA", "1.0", "1.0", fold): rows for fold, rows in rounds.items()})
+        (path,) = emit_report(undefined, "ca_surface", tmp_path)
+        # round 1 is NaN in both folds; round 2 averages only its defined fold
+        assert path.read_text().splitlines()[1:] == ["bayes,ADA,1,1,2,0.25"]
 
     def test_timing_ratios_match_hand_recomputation(self, store, tmp_path):
         grand, by_cost = emit_report(store, "timing", tmp_path)
