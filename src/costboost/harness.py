@@ -136,7 +136,7 @@ class ConvergenceSettings:
     tol: float = 1e-3
     tail_fraction: float = 0.1
     statistic: str = "max-abs"  # or "mean-abs" / "std"
-    enabled_per_algorithm: tuple = ()  # (algorithm, bool) pairs
+    enabled_per_algorithm: tuple = ()  # {algorithm: bool}, kept as sorted pairs
 
     def __post_init__(self):
         for name in ("tol", "tail_fraction"):
@@ -147,10 +147,16 @@ class ConvergenceSettings:
             raise ValueError("tail_fraction must lie in (0, 1)")
         if self.statistic not in DEVIATION_STATISTICS:
             raise ValueError(f"unknown deviation statistic {self.statistic!r}")
-        for algorithm, enabled in self.enabled_per_algorithm:
+        pairs = self.enabled_per_algorithm  # a mapping, or the pairs kept from one
+        pairs = tuple(pairs.items()) if isinstance(pairs, dict) else pairs
+        if type(pairs) is not tuple or not all(type(p) is tuple and len(p) == 2 for p in pairs):
+            raise ValueError("enabled_per_algorithm must map algorithm names to true/false")
+        for algorithm, enabled in pairs:
             if algorithm not in ALGORITHM_IDS or type(enabled) is not bool:
                 raise ValueError(f"enabled_per_algorithm entry {algorithm!r}: {enabled!r} "
                                  "needs a known algorithm and true or false")
+        # a name given twice keeps its last value, as in a JSON object
+        object.__setattr__(self, "enabled_per_algorithm", tuple(sorted(dict(pairs).items())))
 
     def enabled_for(self, algorithm: str) -> bool:
         # ASB classifiers are never truncated: their asymmetry budget is
@@ -220,13 +226,8 @@ class ExperimentConfig:
         args = dict(_known_keys(raw, cls, "config"))
         args["datasets"] = [DatasetSpec(**_known_keys(spec, DatasetSpec, "datasets"))
                             for spec in raw["datasets"]]
-        convergence = dict(_known_keys(args.get("convergence", {}), ConvergenceSettings,
-                                       "convergence"))
-        enabled = convergence.get("enabled_per_algorithm", {})
-        if not isinstance(enabled, dict):
-            raise ValueError("enabled_per_algorithm must map algorithm names to true/false")
-        convergence["enabled_per_algorithm"] = tuple(sorted(enabled.items()))
-        args["convergence"] = ConvergenceSettings(**convergence)
+        args["convergence"] = ConvergenceSettings(
+            **_known_keys(args.get("convergence", {}), ConvergenceSettings, "convergence"))
         return cls(**args)
 
     @classmethod
@@ -273,7 +274,7 @@ class RunStore:
     """In-memory result of one sweep, mirrored on disk by save()/load()."""
 
     records: list = field(default_factory=list)
-    traces: dict = field(default_factory=dict)  # (dataset, alg, c_pos, c_neg, fold) -> rows
+    traces: dict = field(default_factory=dict)  # _cell_key of a fold record -> rows
     failures: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
     environment: dict = field(default_factory=dict)
@@ -286,14 +287,13 @@ class RunStore:
             for owned in ("traces", "reports"):
                 shutil.rmtree(out / owned, ignore_errors=True)
         out.mkdir(parents=True, exist_ok=True)
-        records = sorted(self.records, key=_record_sort_key)
+        # cells go out in the store's order: run_experiment sorts them
         _write_csv(
             out / "records.csv",
             "dataset,algorithm,c_pos,c_neg,fold,fnr,fpr,ce,nec,effective_rounds,trained_rounds",
             "%s,%s,%r,%r,%s,%r,%r,%r,%r,%s,%s\n",
-            ((r.dataset, r.algorithm, r.cost.c_pos, r.cost.c_neg, r.fold, r.rates.fnr,
-              r.rates.fpr, r.rates.ce, r.nec, r.effective_rounds, r.trained_rounds)
-             for r in records),
+            (_cell_key(r) + (r.rates.fnr, r.rates.fpr, r.rates.ce, r.nec, r.effective_rounds,
+                             r.trained_rounds) for r in self.records),
         )
         # wall-clock seconds are inherently non-reproducible, so they are
         # quarantined here instead of the deterministic records file
@@ -301,21 +301,19 @@ class RunStore:
             out / "timing.csv",
             "dataset,algorithm,c_pos,c_neg,fold,train_seconds",
             "%s,%s,%r,%r,%s,%r\n",
-            ((r.dataset, r.algorithm, r.cost.c_pos, r.cost.c_neg, r.fold, r.train_seconds)
-             for r in records if r.fold != ALL_FOLD),
+            (_cell_key(r) + (r.train_seconds,) for r in self.records if r.fold != ALL_FOLD),
         )
         traces_dir = out / "traces"
         traces_dir.mkdir(exist_ok=True)
-        for key in sorted(self.traces):
+        for key, rows in self.traces.items():
             _write_csv(traces_dir / _trace_name(key), "round,alpha,z,train_nec,train_ca",
-                       "%s,%r,%r,%r,%r\n", self.traces[key])
+                       "%s,%r,%r,%r,%r\n", rows)
         if self.failures:
             _write_csv(
                 out / "failures.csv",
                 "dataset,algorithm,c_pos,c_neg,fold,message",
                 "%s,%s,%r,%r,%s,%s\n",
-                sorted((f.dataset, f.algorithm, f.cost.c_pos, f.cost.c_neg, f.fold,
-                        " ".join(f.message.splitlines())) for f in self.failures),
+                (_cell_key(f) + (" ".join(f.message.splitlines()),) for f in self.failures),
             )
         else:  # an earlier run's failures must not load back with this one
             (out / "failures.csv").unlink(missing_ok=True)
@@ -341,48 +339,45 @@ class RunStore:
         timing = {}
         timing_path = run_dir / "timing.csv"
         if timing_path.exists():
-            for parts in _read_csv_rows(timing_path):
-                timing[tuple(parts[:5])] = float(parts[5])
+            for key, (seconds,) in _read_cells(timing_path):
+                timing[key] = float(seconds)
 
-        traced = []
-        for parts in _read_csv_rows(run_dir / "records.csv"):
-            key = tuple(parts[:5])
+        traces_dir = run_dir / "traces"
+        for key, parts in _read_cells(run_dir / "records.csv"):
             dataset, algorithm, c_pos, c_neg, fold = key
-            fnr, fpr, ce, rec_nec = (float(v) for v in parts[5:9])
+            fnr, fpr, ce, rec_nec = (float(v) for v in parts[:4])
             store.records.append(
                 ResultRecord(
                     algorithm=algorithm,
                     dataset=dataset,
-                    cost=CostPair(float(c_pos), float(c_neg)),
+                    cost=CostPair(c_pos, c_neg),
                     fold=fold,
                     rates=ConfusionRates(fnr=fnr, fpr=fpr, ce=ce),
                     nec=rec_nec,
                     train_seconds=timing.get(key, 0.0),
-                    effective_rounds=int(parts[9]),
-                    trained_rounds=int(parts[10]),
+                    effective_rounds=int(parts[4]),
+                    trained_rounds=int(parts[5]),
                 )
             )
-            if fold not in (AVG_FOLD, ALL_FOLD):
-                traced.append(key)
-
-        # every fold record has its trace; the key names the file
-        traces_dir = run_dir / "traces"
-        for key in traced:
-            store.traces[key] = [
-                (int(p[0]), float(p[1]), float(p[2]), float(p[3]), float(p[4]))
-                for p in _read_csv_rows(traces_dir / _trace_name(key))
-            ]
+            if fold not in (AVG_FOLD, ALL_FOLD):  # every fold record has its trace
+                store.traces[key] = [
+                    (int(p[0]), float(p[1]), float(p[2]), float(p[3]), float(p[4]))
+                    for p in _read_csv_rows(traces_dir / _trace_name(key))
+                ]
 
         failures_path = run_dir / "failures.csv"
         if failures_path.exists():
             # the message is the last column and may itself hold commas
-            for parts in _read_csv_rows(failures_path):
-                dataset, algorithm, c_pos, c_neg, fold = parts[:5]
-                store.failures.append(
-                    CellFailure(dataset, algorithm, CostPair(float(c_pos), float(c_neg)),
-                                fold, ",".join(parts[5:]))
-                )
+            for key, parts in _read_cells(failures_path):
+                dataset, algorithm, c_pos, c_neg, fold = key
+                store.failures.append(CellFailure(dataset, algorithm, CostPair(c_pos, c_neg),
+                                                  fold, ",".join(parts)))
         return store
+
+
+def _cell_key(cell) -> tuple:
+    """Key (dataset, algorithm, c_pos, c_neg, fold) of a record or a failure."""
+    return (cell.dataset, cell.algorithm, cell.cost.c_pos, cell.cost.c_neg, cell.fold)
 
 
 def _trace_name(key) -> str:
@@ -407,6 +402,12 @@ def _read_csv_rows(path):
                 yield line.split(",")
 
 
+def _read_cells(path):
+    """Each row of a cell table as (its ``_cell_key``, the fields after the key)."""
+    for dataset, algorithm, c_pos, c_neg, fold, *rest in _read_csv_rows(path):
+        yield (dataset, algorithm, float(c_pos), float(c_neg), fold), rest
+
+
 def _fold_order(fold: str) -> tuple:
     if fold == AVG_FOLD:
         return (1, 0)
@@ -415,8 +416,8 @@ def _fold_order(fold: str) -> tuple:
     return (0, int(fold))
 
 
-def _record_sort_key(rec: ResultRecord) -> tuple:
-    return (rec.dataset, rec.algorithm, rec.cost, _fold_order(rec.fold))
+def _record_sort_key(cell) -> tuple:  # of a record or a failure
+    return (cell.dataset, cell.algorithm, cell.cost, _fold_order(cell.fold))
 
 
 def detect_convergence(nec_trace, tol: float = 1e-3, tail_fraction: float = 0.1,
@@ -642,13 +643,12 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunStore:
             continue
         record, trace_rows = result
         store.records.append(record)
-        store.traces[(record.dataset, record.algorithm, repr(record.cost.c_pos),
-                      repr(record.cost.c_neg), record.fold)] = trace_rows
+        store.traces[_cell_key(record)] = trace_rows
         grouped.setdefault((record.dataset, record.algorithm, record.cost), []).append(record)
-    for key in sorted(grouped):
-        store.records.append(_average_record(grouped[key]))
+    store.records.extend(map(_average_record, grouped.values()))
 
     store.records.sort(key=_record_sort_key)
+    store.failures.sort(key=_record_sort_key)
     return store
 
 
@@ -703,10 +703,9 @@ def _delta_by_cost(store: RunStore):
 def _ca_surface(store: RunStore):
     """Training classification asymmetry per round, averaged over the folds."""
     grouped = {}
-    for (dataset, algorithm, c_pos, c_neg, fold), rows in store.traces.items():
+    for (dataset, algorithm, c_pos, c_neg, _fold), rows in store.traces.items():
         for round_no, _alpha, _z, _nec, ca in rows:
-            key = (dataset, algorithm, float(c_pos), float(c_neg), round_no)
-            grouped.setdefault(key, []).append(ca)
+            grouped.setdefault((dataset, algorithm, c_pos, c_neg, round_no), []).append(ca)
     rows = []
     for key in sorted(grouped):
         values = [v for v in grouped[key] if not np.isnan(v)]
@@ -760,5 +759,4 @@ def emit_report(store: RunStore, kind: str, out_dir) -> list:
 
 def _trim(value: float) -> str:
     """Integer-looking costs print without a trailing .0."""
-    value = float(value)
     return str(int(value)) if value == int(value) else repr(value)

@@ -564,6 +564,11 @@ class TestAdjustThreshold:
         with pytest.raises(ValueError, match="classes"):
             adjust_threshold(np.array([1.0, 2.0]), np.array([1, 1]), UNIT)
 
+    @pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_scores(self, score):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            adjust_threshold(np.array([score, 1.0, 2.0]), np.array([1, -1, 1]), UNIT)
+
     def test_scaling_costs_leaves_argmin(self):
         rng = np.random.default_rng(6)
         scores = rng.normal(size=20)

@@ -224,6 +224,28 @@ class TestLoadCsvBalanced:
         with pytest.raises(OSError):
             load_csv_balanced(tmp_path / "nope.csv", "label", "yes", seed=0)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("f1,f2,label\n1,2,yes\n3,no\n", "data.csv:3: expected 3 cells"),
+    ], ids=["empty-file", "short-row"])
+    def test_rejects_malformed_files(self, tmp_path, text, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_csv_balanced(path, "label", "yes", seed=0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: GaussParams(mean_pos=(1, 0), mean_neg=(-1, 0),
+                         covariance=((1.0, 0.5), (0.0, 1.0))),
+     "covariance must be a symmetric 2x2 matrix"),
+    (lambda: CloudGeometry(disc_radius=0), "disc radius must be positive"),
+    (lambda: stratified_kfold(np.array([1, 1, -1, -1]), 1), "k must be >= 2"),
+], ids=["asymmetric-covariance", "zero-disc-radius", "one-fold"])
+def test_rejects_parameters_outside_their_domain(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
 
 class TestStratifiedKfold:
     def test_tiny_balanced_assignment(self):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import json
 import pickle
@@ -325,6 +326,34 @@ class TestExperimentConfig:
                    convergence={"enabled_per_algorithm": {"ASB": True}})
         assert ExperimentConfig.from_dict(raw).convergence.enabled_per_algorithm == (
             ("ASB", True),)
+
+    def test_convergence_switches_take_the_json_mapping_or_the_kept_pairs(self):
+        mapped = ConvergenceSettings(enabled_per_algorithm={"CSA": True, "ADA": False})
+        paired = ConvergenceSettings(enabled_per_algorithm=(("ADA", False), ("CSA", True)))
+        assert mapped == paired and hash(mapped) == hash(paired)
+        assert mapped.enabled_per_algorithm == (("ADA", False), ("CSA", True))
+        # a name given twice keeps its last value, so the pairs survive to_dict
+        twice = ConvergenceSettings(enabled_per_algorithm=(("ADA", True), ("ADA", False)))
+        assert twice == ConvergenceSettings(enabled_per_algorithm={"ADA": False})
+        assert dataclasses.replace(mapped, tol=0.5) == ConvergenceSettings(
+            tol=0.5, enabled_per_algorithm={"ADA": False, "CSA": True})
+        assert not mapped.enabled_for("ADA") and mapped.enabled_for("CGA")
+
+    @pytest.mark.parametrize("enabled", [[("ADA", False)], ["ADA"], ("ADA",), (("ADA",),)],
+                             ids=["list-of-pairs", "list-of-names", "tuple-of-names",
+                                  "tuple-of-singletons"])
+    def test_convergence_switches_reject_other_shapes(self, enabled):
+        with pytest.raises(ValueError, match="enabled_per_algorithm must map algorithm names"):
+            ConvergenceSettings(enabled_per_algorithm=enabled)
+
+    @pytest.mark.parametrize("spec, message", [
+        (dict(kind="parquet"), "unknown dataset kind 'parquet'"),
+        (dict(kind="bayes", n_pos=0, n_neg=5), "generator specs need positive class counts"),
+        (dict(kind="twoclouds", n_pos=5, n_neg=-1), "generator specs need positive class counts"),
+    ], ids=["unknown-kind", "bayes-zero-count", "twoclouds-negative-count"])
+    def test_rejects_bad_dataset_specs(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            DatasetSpec(**spec)
 
     def test_convergence_validation(self):
         with pytest.raises(ValueError):
@@ -673,17 +702,10 @@ class TestRunStoreRoundTrip:
         store = run_experiment(tiny_config())
         store.save(tmp_path / "run")
         loaded = RunStore.load(tmp_path / "run")
-        assert len(loaded.records) == len(store.records)
-        for a, b in zip(sorted(store.records, key=str), sorted(loaded.records, key=str)):
-            assert a.algorithm == b.algorithm and a.fold == b.fold
-            assert a.rates.fnr == b.rates.fnr and a.nec == b.nec
-            assert a.effective_rounds == b.effective_rounds
-        assert set(loaded.traces) == set(store.traces)
-        key = next(iter(store.traces))
-        np.testing.assert_allclose(
-            np.asarray(store.traces[key], dtype=float),
-            np.asarray(loaded.traces[key], dtype=float),
-        )
+        assert loaded.records == store.records
+        assert loaded.traces == store.traces
+        # one form of a cost: the record's own floats, in every trace key
+        assert {key[2:4] for key in store.traces} == {(1.0, 1.0), (1.0, 5.0)}
 
     def test_loaded_records_equal_saved_records(self, tmp_path):
         store = run_experiment(tiny_config())
@@ -700,6 +722,18 @@ class TestRunStoreRoundTrip:
         loaded = RunStore.load(store.save(tmp_path / "run"))
         assert loaded.failures == store.failures
         assert loaded.failures[0].message == "RuntimeError(\"bad cell, 'quoted' part\")"
+
+    def test_a_run_with_failures_loads_back_equal(self, tmp_path):
+        # the failures once stayed in task order (twoclouds first) while
+        # failures.csv listed them sorted, so they loaded back bayes first
+        config = tiny_config(datasets=(DatasetSpec(kind="twoclouds", n_pos=12, n_neg=12),
+                                       DatasetSpec(kind="bayes", n_pos=12, n_neg=12)),
+                             algorithms=("CSA",), costs=((1e-308, 1e-308),), rounds=24)
+        store = run_experiment(config)
+        assert [(f.dataset, f.fold) for f in store.failures] == [
+            (dataset, fold) for dataset in ("bayes", "twoclouds") for fold in "012"]
+        assert all("CSA votes overflow" in f.message for f in store.failures)
+        assert RunStore.load(store.save(tmp_path / "run")) == store
 
     def test_saving_a_clean_run_over_a_failed_one_drops_its_failures(self, tmp_path):
         # the failed run's failures.csv once stayed behind and loaded back
@@ -877,7 +911,7 @@ class TestEmitReport:
         rounds = {"0": [(1, 0.5, 0.9, 0.2, nan), (2, 0.5, 0.9, 0.2, 0.25)],
                   "1": [(1, 0.5, 0.9, 0.2, nan), (2, 0.5, 0.9, 0.2, nan)]}
         undefined = RunStore(records=store.records, traces={
-            ("bayes", "ADA", "1.0", "1.0", fold): rows for fold, rows in rounds.items()})
+            ("bayes", "ADA", 1.0, 1.0, fold): rows for fold, rows in rounds.items()})
         (path,) = emit_report(undefined, "ca_surface", tmp_path)
         # round 1 is NaN in both folds; round 2 averages only its defined fold
         assert path.read_text().splitlines()[1:] == ["bayes,ADA,1,1,2,0.25"]

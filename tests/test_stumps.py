@@ -138,6 +138,16 @@ class TestTrainStump:
             train_stump(np.array([[0.0], [1.0]]), np.array([-1, 1]),
                         np.array([np.nan, 1.0]))
 
+    @pytest.mark.parametrize("weights, multiplier, message", [
+        (np.full((2, 1), 0.5), None, "weights must be a nonempty 1-D array"),
+        (np.full(2, 0.5), np.array([-1.0, 1.0]), "multiplier must be nonnegative and finite"),
+        (np.full(2, 0.5), np.array([1.0, np.inf]), "multiplier must be nonnegative and finite"),
+        (np.full(2, 0.5), np.array([np.nan, 1.0]), "multiplier must be nonnegative and finite"),
+    ], ids=["2d-weights", "negative-multiplier", "infinite-multiplier", "nan-multiplier"])
+    def test_rejects_misshapen_weights_and_bad_multipliers(self, weights, multiplier, message):
+        with pytest.raises(ValueError, match=message):
+            train_stump(np.array([[0.0], [1.0]]), np.array([-1, 1]), weights, multiplier)
+
     @settings(max_examples=100, deadline=None)
     @given(
         n=st.integers(min_value=2, max_value=16),
@@ -331,8 +341,13 @@ class TestSortedColumns:
             with pytest.raises(ValueError):
                 _csa_select(columns, weights, CostPair(1, 3))
 
-    @pytest.mark.parametrize("defect", ["nan_feature", "labels_0_1", "labels_2_minus1"])
-    def test_train_stump_without_block_rejects_invalid_training_inputs(self, defect):
+    @pytest.mark.parametrize("defect, message", [
+        ("nan_feature", "features contain non-finite entries"),
+        ("labels_0_1", r"labels must be -1 or \+1"),
+        ("labels_2_minus1", r"labels must be -1 or \+1"),
+        ("short_labels", "labels must have one entry per sample"),
+    ], ids=["nan_feature", "labels_0_1", "labels_2_minus1", "short_labels"])
+    def test_train_stump_without_block_rejects_invalid_training_inputs(self, defect, message):
         rng = np.random.default_rng(5)
         features = rng.normal(size=(8, 2))
         labels = rng.choice([-1, 1], size=8)
@@ -340,11 +355,13 @@ class TestSortedColumns:
             features[3, 1] = np.nan
         elif defect == "labels_0_1":
             labels = np.where(labels > 0, 1, 0)
-        else:
+        elif defect == "labels_2_minus1":
             labels = np.where(labels > 0, 2, -1)
-        with pytest.raises(ValueError):
+        else:
+            labels = labels[:7]
+        with pytest.raises(ValueError, match=message):
             train_stump(features, labels, np.full(8, 1 / 8))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             sort_columns(features, labels)
 
 
