@@ -53,12 +53,11 @@ from .metrics import (
     nec,
     pcf,
 )
-from .stumps import ClassMasses, Stump, class_masses, stump_predict, train_stump
+from .stumps import Stump, class_masses, stump_predict, train_stump
 
 __all__ = [
     "ALGORITHM_IDS",
     "DEFAULT_COST_GRID",
-    "ClassMasses",
     "CloudGeometry",
     "ConfusionRates",
     "ConvergenceSettings",

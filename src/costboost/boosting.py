@@ -51,14 +51,14 @@ but training continues with the clamped value.
 
 import math
 import numbers
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .metrics import confusion_rates, classification_asymmetry, nec, pcf
-from .stumps import (ClassMasses, SortedColumns, Stump, _candidates, _cut_stump,
-                     candidate_thresholds, predict_matrix, sort_columns, train_stump)
+from .stumps import (SortedColumns, Stump, _candidates, _cut_stump, candidate_thresholds,
+                     predict_matrix, sort_columns, train_stump)
 
 __all__ = [
     "ALGORITHM_IDS",
@@ -332,10 +332,9 @@ def _csa_alpha_arrays(masses, costs: CostPair):
         # from the usual bracket [-1, 1] that takes log2(16 max(c)) halvings
         first = min(max(0, 4 + math.ceil(math.log2(max(c_p, c_n)))), _MAX_UPDATES)
         lo, hi, updates = _bisect(lo, hi, np.zeros(kept.size, dtype=int), first, masses, rates)
-        if kept.size > 1:
-            live = _can_still_win(lo, hi, masses, rates)
-            kept, lo, hi, updates, masses = (kept[live], lo[live], hi[live], updates[live],
-                                             masses[:, live])
+        live = _can_still_win(lo, hi, masses, rates)
+        kept, lo, hi, updates, masses = (kept[live], lo[live], hi[live], updates[live],
+                                         masses[:, live])
         lead, group = _distinct(masses)
         lo, hi, updates, masses = lo[lead], hi[lead], updates[lead], masses[:, lead]
         target = _newton_hint(lo, hi, masses, rates)
@@ -441,7 +440,9 @@ def _can_still_win(lo, hi, masses, rates) -> np.ndarray:
     c_neg), R = c max(|lo|, |hi|) and E = u (1 + R) (1 + c w) (f(lo) +
     f(hi)). Allowing each exp call 4 ulp (8u; numpy validates its
     float64 exp to 1 ulp), a term m exp(x c') carries (|x| c' + 9) u of
-    itself: the product x c', exp, the product with m. Hence:
+    itself: the product x c', exp, the product with m. f and f' take
+    their terms from ``_terms``, where a zero mass adds an exact 0, with
+    no rounding, whatever its exp. Hence:
     - f at an end is within (R + 12) u f and f' within (R + 13) u c f,
       as |f'| <= c f; over [lo, hi] a tangent built from the computed
       values is then off by at most 13 E.
@@ -460,7 +461,7 @@ def _can_still_win(lo, hi, masses, rates) -> np.ndarray:
     Candidates with a non-finite bound or an endpoint derivative of the
     wrong sign are kept.
     """
-    terms = masses[:, None] * np.exp(rates[:, None] * np.array((lo, hi)))
+    terms = _terms(masses[:, None], rates[:, None], np.array((lo, hi)))
     f_lo, f_hi = terms.sum(axis=0)
     g_lo, g_hi = (rates[:, None] * terms).sum(axis=0)
     c = rates.max()
@@ -474,23 +475,20 @@ def _can_still_win(lo, hi, masses, rates) -> np.ndarray:
     return ~dropped
 
 
-def solve_csa_alpha(masses: ClassMasses, costs: CostPair) -> float:
+def solve_csa_alpha(masses, costs: CostPair) -> float:
     """Vote weight minimizing the class-separated exponential loss.
 
-    Mass sides that sum to zero are floored at 1e-10 so the loss keeps a
-    finite minimizer. Equal costs reduce to the closed form
-    ln((b_p+b_n)/(d_p+d_n)) / (2c), evaluated with the scalar libm log.
-    Otherwise the masses are a batch of one for ``_csa_alpha_arrays``,
-    which prunes nothing there.
+    ``masses`` is one column [b_p, d_p, b_n, d_n] of the scan's class-mass
+    block, as ``class_masses`` returns it, or any four finite,
+    nonnegative numbers. It is the sweep's solve on a batch of one: the
+    sides are floored by ``_floor_mass_groups`` and ``_csa_alpha_arrays``
+    solves the column, with the closed form at equal costs, and prunes
+    nothing.
     """
-    block = np.array(astuple(masses), dtype=float)[:, None]
-    if not np.all(np.isfinite(block) & (block >= 0)):
-        raise ValueError("masses must be finite and nonnegative")
-    floored = _floor_mass_groups(block)
-    if costs.c_pos == costs.c_neg:
-        b_p, d_p, b_n, d_n = floored[:, 0]
-        return math.log(float(b_p + b_n) / float(d_p + d_n)) / (2.0 * costs.c_pos)
-    return float(_csa_alpha_arrays(floored, costs)[1][0])
+    column = np.asarray(masses, dtype=float)
+    if column.shape != (4,) or not np.all(np.isfinite(column) & (column >= 0)):
+        raise ValueError("masses must be four finite, nonnegative numbers")
+    return float(_csa_alpha_arrays(_floor_mass_groups(column[:, None]), costs)[1][0])
 
 
 def _csa_select(columns: SortedColumns, weights, costs: CostPair):

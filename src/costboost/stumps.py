@@ -28,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "Stump",
-    "ClassMasses",
     "SortedColumns",
     "sort_columns",
     "train_stump",
@@ -43,23 +42,6 @@ class Stump:
     feature_index: int
     threshold: float
     polarity: int  # +1 or -1
-
-
-@dataclass(frozen=True)
-class ClassMasses:
-    """Weight mass split by (class, correctness) for one stump.
-
-    b_p / d_p: correctly / incorrectly classified positive mass;
-    b_n / d_n: same for negatives. Sums to 1 for normalized weights.
-    """
-
-    b_p: float
-    d_p: float
-    b_n: float
-    d_n: float
-
-    def total(self) -> float:
-        return self.b_p + self.d_p + self.b_n + self.d_n
 
 
 def check_weights(weights) -> np.ndarray:
@@ -278,17 +260,16 @@ def predict_matrix(stump: Stump, features) -> np.ndarray:
     return np.where(column > stump.threshold, stump.polarity, -stump.polarity)
 
 
-def class_masses(stump: Stump, features, labels, weights) -> ClassMasses:
-    """Partition the weight mass of a stump by (class, correctness)."""
+def class_masses(stump: Stump, features, labels, weights) -> np.ndarray:
+    """The weight mass of a stump by (class, correctness), summed from its
+    per-sample predictions: the array [b_p, d_p, b_n, d_n] of correct and
+    wrong positive mass, then correct and wrong negative mass. For a
+    polarity +1 stump at a valid cut it is that cut's column of the
+    ``_candidates`` block, in the same row order."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
     weights = check_weights(weights)
-    pred = predict_matrix(stump, features)
-    correct = pred == labels
+    correct = predict_matrix(stump, features) == labels
     pos = labels > 0
-    return ClassMasses(
-        b_p=float(np.sum(weights[correct & pos])),
-        d_p=float(np.sum(weights[~correct & pos])),
-        b_n=float(np.sum(weights[correct & ~pos])),
-        d_n=float(np.sum(weights[~correct & ~pos])),
-    )
+    groups = (correct & pos, ~correct & pos, correct & ~pos, ~correct & ~pos)
+    return np.array([np.sum(weights[group]) for group in groups])

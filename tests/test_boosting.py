@@ -1,6 +1,5 @@
 import re
 import warnings
-from dataclasses import astuple
 from hashlib import sha256
 from unittest import mock
 
@@ -13,6 +12,7 @@ from costboost.boosting import (
     ALGORITHM_IDS,
     CostPair,
     _bisect,
+    _can_still_win,
     _csa_alpha_arrays,
     _csa_select,
     _descend,
@@ -30,8 +30,8 @@ from costboost.boosting import (
 )
 from costboost.datasets import gen_bayes, gen_two_clouds
 from costboost.metrics import pcf
-from costboost.stumps import (ClassMasses, Stump, _candidates, _cut_stump, predict_matrix,
-                              sort_columns, stump_predict, train_stump)
+from costboost.stumps import (Stump, _candidates, _cut_stump, predict_matrix, sort_columns,
+                              stump_predict, train_stump)
 
 ERR_FLOOR = 1e-10
 UNIT = CostPair(1, 1)
@@ -169,50 +169,46 @@ class TestBoostRound:
 
 class TestSolveCsaAlpha:
     def test_closed_form_equal_costs(self):
-        alpha = solve_csa_alpha(ClassMasses(0.4, 0.1, 0.4, 0.1), UNIT)
+        alpha = solve_csa_alpha((0.4, 0.1, 0.4, 0.1), UNIT)
         assert alpha == 0.5 * np.log(0.8 / 0.2)
 
     def test_symmetric_masses_give_zero(self):
-        assert solve_csa_alpha(ClassMasses(0.3, 0.3, 0.2, 0.2), UNIT) == 0.0
-        assert solve_csa_alpha(ClassMasses(0.3, 0.3, 0.2, 0.2), CostPair(1, 2)) == 0.0
+        assert solve_csa_alpha((0.3, 0.3, 0.2, 0.2), UNIT) == 0.0
+        assert solve_csa_alpha((0.3, 0.3, 0.2, 0.2), CostPair(1, 2)) == 0.0
 
     def test_matches_fine_grid_scan(self):
-        masses = ClassMasses(0.3, 0.2, 0.3, 0.2)
+        masses = (0.3, 0.2, 0.3, 0.2)
         costs = CostPair(1, 2)
         alpha = solve_csa_alpha(masses, costs)
         grid = np.arange(-10.0, 10.0, 1e-6)
-        losses = csa_loss(grid, np.array(astuple(masses)), costs)
+        losses = csa_loss(grid, masses, costs)
         assert abs(alpha - grid[int(np.argmin(losses))]) < 1e-6
 
     def test_stationarity_tolerance(self):
         def dloss(a, m, c):
-            return (c.c_pos * (m.d_p * np.exp(a * c.c_pos)
-                               - m.b_p * np.exp(-a * c.c_pos))
-                    + c.c_neg * (m.d_n * np.exp(a * c.c_neg)
-                                 - m.b_n * np.exp(-a * c.c_neg)))
+            b_p, d_p, b_n, d_n = m
+            return (c.c_pos * (d_p * np.exp(a * c.c_pos) - b_p * np.exp(-a * c.c_pos))
+                    + c.c_neg * (d_n * np.exp(a * c.c_neg) - b_n * np.exp(-a * c.c_neg)))
 
         rng = np.random.default_rng(17)
         for _ in range(300):
-            masses = ClassMasses(*rng.uniform(0.01, 1.0, size=4))
+            masses = rng.uniform(0.01, 1.0, size=4)
             costs = CostPair(*rng.uniform(0.5, 100.0, size=2))
             alpha = solve_csa_alpha(masses, costs)
-            assert abs(dloss(alpha, masses, costs)) < 1e-12 * csa_loss(
-                alpha, np.array(astuple(masses)), costs
-            )
+            assert abs(dloss(alpha, masses, costs)) < 1e-12 * csa_loss(alpha, masses, costs)
 
     def test_beats_random_probes(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
-            masses = ClassMasses(*rng.uniform(0.01, 1.0, size=4))
+            masses = rng.uniform(0.01, 1.0, size=4)
             costs = CostPair(*rng.uniform(0.5, 10.0, size=2))
             alpha = solve_csa_alpha(masses, costs)
-            block = np.array(astuple(masses))
-            value = csa_loss(alpha, block, costs)
+            value = csa_loss(alpha, masses, costs)
             probes = rng.uniform(-10, 10, size=1000)
-            assert value <= csa_loss(probes, block, costs).min() + 1e-12
+            assert value <= csa_loss(probes, masses, costs).min() + 1e-12
 
     def test_empty_sides_are_floored(self):
-        alpha = solve_csa_alpha(ClassMasses(0.5, 0.0, 0.5, 0.0), UNIT)
+        alpha = solve_csa_alpha((0.5, 0.0, 0.5, 0.0), UNIT)
         assert alpha == 0.5 * np.log(1.0 / 2e-10)
         # an exact-zero mass adds 0 where its exp overflows (alpha c > 709),
         # not 0 * inf = NaN
@@ -225,22 +221,41 @@ class TestSolveCsaAlpha:
     def test_largest_costs_solve(self, costs):
         # log2(16 max(c)) once overflowed here: every CSA cell at a cost
         # above about 1.1e307 failed with an OverflowError
-        masses = ClassMasses(0.4, 0.1, 0.3, 0.2)
-        expected = full_batch_alphas(*np.array(astuple(masses))[:, None], costs)[0][0]
+        masses = np.array((0.4, 0.1, 0.3, 0.2))
+        expected = full_batch_alphas(*masses[:, None], costs)[0][0]
         assert repr(solve_csa_alpha(masses, costs)) == repr(float(expected))
 
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError):
-            solve_csa_alpha(ClassMasses(-0.1, 0.4, 0.4, 0.3), UNIT)
+            solve_csa_alpha((-0.1, 0.4, 0.4, 0.3), UNIT)
 
     @pytest.mark.parametrize("costs", [UNIT, CostPair(1, 3)])
     @pytest.mark.parametrize("masses", [(np.nan, 0.2, 0.3, 0.1), (np.inf, 0.2, 0.3, 0.1),
-                                        (0.4, 0.2, 0.3, -np.inf), (0.4, np.nan, np.inf, 0.1)])
+                                        (0.4, 0.2, 0.3, -np.inf), (0.4, np.nan, np.inf, 0.1),
+                                        (0.4, 0.2, 0.3), (0.4, 0.2, 0.3, 0.1, 0.0),
+                                        np.full((4, 2), 0.25)])
     def test_rejects_non_finite_mass(self, masses, costs):
         # a NaN mass once came back as a finite alpha, an infinite one as
-        # the saturated bracket
+        # the saturated bracket; the masses are four numbers, no other shape
         with pytest.raises(ValueError, match="finite"):
-            solve_csa_alpha(ClassMasses(*masses), costs)
+            solve_csa_alpha(masses, costs)
+
+    @pytest.mark.parametrize("masses, costs", [
+        # the scalar closed form once took math.log, a last bit apart from
+        # the sweep's np.log here
+        ((0.6305477469033755, 0.28791769344669665, 0.23377711617344385, 0.6108475006128905),
+         UNIT),
+        ((0.4, 0.1, 0.3, 0.2), CostPair(1, 2)),
+        ((0.25, 0.25, 0.5, 0.0), CostPair(1, 2)),
+        ((0.4, 0.1, 0.3, 0.2), CostPair(1, 1e4)),
+        ((0.5, 0.0, 0.25, 0.25), CostPair(1, 1e4)),
+        ((0.4, 0.1, 0.3, 0.2), CostPair(1e45, 2e45)),
+        ((0.3, 0.3, 0.0, 1e-300), CostPair(1e45, 2e45)),
+    ])
+    def test_is_the_sweep_solve(self, masses, costs):
+        block = _floor_mass_groups(np.array(masses, dtype=float)[:, None])
+        expected = float(_csa_alpha_arrays(block, costs)[1][0])
+        assert repr(solve_csa_alpha(masses, costs)) == repr(expected)
 
 
 def full_batch_alphas(b_p, d_p, b_n, d_n, costs):
@@ -314,7 +329,7 @@ def tied_batch(costs):
     bound can part, and a batch of them with copies at twice that loss,
     which can be dropped. Its solve holds early stops, exactly zero
     derivatives and, at huge costs, stops at the 200-update cap."""
-    minima = [csa_loss(solve_csa_alpha(ClassMasses(*q), costs), q, costs) for q in QUADRUPLES]
+    minima = [csa_loss(solve_csa_alpha(q, costs), q, costs) for q in QUADRUPLES]
     best = QUADRUPLES / np.array(minima)[:, None]
     return best, np.concatenate([2.0 * best[:3], best, 2.0 * best[3:]])
 
@@ -347,7 +362,7 @@ class TestPrunedCsaSelection:
         n=st.integers(min_value=2, max_value=24),
         n_features=st.integers(min_value=1, max_value=5),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        costs=st.sampled_from([(1, 100), (50, 1), (1, 10), (3, 2)])
+        costs=st.sampled_from([(1, 100), (50, 1), (1, 10), (3, 2), (1, 1e4), (1e4, 1)])
         | st.tuples(st.floats(0.05, 200.0), st.floats(0.05, 200.0)),
         mass=st.sampled_from(["random", "no_positive", "no_negative", "one_sample"]),
         duplicate=st.booleans(),
@@ -378,7 +393,8 @@ class TestPrunedCsaSelection:
         assert stump == expected_stump
         assert repr(alpha) == repr(expected_alpha)
 
-    @pytest.mark.parametrize("costs", [CostPair(1, 100), CostPair(50, 1)])
+    @pytest.mark.parametrize("costs", [CostPair(1, 100), CostPair(50, 1), CostPair(1, 1e4),
+                                       CostPair(1e4, 1)])
     def test_full_size_bayes_rounds_match_full_batch(self, costs):
         # a pruning bound with a sign slip passed small sweeps but picked
         # another stump at round 9 here, at a 1.8e-5 relative loss gap
@@ -393,11 +409,20 @@ class TestPrunedCsaSelection:
             assert repr(result.alpha) == repr(expected_alpha), t
             weights = result.weights
 
+    def test_zero_mass_past_the_exp_range_bounds_by_zero(self):
+        # the second candidate's zero d_n mass meets exp(1e4 * 0.25) = inf at
+        # hi: as 0 * inf its bound was NaN, which kept the candidate
+        rates = _rates(CostPair(1, 1e4))[:, None]
+        masses = np.array([(0.49, 0.01, 0.5, 0.0), (0.1, 0.4, 0.5, 0.0)]).T
+        with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf, masked by _terms
+            live = _can_still_win(np.array((1.9, 0.0)), np.array((2.0, 0.25)), masses, rates)
+        assert live.tolist() == [True, False]
+
     @pytest.mark.parametrize("costs, capped", [(CostPair(1, 2), False),
                                                (CostPair(1e45, 2e45), True)])
     def test_batch_does_not_change_an_element(self, costs, capped):
         best, batch = tied_batch(costs)
-        alone = [solve_csa_alpha(ClassMasses(*q), costs) for q in batch]
+        alone = [solve_csa_alpha(q, costs) for q in batch]
 
         kept, alphas = _csa_alpha_arrays(batch.T, costs)
         assert set(range(3, 3 + len(best))) <= set(kept.tolist())
@@ -885,6 +910,21 @@ class TestTrainEnsemble:
                 )).encode())
         assert digest.hexdigest() == (
             "e74e9462b84815477367b7b90f2d13362c4d3055981a1ad7f0ad453573fad683"
+        )
+
+    def test_csa_at_extreme_ratios_matches_golden(self):
+        """CSA ensembles at cost ratios of 1e4 and 1e6, pinned byte for
+        byte: there the pruning bound meets exact-zero masses whose exp
+        overflows."""
+        digest = sha256()
+        for data in (gen_bayes(20, 20, seed=1), gen_two_clouds(20, 20, seed=1)):
+            for costs in (CostPair(1, 1e4), CostPair(1e4, 1), CostPair(1, 1e6)):
+                classifier, trace = train_ensemble("CSA", data.features, data.labels, costs,
+                                                   rounds=40)
+                digest.update(repr((classifier.stumps, classifier.alphas, trace.zs,
+                                    trace.train_nec, trace.train_ca)).encode())
+        assert digest.hexdigest() == (
+            "27e699c984c2896a6be6a3220363727afebcf4c7aca36376a245e45bb4f26bc6"
         )
 
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from costboost.boosting import CostPair, _csa_select
 from costboost.stumps import (
-    ClassMasses,
     Stump,
     _candidates,
     _cut_stump,
@@ -278,8 +277,7 @@ class TestSortedColumns:
             for j in range(columns.below.size):
                 masses = class_masses(_cut_stump(columns, columns.below[j], 1), features,
                                       labels, mass)
-                assert (masses.b_p, masses.d_p, masses.b_n, masses.d_n) == tuple(
-                    float(m[j]) for m in scan)
+                assert masses.tolist() == scan[:, j].tolist()
         for (weights, _), (stump, alpha) in zip(inputs[::2], picks):
             fresh_stump, fresh_alpha = _csa_select(sort_columns(features, labels), weights,
                                                    costs)
@@ -384,20 +382,21 @@ class TestStumpPredict:
         assert all(vector[i] == stump_predict(stump, features[i]) for i in range(15))
 
 
-class TestClassMasses:
+class TestClassMassColumn:
     def test_perfect_stump_all_positive(self):
         features = np.array([[1.0], [2.0]])
         labels = np.array([1, 1])
         masses = class_masses(Stump(0, 0.0, 1), features, labels, np.array([0.5, 0.5]))
-        assert masses == ClassMasses(b_p=1.0, d_p=0.0, b_n=0.0, d_n=0.0)
+        assert masses.tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_stump_wrong_everywhere_balanced(self):
         features = np.array([[1.0], [2.0], [-1.0], [-2.0]])
         labels = np.array([-1, -1, 1, 1])  # polarity +1 above 0 is always wrong
         masses = class_masses(Stump(0, 0.0, 1), features, labels, np.full(4, 0.25))
-        assert masses.d_p == pytest.approx(0.5)
-        assert masses.d_n == pytest.approx(0.5)
-        assert masses.b_p == masses.b_n == 0.0
+        b_p, d_p, b_n, d_n = masses
+        assert d_p == pytest.approx(0.5)
+        assert d_n == pytest.approx(0.5)
+        assert b_p == b_n == 0.0
 
     def test_matches_per_sample_loop(self):
         rng = np.random.default_rng(9)
@@ -408,14 +407,12 @@ class TestClassMasses:
         stump = Stump(1, 0.1, 1)
         masses = class_masses(stump, features, labels, weights)
 
-        expected = {"b_p": 0.0, "d_p": 0.0, "b_n": 0.0, "d_n": 0.0}
+        expected = [0.0] * 4  # b_p, d_p, b_n, d_n
         for i in range(10):
             pred = stump_predict(stump, features[i])
             correct = pred == labels[i]
-            key = ("b" if correct else "d") + ("_p" if labels[i] == 1 else "_n")
-            expected[key] += weights[i]
-        for key, value in expected.items():
-            assert getattr(masses, key) == pytest.approx(value, abs=1e-15)
+            expected[(0 if correct else 1) + (0 if labels[i] == 1 else 2)] += weights[i]
+        assert masses.tolist() == pytest.approx(expected, abs=1e-15)
 
     def test_total_is_one_for_normalized_weights(self):
         rng = np.random.default_rng(21)
@@ -424,7 +421,7 @@ class TestClassMasses:
         weights = rng.random(50)
         weights /= weights.sum()
         masses = class_masses(Stump(2, 0.0, -1), features, labels, weights)
-        assert masses.total() == pytest.approx(1.0, abs=1e-9)
+        assert masses.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestCandidateThresholds:
