@@ -630,8 +630,10 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int, *,
     ``columns.ensembles``, and a later call on the same ``columns`` with an
     equal key reads them back instead. The trace and ABT's threshold are
     derived from them at this call's costs either way.
-    An ensemble whose summed absolute vote weights leave the float range
-    raises ``ValueError``: its staged scores would overflow.
+    A training set of one class raises ``ValueError`` before the first
+    round, and so does an ensemble, after its rounds, whose summed
+    absolute vote weights leave the float range: its staged scores would
+    overflow.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -639,6 +641,10 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int, *,
         columns = sort_columns(features, labels)
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels).astype(int)
+    # the trace's rates need both classes: fail before any round trains
+    positive = labels > 0
+    if positive.all() or not positive.any():
+        raise ValueError("both classes must be present")
 
     rule = _rule(algorithm, labels, costs, rounds)
     cost_blind = _RULES[algorithm][1:] == _RULES["ADA"][1:]

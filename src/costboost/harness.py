@@ -29,7 +29,6 @@ import platform
 import shutil
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import chain
@@ -631,6 +630,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunStore:
     cells = [(algorithm, cost) for algorithm in config.algorithms for cost in costs]
     run = partial(_run_fold, cells=cells, convergence=config.convergence)
     if jobs > 1:
+        # imported here: the pool's import alone brings in multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run, tasks))
     else:

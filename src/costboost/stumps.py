@@ -16,7 +16,9 @@ it and returns its one ``SortedColumns`` handle, which holds the sorted
 block, the buffers its scans write and the ensembles trained on it.
 Every round's ``_scan`` sums the block with the round's weights, in
 those buffers, into the class mass below and above every cut of every
-column. ``train_stump`` scores that full table, its cuts between equal
+column: each column's two class lanes are summed as the two components
+of one complex cumulative sum, and one gather spreads the lane sums
+back to every cut. ``train_stump`` scores that full table, its cuts between equal
 values masked by the block's ``pad``; ``_candidates`` gathers the valid
 cuts into the (4, cuts) class-mass block, rows b_p, d_p, b_n, d_n, that
 CSA in ``boosting`` reads.
@@ -72,12 +74,13 @@ def _check_features_labels(features, labels):
 
 def _selection_mass(weights, multiplier, out) -> None:
     """Validate ``weights`` and ``multiplier`` (1 when omitted), one entry
-    per entry of ``out``, and write their product into ``out``."""
+    per entry of ``out``, and write their product into ``out``, a -0
+    product as +0 (-0 + 0 is +0)."""
     weights = check_weights(weights)
     if weights.shape != out.shape:
         raise ValueError("weights must have one entry per sample")
     if multiplier is None:
-        out[:] = weights
+        np.add(weights, 0.0, out=out)
         return
     multiplier = np.asarray(multiplier, dtype=float)
     if multiplier.shape != out.shape:
@@ -85,6 +88,7 @@ def _selection_mass(weights, multiplier, out) -> None:
     if np.any(multiplier < 0) or not np.all(np.isfinite(multiplier)):
         raise ValueError("multiplier must be nonnegative and finite")
     np.multiply(weights, multiplier, out=out)
+    np.add(out, 0.0, out=out)
 
 
 def candidate_thresholds(values) -> np.ndarray:
@@ -103,40 +107,61 @@ class SortedColumns:
     """One training set, built by ``sort_columns``: its columns sorted once,
     the buffers its scans write and the ensembles trained on it.
 
-    Row f of ``order`` is the stable sort order of feature column f and
-    row f of ``xs`` its sorted values; ``classes`` (2, features, samples)
-    marks the sorted samples of class +1 in row 0 and the others, the
-    negatives, in row 1. Cut b of a column splits its sorted values
-    between index b-1 and b (b = 0 lies below the minimum); a cut between
-    equal values, or above the maximum (b = n), is not a candidate.
-    ``below`` holds, for each valid cut in (feature, threshold) order, the
-    flat index f * (n + 1) + b into a (features, samples + 1) table of
-    the class mass below each cut; ``pad`` is that table with 0 at the
-    valid cuts and +inf elsewhere. These arrays are read-only.
+    Row f of ``xs`` holds the values of feature column f, sorted stably.
+    Cut b of a column splits them between index b-1 and b (b = 0 lies
+    below the minimum); a cut between equal values, or above the maximum
+    (b = n), is not a candidate. ``below`` holds, for each valid cut in
+    (feature, threshold) order, the flat index f * (n + 1) + b into a
+    (features, samples + 1) table of the class mass below each cut;
+    ``pad`` is that table with 0 at the valid cuts and +inf elsewhere.
 
-    The scan buffers are views of ``block``, one allocation. ``mass``
-    holds the selection masses and ``sides`` them in each column's
-    order, split by class. ``mass_below`` is the (2, features, samples +
-    1) class mass below each cut, row 0 positive, row 1 negative.
-    ``above`` is the mass above each cut that the stump of polarity (+1,
-    -1)[p] gets wrong, in row p: the negatives in row 0, the positives in
-    row 1. ``train_stump`` adds ``mass_below`` into it in place, giving
-    each cut's weighted error. ``masses`` is the (4, cuts) block
-    ``_candidates`` returns. A scan is done with ``sides`` once
-    ``mass_below`` is summed, so ``sides`` and ``above`` share one memory.
+    Each column is split by class into two lanes, m long, m the larger
+    class count: ``lanes`` (features, m, 2) lists the samples of class +1
+    in lane 0 and the others, the negatives, in lane 1, each in the
+    column's sorted order, the shorter lane padded with index n.
+    ``spread`` (2, features, samples + 1) holds, for every cut, the flat
+    index into the (features, m + 1, 2) lane sums of the positive (row
+    0) and the negative (row 1) mass below it. These arrays are read-only.
+
+    The scan buffers are views of ``block``, one allocation, every part
+    16-byte aligned. ``mass`` holds the selection masses and a 0 at index
+    n. ``sides`` (features, m, 2) holds them gathered into the lanes and
+    ``sums`` (features, m + 1, 2) each lane's running sums after a row of
+    0s, which every scan writes again. ``lane_sides`` and ``lane_sums``
+    are their complex views, ``lane_sums`` from row 1 on, so one complex
+    ``cumsum`` sums both lanes, a lane per component.
+    ``mass_below`` is the (2, features, samples + 1) class mass below each
+    cut, row 0 positive, row 1 negative, spread from ``sums``. ``above``
+    is the mass above each cut that the stump of polarity (+1, -1)[p]
+    gets wrong, in row p: the negatives in row 0, the positives in row 1.
+    ``train_stump`` adds ``mass_below`` into it in place, giving each
+    cut's weighted error. ``masses`` is the (4, cuts) block
+    ``_candidates`` returns. A scan is done with ``sides`` once ``sums``
+    is summed and with ``sums`` once ``mass_below`` is spread, so
+    ``sides`` shares the memory of ``mass_below`` and ``sums`` that of
+    ``above``.
+
+    The sums carry the bits of a per-class cumulative sum over each
+    whole sorted column, the other class's samples counted as 0: each
+    lane adds the same masses in the same order, and those zeros change
+    no sum, as x + 0 = x for every x >= +0 (the scan stores a -0 mass as
+    +0). Complex addition is the IEEE addition of each component.
 
     ``ensembles`` maps (initial-weight bytes, rounds) to the rounds of
     each cost-blind ensemble ``boosting.train_ensemble`` trained on this set.
     """
 
-    order: np.ndarray
     xs: np.ndarray
-    classes: np.ndarray
+    lanes: np.ndarray
+    spread: np.ndarray
     below: np.ndarray
     pad: np.ndarray
     block: np.ndarray
     mass: np.ndarray
     sides: np.ndarray
+    sums: np.ndarray
+    lane_sides: np.ndarray
+    lane_sums: np.ndarray
     mass_below: np.ndarray
     above: np.ndarray
     masses: np.ndarray
@@ -155,35 +180,52 @@ def sort_columns(features, labels) -> SortedColumns:
     xs = np.take_along_axis(features.T, order, axis=1)
     positive = (labels > 0)[order]
     f, n = xs.shape
+    p = int(np.count_nonzero(labels > 0))
+    m = max(p, n - p)
+    lanes = np.full((f, m, 2), n, dtype=np.intp)
+    lanes[:, :p, 0] = np.compress(positive.reshape(-1), order).reshape(f, p)
+    lanes[:, :n - p, 1] = np.compress(~positive.reshape(-1), order).reshape(f, n - p)
+    # cut b of column f has c positives below it and b - c negatives: its
+    # lane sums lie at flat index 2c and 2(b - c) + 1 past column f's start
+    spread = np.empty((2, f, n + 1), dtype=np.intp)
+    spread[0, :, 0] = 0
+    np.cumsum(positive, axis=1, out=spread[0, :, 1:])
+    np.left_shift(spread[0], 1, out=spread[0])
+    np.subtract(np.arange(1, 2 * n + 3, 2), spread[0], out=spread[1])
+    spread += np.arange(0, f * 2 * (m + 1), 2 * (m + 1))[:, None]
     valid = np.zeros((f, n + 1), dtype=bool)
     valid[:, 0] = True
     np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, 1:n])
     below = np.flatnonzero(valid)
-    sort = (order, xs, np.stack((positive, ~positive)), below, np.where(valid, 0.0, np.inf))
+    sort = (xs, lanes, spread, below, np.where(valid, 0.0, np.inf))
     for array in sort:
         array.setflags(write=False)
-    shapes = ((n,), (2, f, n + 1), (2, f, n + 1), (4, below.size))
+    # every part but the last has an even size, and the block is allocated
+    # as complex, so each part starts 16-byte aligned for a complex view
+    shapes = ((n + 1 + (n + 1) % 2,), (2, f, n + 1), (2, f, n + 1), (4, below.size))
     sizes = [int(np.prod(shape)) for shape in shapes]
-    block = np.empty(sum(sizes))
+    block = np.empty(sum(sizes) // 2, dtype=complex).view(float)
     mass, mass_below, above, masses = (part.reshape(shape) for part, shape
                                        in zip(np.split(block, np.cumsum(sizes)[:-1]), shapes))
-    mass_below[:, :, 0] = 0.0
-    return SortedColumns(*sort, block, mass, above.reshape(-1)[:2 * f * n].reshape(2, f, n),
-                         mass_below, above, masses, {})
+    mass[n:] = 0.0
+    sides = mass_below.reshape(-1)[:f * m * 2].reshape(f, m, 2)
+    sums = above.reshape(-1)[:f * (m + 1) * 2].reshape(f, m + 1, 2)
+    return SortedColumns(*sort, block, mass[:n + 1], sides, sums, sides.view(complex)[..., 0],
+                         sums[:, 1:].view(complex)[..., 0], mass_below, above, masses, {})
 
 
 def _scan(columns: SortedColumns, weights, multiplier=None):
     """Fill ``columns.mass_below`` and ``columns.above`` for the selection
     mass ``weights`` times ``multiplier`` (1 when omitted) and return them."""
-    _selection_mass(weights, multiplier, columns.mass)
+    mass, sums = columns.mass, columns.sums
+    _selection_mass(weights, multiplier, mass[:-1])
     # the indices are valid: "clip" spares the copy "raise" makes of ``out``
-    positives, negatives = columns.sides
-    np.take(columns.mass, columns.order, out=positives, mode="clip")
-    np.multiply(positives, columns.classes[1], out=negatives)
-    np.multiply(positives, columns.classes[0], out=positives)
+    np.take(mass, columns.lanes, out=columns.sides, mode="clip")
+    np.cumsum(columns.lane_sides, axis=1, out=columns.lane_sums)
+    sums[:, 0] = 0.0
     # column b holds the class mass below cut b; the last column the total
     below, above = columns.mass_below, columns.above
-    np.cumsum(columns.sides, axis=2, out=below[:, :, 1:])
+    np.take(sums, columns.spread, out=below, mode="clip")
     np.subtract(below[::-1, :, -1:], below[::-1], out=above)
     return below, above
 

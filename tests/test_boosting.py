@@ -771,6 +771,27 @@ class TestTrainEnsemble:
             assert [algorithm for algorithm, _ in calls] == ["AC2"] * rounds
             assert all(np.array_equal(seen, features) for _, seen in calls)
 
+    @pytest.mark.parametrize("algorithm", ["ADA", "CSA", "CGA"])
+    @pytest.mark.parametrize("label", [1, -1])
+    def test_one_class_set_fails_before_any_round(self, monkeypatch, algorithm, label):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return boost_round(*args, **kwargs)
+
+        monkeypatch.setattr(boosting, "boost_round", counted)
+        features, labels = fixed_instance(6, 2, seed=4)[0], np.full(6, label)
+        for columns in (None, sort_columns(features, labels)):
+            with pytest.raises(ValueError, match="both classes must be present"):
+                train_ensemble(algorithm, features, labels, CostPair(1, 3), 25, columns=columns)
+        assert calls == []
+        # a single round, and the stump search under it, take such a set
+        columns = sort_columns(features, labels)
+        boost_round(algorithm, np.full(6, 1 / 6), features, labels, CostPair(1, 3), 25,
+                    columns=columns)
+        _csa_select(columns, np.full(6, 1 / 6), CostPair(1, 3))
+
     @pytest.mark.parametrize("algorithm", ALGORITHM_IDS)
     @pytest.mark.parametrize("rounds", [1, 9])
     def test_builds_one_rule_per_ensemble(self, monkeypatch, algorithm, rounds):

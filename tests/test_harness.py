@@ -1,15 +1,21 @@
+import concurrent.futures
 import copy
 import dataclasses
 import gc
 import json
+import os
 import pickle
 import re
+import subprocess
+import sys
 import weakref
 from hashlib import sha256
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import costboost
 from costboost.boosting import (ALGORITHM_IDS, CostPair, adjust_threshold, decision_scores,
                                 train_ensemble)
 from costboost.datasets import gen_bayes, stratified_kfold
@@ -645,7 +651,6 @@ class TestRunExperiment:
         """``jobs > 1`` through an in-process pool that pickles each task and
         its result the way a worker process would receive and return them."""
         import costboost.boosting as boosting
-        import costboost.harness as harness
 
         tasks, calls = [], []
         boost_round = boosting.boost_round
@@ -680,13 +685,25 @@ class TestRunExperiment:
                              algorithms=("ADA", "ABT", "CGA"), costs=((1, 1), (2, 2)))
         alone = run_experiment(config)
         monkeypatch.setattr(boosting, "boost_round", counted)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         pooled = run_experiment(config, jobs=2)
         assert len(tasks) == 2 * 3  # datasets x folds
         # ADA, ABT and CGA at both equal costs share one ensemble per fold
         assert calls == ["ADA"] * 8 * len(tasks)
         assert not pooled.failures
         assert comparable(pooled) == comparable(alone)
+
+    def test_import_leaves_the_process_pool_out(self):
+        """Only a sweep on more than one worker imports the pool, and with
+        it ``multiprocessing``."""
+        src = str(Path(costboost.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, costboost; "
+                "print(sorted(m for m in sys.modules if 'multiprocessing' in m))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "[]\n"
 
     def test_rounds_default_is_dataset_size(self):
         config = tiny_config(rounds="dataset-size", costs=((1, 1),),

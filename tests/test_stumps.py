@@ -7,6 +7,7 @@ from costboost.stumps import (
     Stump,
     _candidates,
     _cut_stump,
+    _scan,
     candidate_thresholds,
     class_masses,
     predict_matrix,
@@ -36,6 +37,33 @@ def compacted_pick(columns, weights, multiplier=None):
     errs = np.stack((d_p + d_n, b_n + b_p), axis=1)
     j, minus = divmod(int(np.argmin(errs)), 2)
     return _cut_stump(columns, columns.below[j], -1 if minus else 1)
+
+
+def two_row_scan(columns, features, labels, mass):
+    """The class-mass tables as the scan summed them before its lanes: each
+    sorted column's masses times each class's mask, one float cumulative
+    sum along every column, then the total minus the mass below. Returns
+    ``mass_below``, ``above`` and the ``_candidates`` block."""
+    order = np.argsort(features.T, axis=1, kind="stable")
+    positive = (labels > 0)[order]
+    sides = mass[order] * np.stack((positive, ~positive))
+    f, n = order.shape
+    below = np.zeros((2, f, n + 1))
+    np.cumsum(sides, axis=2, out=below[:, :, 1:])
+    above = below[::-1, :, -1:] - below[::-1]
+    index = columns.below
+    masses = np.stack((above[1].reshape(-1)[index], *below.reshape(2, -1)[:, index],
+                       above[0].reshape(-1)[index]))
+    return below, above, masses
+
+
+def bounds(array):
+    """The byte range [lo, hi) that ``array`` spans."""
+    lo = hi = array.ctypes.data
+    for size, stride in zip(array.shape, array.strides):
+        lo += min((size - 1) * stride, 0)
+        hi += max((size - 1) * stride, 0)
+    return lo, hi + array.itemsize
 
 
 def oracle_error(features, labels, mass, stump):
@@ -242,6 +270,102 @@ class TestFullTablePick:
             columns.pad[0, 0] = 1.0
 
 
+class TestPairedLaneScan:
+    """The scan sums each class's lane of every column as one component of
+    a complex cumulative sum; the two-row scan is its bit-for-bit oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=20),
+        n_features=st.integers(min_value=1, max_value=5),
+        positives=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=10_000),
+        values=st.sampled_from(["normal", "few", "constant", "repeated"]),
+        weighting=st.sampled_from(["random", "zero", "sparse", "dyadic", "huge"]),
+        multiplied=st.booleans(),
+    )
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_matches_the_two_row_scan(self, n, n_features, positives, seed, values,
+                                      weighting, multiplied):
+        rng = np.random.default_rng(seed)
+        features = {
+            "normal": lambda: rng.normal(size=(n, n_features)),
+            "few": lambda: rng.integers(0, 3, size=(n, n_features)).astype(float),
+            "constant": lambda: np.full((n, n_features), 0.5),
+            "repeated": lambda: np.repeat(rng.normal(size=(n, 1)), n_features, axis=1),
+        }[values]()
+        # positives 0 and 1 are one-class sets; others unbalanced or not
+        labels = np.where(np.arange(n) < round(positives * n), 1, -1)
+        rng.shuffle(labels)
+        weights = {
+            "random": lambda: rng.random(n),
+            "zero": lambda: np.zeros(n),
+            "sparse": lambda: rng.random(n) * (rng.random(n) < 0.3),
+            "dyadic": lambda: rng.integers(0, 4, size=n) / 64.0,
+            "huge": lambda: np.full(n, 1e308),  # the sums overflow to inf
+        }[weighting]()
+        # at most 1, so every selection mass is finite (see the infinite case below)
+        multiplier = rng.integers(0, 5, size=n) / 4.0 if multiplied else None
+        columns = sort_columns(features, labels)
+        mass = weights if multiplier is None else weights * multiplier
+        expected = two_row_scan(columns, features, labels, mass)
+
+        scans = []
+        for _ in range(2):  # a reused handle scans as a fresh one does
+            masses = _candidates(columns, weights, multiplier)
+            scans.append([a.tobytes() for a in (columns.mass_below, columns.above, masses)])
+        assert scans[0] == scans[1] == [a.tobytes() for a in expected]
+
+    def test_writes_only_inside_its_block(self):
+        rng = np.random.default_rng(5)
+        features, labels = rng.normal(size=(9, 3)), np.array([1, -1, -1, 1, -1, -1, 1, -1, -1])
+        columns = sort_columns(features, labels)
+        lo, hi = bounds(columns.block)
+        # every other array of the handle is read-only or lies in the block
+        for name, value in vars(columns).items():
+            if isinstance(value, np.ndarray) and value.flags.writeable:
+                start, end = bounds(value)
+                assert lo <= start < end <= hi, name
+        weights, multiplier = rng.random(9), rng.random(9)
+        kept = weights.copy(), multiplier.copy()
+        for scan in (*_scan(columns, weights, multiplier),
+                     _candidates(columns, weights, multiplier)):
+            assert lo <= bounds(scan)[0] < bounds(scan)[1] <= hi
+        assert weights.tobytes() == kept[0].tobytes()
+        assert multiplier.tobytes() == kept[1].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8])
+    def test_complex_views_are_aligned(self, n):
+        labels = np.where(np.arange(n) % 3 == 0, 1, -1)
+        columns = sort_columns(np.arange(2.0 * n).reshape(n, 2), labels)
+        for view in (columns.lane_sides, columns.lane_sums):
+            assert view.dtype == complex
+            assert view.flags.aligned
+            assert view.ctypes.data % 16 == 0
+            assert np.shares_memory(view, columns.block)
+
+    def test_negative_zero_mass_scans_as_positive_zero(self):
+        features, labels = np.array([[0.0], [1.0], [2.0]]), np.array([-1, 1, 1])
+        weights = np.array([0.5, 0.0, 0.25])
+        for signed, multiplier in ((np.array([0.5, -0.0, 0.25]), None),
+                                   (weights, np.array([1.0, -0.0, 1.0]))):
+            expected = _candidates(sort_columns(features, labels), weights).copy()
+            assert _candidates(sort_columns(features, labels), signed,
+                               multiplier).tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_an_infinite_mass_stays_in_its_class(self):
+        # 1e308 * 4 overflows; the positives' sums never see that negative
+        features, labels = np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([-1, 1, -1, 1])
+        weights, multiplier = np.array([1e308, 0.25, 0.5, 0.125]), np.array([4.0, 1, 1, 1])
+        columns = sort_columns(features, labels)
+        below, _ = _scan(columns, weights, multiplier)
+        assert below[0, 0].tolist() == [0.0, 0.0, 0.25, 0.25, 0.375]
+        assert below[1, 0].tolist() == [0.0, np.inf, np.inf, np.inf, np.inf]
+
+
 class TestSortedColumns:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -316,7 +440,7 @@ class TestSortedColumns:
     def test_block_is_read_only(self):
         columns = sort_columns(np.array([[0.0], [1.0]]), np.array([-1, 1]))
         with pytest.raises(ValueError):
-            columns.order[0, 0] = 1
+            columns.lanes[0, 0, 0] = 1
 
     @pytest.mark.parametrize("defect", ["short_weights", "long_weights", "short_multiplier"])
     def test_rejects_inputs_of_another_sample_count(self, defect):
