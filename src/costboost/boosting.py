@@ -57,8 +57,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .metrics import confusion_rates, classification_asymmetry, nec, pcf
-from .stumps import (SortedColumns, Stump, _candidates, _cut_stump, candidate_thresholds,
-                     predict_matrix, sort_columns, train_stump)
+from .stumps import (SortedColumns, Stump, _class_block, _cut_stump, _memo, _selection_mass,
+                     candidate_thresholds, predict_matrix, sort_columns, train_stump)
 
 __all__ = [
     "ALGORITHM_IDS",
@@ -491,7 +491,7 @@ def solve_csa_alpha(masses, costs: CostPair) -> float:
     return float(_csa_alpha_arrays(_floor_mass_groups(column[:, None]), costs)[1][0])
 
 
-def _csa_select(columns: SortedColumns, weights, costs: CostPair):
+def _csa_select(columns: SortedColumns, weights, costs: CostPair, picks: dict | None = None):
     """Joint stump/alpha selection minimizing the per-round loss.
 
     The candidates are the cuts of ``train_stump``, with the class masses
@@ -505,9 +505,17 @@ def _csa_select(columns: SortedColumns, weights, costs: CostPair):
     weighted error, feature, threshold, polarity +1) -- the candidates
     come in (feature, threshold) order, so the first index among tied
     candidates realizes that hierarchy. ``columns`` is the training set's
-    handle, as in ``train_stump``.
+    handle and ``picks`` its memo, as in ``train_stump``; a pick is kept
+    under (c_pos, c_neg, the bytes of the selection mass).
     """
-    masses = _candidates(columns, weights)
+    mass = columns.mass[:-1]
+    _selection_mass(weights, None, mass)
+    return _memo(picks, (costs.c_pos, costs.c_neg, mass.tobytes()), _csa_pick, columns, costs)
+
+
+def _csa_pick(columns: SortedColumns, costs: CostPair):
+    """``_csa_select``'s (stump, alpha) for the selection mass in ``columns.mass``."""
+    masses = _class_block(columns)
     floored = _floor_mass_groups(masses)
     kept, alphas = _csa_alpha_arrays(floored, costs)
     losses = csa_loss(alphas, floored[:, kept], costs)
@@ -522,7 +530,8 @@ def _csa_select(columns: SortedColumns, weights, costs: CostPair):
 
 
 def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rounds,
-                *, columns: SortedColumns | None = None, rule: _Rule | None = None) -> RoundResult:
+                *, columns: SortedColumns | None = None, rule: _Rule | None = None,
+                picks: dict | None = None) -> RoundResult:
     """One boosting round of the requested algorithm.
 
     Takes the sample weights (nonnegative, one per sample, with a positive
@@ -533,6 +542,9 @@ def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rou
     variant's terms of the module docstring's table, is ``_rule(algorithm,
     labels, costs, total_rounds)`` and ``columns`` is
     ``sort_columns(features, labels)``, each built here when omitted.
+    ``picks`` goes to the stump pick (``train_stump``, or CSA's
+    ``_csa_select``), which reuses a pick kept there for the same
+    selection mass instead of scanning; omitted, every round scans.
     """
     if total_rounds < 1:
         raise ValueError("total_rounds must be >= 1")
@@ -551,9 +563,9 @@ def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rou
         w = scaled / scaled.sum()
 
     if rule.alpha == "loss":
-        stump, alpha = _csa_select(columns, w, costs)
+        stump, alpha = _csa_select(columns, w, costs, picks)
     else:
-        stump = train_stump(features, labels, w, rule.select, columns=columns)
+        stump = train_stump(features, labels, w, rule.select, columns=columns, picks=picks)
     pred = predict_matrix(stump, features)
     wrong = pred != labels
     agreement = labels * pred  # +1 correct, -1 wrong
@@ -630,6 +642,14 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int, *,
     ``columns.ensembles``, and a later call on the same ``columns`` with an
     equal key reads them back instead. The trace and ABT's threshold are
     derived from them at this call's costs either way.
+
+    Every round still runs, but its stump pick is memoized by the bytes
+    of its selection mass (``train_stump``'s ``picks``) in one dict per
+    ensemble, which holds at most ``rounds`` new keys and lives as long
+    as the call. It starts from ``columns.picks``, the first-round picks
+    of the earlier ensembles on ``columns``, and adds its own first-round
+    pick there: the first selection mass is the initial weights (times
+    the multiplier), which many cells of a sweep share.
     A training set of one class raises ``ValueError`` before the first
     round, and so does an ensemble, after its rounds, whose summed
     absolute vote weights leave the float range: its staged scores would
@@ -651,12 +671,14 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int, *,
     key = (rule.init.tobytes(), rounds) if cost_blind else None
     kept = columns.ensembles.get(key)  # None is never a key
     if kept is None:
-        weights, trained = rule.init, []
+        weights, trained, picks = rule.init, [], dict(columns.picks)
         for _ in range(rounds):
             result = boost_round(algorithm, weights, features, labels, costs, rounds,
-                                 columns=columns, rule=rule)
+                                 columns=columns, rule=rule, picks=picks)
             weights = result.weights
             trained.append((result.stump, result.alpha, result.z, result.degenerate))
+            if len(trained) == 1:  # the first round's pick, where it was new
+                columns.picks.update(picks)
         kept = tuple(zip(*trained))  # stumps, alphas, zs, degenerate flags
         if key is not None:
             columns.ensembles[key] = kept

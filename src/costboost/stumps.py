@@ -14,14 +14,17 @@ feature index, then lowest threshold, then polarity +1.
 The columns are sorted once per training set: ``sort_columns`` validates
 it and returns its one ``SortedColumns`` handle, which holds the sorted
 block, the buffers its scans write and the ensembles trained on it.
-Every round's ``_scan`` sums the block with the round's weights, in
-those buffers, into the class mass below and above every cut of every
-column: each column's two class lanes are summed as the two components
-of one complex cumulative sum, and one gather spreads the lane sums
-back to every cut. ``train_stump`` scores that full table, its cuts between equal
-values masked by the block's ``pad``; ``_candidates`` gathers the valid
-cuts into the (4, cuts) class-mass block, rows b_p, d_p, b_n, d_n, that
-CSA in ``boosting`` reads.
+Every round writes its selection mass into those buffers, and ``_sum``
+sums the block with it into the class mass below and above every cut of
+every column: each column's two class lanes are summed as the two
+components of one complex cumulative sum, and one gather spreads the
+lane sums back to every cut. ``train_stump`` scores that full table, its
+cuts between equal values masked by the block's ``pad``;
+``_class_block`` gathers the valid cuts into the (4, cuts) class-mass
+block, rows b_p, d_p, b_n, d_n, that CSA in ``boosting`` reads. A pick
+depends only on the handle and the mass's bytes, so a mass already
+scanned in the same ensemble, or in the first round of an earlier one,
+is not summed again (``train_stump``'s ``picks``).
 """
 
 from dataclasses import dataclass
@@ -51,6 +54,10 @@ def check_weights(weights) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.size == 0:
         raise ValueError("weights must be a nonempty 1-D array")
+    # one pass each, and NaN fails both; only a failure runs the checks
+    # below, which name the fault
+    if np.minimum.reduce(weights) >= 0 and np.maximum.reduce(weights) < np.inf:
+        return weights
     if not np.all(np.isfinite(weights)):
         raise ValueError("weights contain non-finite entries")
     if np.any(weights < 0):
@@ -149,6 +156,9 @@ class SortedColumns:
 
     ``ensembles`` maps (initial-weight bytes, rounds) to the rounds of
     each cost-blind ensemble ``boosting.train_ensemble`` trained on this set.
+    ``picks`` holds the first-round picks of the ensembles trained on it,
+    keyed as ``train_stump``'s ``picks`` (CSA's as ``boosting._csa_select``'s):
+    at most one entry per ensemble, which seeds the next one's.
     """
 
     xs: np.ndarray
@@ -166,6 +176,7 @@ class SortedColumns:
     above: np.ndarray
     masses: np.ndarray
     ensembles: dict
+    picks: dict
 
     @property
     def n_samples(self) -> int:
@@ -211,16 +222,22 @@ def sort_columns(features, labels) -> SortedColumns:
     sides = mass_below.reshape(-1)[:f * m * 2].reshape(f, m, 2)
     sums = above.reshape(-1)[:f * (m + 1) * 2].reshape(f, m + 1, 2)
     return SortedColumns(*sort, block, mass[:n + 1], sides, sums, sides.view(complex)[..., 0],
-                         sums[:, 1:].view(complex)[..., 0], mass_below, above, masses, {})
+                         sums[:, 1:].view(complex)[..., 0], mass_below, above, masses, {}, {})
 
 
 def _scan(columns: SortedColumns, weights, multiplier=None):
+    """Write the selection mass ``weights`` times ``multiplier`` (1 when
+    omitted) into ``columns.mass`` and ``_sum`` it."""
+    _selection_mass(weights, multiplier, columns.mass[:-1])
+    return _sum(columns)
+
+
+def _sum(columns: SortedColumns):
     """Fill ``columns.mass_below`` and ``columns.above`` for the selection
-    mass ``weights`` times ``multiplier`` (1 when omitted) and return them."""
-    mass, sums = columns.mass, columns.sums
-    _selection_mass(weights, multiplier, mass[:-1])
+    mass in ``columns.mass`` and return them."""
+    sums = columns.sums
     # the indices are valid: "clip" spares the copy "raise" makes of ``out``
-    np.take(mass, columns.lanes, out=columns.sides, mode="clip")
+    np.take(columns.mass, columns.lanes, out=columns.sides, mode="clip")
     np.cumsum(columns.lane_sides, axis=1, out=columns.lane_sums)
     sums[:, 0] = 0.0
     # column b holds the class mass below cut b; the last column the total
@@ -239,13 +256,30 @@ def _candidates(columns: SortedColumns, weights, multiplier=None):
     positives at or below the cut and the negatives above; -1 swaps b, d.
     The block lives in ``columns`` until its next scan.
     """
-    below, above = _scan(columns, weights, multiplier)
+    _selection_mass(weights, multiplier, columns.mass[:-1])
+    return _class_block(columns)
+
+
+def _class_block(columns: SortedColumns):
+    """The ``_candidates`` block of the selection mass in ``columns.mass``."""
+    below, above = _sum(columns)
     index, masses = columns.below, columns.masses
     # rows d_p and b_n lie below the cut, b_p and d_n above it
     np.take(below.reshape(2, -1), index, axis=1, out=masses[1:3], mode="clip")
     np.take(above[1].reshape(-1), index, out=masses[0], mode="clip")
     np.take(above[0].reshape(-1), index, out=masses[3], mode="clip")
     return masses
+
+
+def _memo(picks, key, pick, *args):
+    """``pick(*args)``, or what it returned for ``key`` before: the dict
+    ``picks`` keeps every result under its key, and None keeps none."""
+    if picks is None:
+        return pick(*args)
+    found = picks.get(key)
+    if found is None:
+        found = picks[key] = pick(*args)
+    return found
 
 
 def _cut_stump(columns: SortedColumns, index, polarity) -> Stump:
@@ -264,7 +298,7 @@ def _cut_stump(columns: SortedColumns, index, polarity) -> Stump:
 
 
 def train_stump(features, labels, weights, per_sample_multiplier=None, *,
-                columns: SortedColumns | None = None) -> Stump:
+                columns: SortedColumns | None = None, picks: dict | None = None) -> Stump:
     """Exhaustively select the stump minimizing the weighted error.
 
     The objective is sum_i m_i * w_i * [h(x_i) != y_i] with m_i given by
@@ -273,10 +307,23 @@ def train_stump(features, labels, weights, per_sample_multiplier=None, *,
     from per-feature cumulative sums; deterministic for fixed inputs.
     ``columns`` is ``sort_columns(features, labels)``, built here when
     omitted.
+
+    The pick depends on ``columns`` and the selection mass alone.
+    ``picks``, a dict that belongs to ``columns``, maps the bytes of each
+    mass scanned with it to its stump: the mass is validated and written
+    into ``columns.mass`` every call, and only a mass not found there is
+    scanned, its stump added. Without ``picks`` every call scans.
     """
     if columns is None:
         columns = sort_columns(features, labels)
-    below, errs = _scan(columns, weights, per_sample_multiplier)
+    mass = columns.mass[:-1]
+    _selection_mass(weights, per_sample_multiplier, mass)
+    return _memo(picks, mass.tobytes(), _least_error, columns)
+
+
+def _least_error(columns: SortedColumns) -> Stump:
+    """The stump of least weighted error for the selection mass in ``columns.mass``."""
+    below, errs = _sum(columns)
     # row p: the error of polarity (+1, -1)[p] at every cut, +inf where
     # the cut is no candidate; the pad goes first, so no sum at such a cut
     # can overflow where no valid cut's sum does

@@ -949,6 +949,165 @@ class TestTrainEnsemble:
         )
 
 
+@st.composite
+def small_training_sets(draw):
+    """At most 14 rows and 3 columns, both classes present; each column
+    normal, separable by class, constant, or drawn from three values."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    kinds = draw(st.lists(st.sampled_from(["normal", "separable", "constant", "duplicate"]),
+                          min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    labels = rng.choice([-1, 1], size=n)
+    labels[:2] = (1, -1)
+    make = {"normal": lambda: rng.normal(size=n),
+            "separable": lambda: labels * (1.0 + rng.random(n)),
+            "constant": lambda: np.full(n, 2.5),
+            "duplicate": lambda: rng.integers(0, 3, size=n).astype(float)}
+    return np.column_stack([make[kind]() for kind in kinds]), labels
+
+
+log_uniform_costs = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).map(
+    lambda exponents: CostPair(10.0 ** exponents[0], 10.0 ** exponents[1]))
+
+
+def chained_rounds(algorithm, features, labels, costs, rounds, picks):
+    """``train_ensemble``'s loop over ``boost_round``, every round's result
+    kept; a ``ValueError`` comes back as its message."""
+    columns = sort_columns(features, labels)
+    rule = _rule(algorithm, labels, costs, rounds)
+    weights, results = rule.init, []
+    try:
+        for _ in range(rounds):
+            result = boost_round(algorithm, weights, features, labels, costs, rounds,
+                                 columns=columns, rule=rule, picks=picks)
+            weights = result.weights
+            results.append(result)
+    except ValueError as error:
+        return str(error)
+    return results
+
+
+def round_bytes(stump, alpha, z, degenerate, weights=None):
+    """One round as bytes: -0.0 and 0.0, or two NaNs, do not compare equal."""
+    floats = np.array([stump.threshold, alpha, z], dtype=float).tobytes()
+    return (stump.feature_index, stump.polarity, floats, degenerate,
+            None if weights is None else weights.tobytes())
+
+
+def ensemble_bytes(algorithm, features, labels, costs, rounds, columns):
+    """What ``train_ensemble`` returns, as bytes, or its ``ValueError``'s message."""
+    try:
+        classifier, trace = train_ensemble(algorithm, features, labels, costs, rounds,
+                                           columns=columns)
+    except ValueError as error:
+        return str(error)
+    arrays = (classifier.alphas, [s.threshold for s in classifier.stumps], trace.zs,
+              trace.train_nec, trace.train_ca, [classifier.decision_threshold])
+    return ([(s.feature_index, s.polarity) for s in classifier.stumps],
+            [np.array(a, dtype=float).tobytes() for a in arrays], trace.degenerate_rounds)
+
+
+class TestPickMemo:
+    """Stump picks memoized by the bytes of their selection mass: inside an
+    ensemble, and across ensembles through their first rounds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=small_training_sets(), costs=log_uniform_costs,
+           rounds=st.integers(min_value=1, max_value=8))
+    def test_memo_keeps_every_round_of_every_variant(self, data, costs, rounds):
+        features, labels = data
+        for algorithm in ALGORITHM_IDS:
+            plain = chained_rounds(algorithm, features, labels, costs, rounds, None)
+            memo = chained_rounds(algorithm, features, labels, costs, rounds, {})
+            if isinstance(plain, str):
+                assert memo == plain
+                assert ensemble_bytes(algorithm, features, labels, costs, rounds, None) == plain
+                continue
+            assert ([round_bytes(r.stump, r.alpha, r.z, r.degenerate, r.weights) for r in memo]
+                    == [round_bytes(r.stump, r.alpha, r.z, r.degenerate, r.weights)
+                        for r in plain])
+            classifier, trace = train_ensemble(algorithm, features, labels, costs, rounds)
+            flags = [t in trace.degenerate_rounds for t in range(1, rounds + 1)]
+            assert ([round_bytes(*row) for row in zip(classifier.stumps, classifier.alphas,
+                                                       trace.zs, flags)]
+                    == [round_bytes(r.stump, r.alpha, r.z, r.degenerate) for r in plain])
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=small_training_sets(),
+           pool=st.lists(log_uniform_costs, min_size=1, max_size=2),
+           cells=st.lists(st.tuples(st.sampled_from(ALGORITHM_IDS), st.integers(0, 2)),
+                          min_size=1, max_size=10),
+           rounds=st.integers(min_value=1, max_value=6))
+    def test_a_shared_handle_trains_every_cell_as_a_fresh_one(self, data, pool, cells, rounds):
+        features, labels = data
+        pool = [*pool, UNIT]  # cells draw from a few costs, so they share first rounds
+        columns = sort_columns(features, labels)
+        for count, (algorithm, index) in enumerate(cells, start=1):
+            costs = pool[min(index, len(pool) - 1)]
+            assert (ensemble_bytes(algorithm, features, labels, costs, rounds, columns)
+                    == ensemble_bytes(algorithm, features, labels, costs, rounds, None))
+            assert len(columns.picks) <= count
+
+    def scans(self, monkeypatch):
+        """The calls into the sum kernel, one per stump scan or CSA solve."""
+        import costboost.stumps as stumps
+
+        calls, total = [], stumps._sum
+
+        def counted(columns):
+            calls.append(1)
+            return total(columns)
+
+        monkeypatch.setattr(stumps, "_sum", counted)
+        return calls
+
+    def test_weights_that_stop_moving_are_scanned_once(self, monkeypatch):
+        # CB0's step-0 update leaves the weights as they are once its stump
+        # makes no mistake, so later rounds repeat a mass already scanned
+        calls = self.scans(monkeypatch)
+        features, labels = fixed_instance(20, 3, seed=8)
+        expected = [round_bytes(r.stump, r.alpha, r.z, r.degenerate, r.weights) for r in
+                    chained_rounds("CB0", features, labels, CostPair(1, 3), 4, None)]
+        assert len(calls) == 4
+        calls.clear()
+        classifier, trace = train_ensemble("CB0", features, labels, CostPair(1, 3), 4)
+        assert len(calls) < 4
+        flags = [t in trace.degenerate_rounds for t in range(1, 5)]
+        assert ([round_bytes(*row) for row in zip(classifier.stumps, classifier.alphas,
+                                                   trace.zs, flags)]
+                == [row[:4] + (None,) for row in expected])
+
+    def test_a_first_round_another_ensemble_scanned_is_not_scanned_again(self, monkeypatch):
+        calls = self.scans(monkeypatch)
+        features, labels = fixed_instance(20, 3, seed=8)
+        columns = sort_columns(features, labels)
+        train_ensemble("ADA", features, labels, CostPair(1, 3), 4, columns=columns)
+        assert len(calls) == 4
+        calls.clear()
+        # ADC selects on the weights alone, and starts from ADA's uniform ones
+        alone = repr(train_ensemble("ADC", features, labels, CostPair(1, 3), 1))
+        assert len(calls) == 1
+        calls.clear()
+        shared = repr(train_ensemble("ADC", features, labels, CostPair(1, 3), 1,
+                                     columns=columns))
+        assert calls == []
+        assert shared == alone
+
+    def test_the_handle_keeps_at_most_one_pick_per_ensemble(self):
+        features, labels = fixed_instance(20, 3, seed=8)
+        columns = sort_columns(features, labels)
+        trained = 0
+        for costs in (CostPair(1, 3), UNIT, CostPair(3, 1)):
+            for algorithm in ALGORITHM_IDS:
+                train_ensemble(algorithm, features, labels, costs, 6, columns=columns)
+                trained += 1
+                assert len(columns.picks) <= trained
+        # the first rounds repeat: uniform weights at every cost, AC2 and
+        # AC1 on the same selection mass at a cost pair, CSA at unit costs
+        # on ADA's uniform mass but under its own key
+        assert len(columns.picks) < trained
+
+
 class TestPredictEnsemble:
     """The vote of a trained ensemble, through ``decision_scores``."""
 

@@ -9,6 +9,7 @@ from costboost.stumps import (
     _cut_stump,
     _scan,
     candidate_thresholds,
+    check_weights,
     class_masses,
     predict_matrix,
     sort_columns,
@@ -164,6 +165,22 @@ class TestTrainStump:
         with pytest.raises(ValueError):
             train_stump(np.array([[0.0], [1.0]]), np.array([-1, 1]),
                         np.array([np.nan, 1.0]))
+
+    @pytest.mark.parametrize("weights, message", [
+        ([np.nan, -1.0], "weights contain non-finite entries"),
+        ([-1.0, np.nan], "weights contain non-finite entries"),
+        ([np.inf, 1.0], "weights contain non-finite entries"),
+        ([1.0, -np.inf], "weights contain non-finite entries"),
+        ([1.0, -1e-300], "weights must be nonnegative"),
+    ], ids=["nan-then-negative", "negative-then-nan", "inf", "minus-inf", "negative"])
+    def test_names_the_first_fault_of_the_weights(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            check_weights(weights)
+
+    def test_accepts_zero_and_negative_zero_weights(self):
+        weights = check_weights([0, -0.0, 2])
+        assert weights.dtype == float
+        assert weights.tobytes() == np.array([0.0, -0.0, 2.0]).tobytes()
 
     @pytest.mark.parametrize("weights, multiplier, message", [
         (np.full((2, 1), 0.5), None, "weights must be a nonempty 1-D array"),
@@ -436,6 +453,50 @@ class TestSortedColumns:
                                                    costs)
             assert stump == fresh_stump
             assert repr(alpha) == repr(fresh_alpha)
+
+    @pytest.mark.parametrize("weights", [[np.nan, 0.5, 0.5, 0.0], [-0.25, 0.75, 0.5, 0.0],
+                                         [np.inf, 0.0, 0.0, 0.0]],
+                             ids=["nan", "negative", "inf"])
+    def test_bad_weights_raise_where_their_bytes_are_a_kept_pick(self, weights):
+        features = np.array([[0.0], [1.0], [2.0], [3.0]])
+        labels = np.array([-1, 1, -1, 1])
+        columns = sort_columns(features, labels)
+        weights = np.array(weights)
+        planted = Stump(feature_index=0, threshold=0.5, polarity=1)
+        picks = {weights.tobytes(): planted, (1.0, 3.0, weights.tobytes()): (planted, 1.0)}
+        with pytest.raises(ValueError):
+            train_stump(features, labels, weights, columns=columns, picks=picks)
+        with pytest.raises(ValueError):
+            _csa_select(columns, weights, CostPair(1, 3), picks)
+
+    def test_a_kept_pick_is_returned_without_a_scan(self, monkeypatch):
+        import costboost.stumps as stumps
+
+        features = np.array([[0.0, 3.0], [1.0, 1.0], [2.0, 2.0], [3.0, 0.0]])
+        labels = np.array([-1, 1, -1, 1])
+        columns = sort_columns(features, labels)
+        weights, multiplier = np.array([0.0, 0.25, 0.25, 0.5]), np.array([1.0, 2.0, 1.0, 2.0])
+        picks = {}
+        stump = train_stump(features, labels, weights, multiplier, columns=columns, picks=picks)
+        pick = _csa_select(columns, weights, CostPair(1, 3), picks)
+        # the keys are the bytes of the selection mass, with the costs for CSA
+        assert picks == {(weights * multiplier).tobytes(): stump,
+                         (1.0, 3.0, weights.tobytes()): pick}
+
+        def unreachable(columns):
+            raise AssertionError("scanned again")
+
+        monkeypatch.setattr(stumps, "_sum", unreachable)
+        assert train_stump(features, labels, weights * 2.0, multiplier / 2.0, columns=columns,
+                           picks=picks) is stump
+        assert _csa_select(columns, weights, CostPair(1.0, 3.0), picks) is pick
+        # -0 scans as +0, so it finds the +0 mass's pick; other costs do not
+        signed = np.array([-0.0, 0.25, 0.25, 0.5])
+        assert _csa_select(columns, signed, CostPair(1, 3), picks) is pick
+        assert train_stump(features, labels, signed, multiplier, columns=columns,
+                           picks=picks) is stump
+        with pytest.raises(AssertionError, match="scanned again"):
+            _csa_select(columns, weights, CostPair(3, 1), picks)
 
     def test_block_is_read_only(self):
         columns = sort_columns(np.array([[0.0], [1.0]]), np.array([-1, 1]))
