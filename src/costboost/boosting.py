@@ -491,7 +491,7 @@ def solve_csa_alpha(masses, costs: CostPair) -> float:
     return float(_csa_alpha_arrays(_floor_mass_groups(column[:, None]), costs)[1][0])
 
 
-def _csa_select(columns: SortedColumns, weights, costs: CostPair, picks: dict | None = None):
+def _csa_select(columns: SortedColumns, weights, costs: CostPair):
     """Joint stump/alpha selection minimizing the per-round loss.
 
     The candidates are the cuts of ``train_stump``, with the class masses
@@ -505,12 +505,12 @@ def _csa_select(columns: SortedColumns, weights, costs: CostPair, picks: dict | 
     weighted error, feature, threshold, polarity +1) -- the candidates
     come in (feature, threshold) order, so the first index among tied
     candidates realizes that hierarchy. ``columns`` is the training set's
-    handle and ``picks`` its memo, as in ``train_stump``; a pick is kept
-    under (c_pos, c_neg, the bytes of the selection mass).
+    handle, whose ``picks`` keeps each pick, as in ``train_stump``, under
+    (c_pos, c_neg, the bytes of the selection mass).
     """
     mass = columns.mass[:-1]
     _selection_mass(weights, None, mass)
-    return _memo(picks, (costs.c_pos, costs.c_neg, mass.tobytes()), _csa_pick, columns, costs)
+    return _memo(columns, (costs.c_pos, costs.c_neg, mass.tobytes()), _csa_pick, costs)
 
 
 def _csa_pick(columns: SortedColumns, costs: CostPair):
@@ -529,9 +529,8 @@ def _csa_pick(columns: SortedColumns, costs: CostPair):
     return _cut_stump(columns, columns.below[kept[j]], polarity), alpha
 
 
-def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rounds,
-                *, columns: SortedColumns | None = None, rule: _Rule | None = None,
-                picks: dict | None = None) -> RoundResult:
+def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rounds, *,
+                columns: SortedColumns | None = None, rule: _Rule | None = None) -> RoundResult:
     """One boosting round of the requested algorithm.
 
     Takes the sample weights (nonnegative, one per sample, with a positive
@@ -542,16 +541,16 @@ def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rou
     variant's terms of the module docstring's table, is ``_rule(algorithm,
     labels, costs, total_rounds)`` and ``columns`` is
     ``sort_columns(features, labels)``, each built here when omitted.
-    ``picks`` goes to the stump pick (``train_stump``, or CSA's
-    ``_csa_select``), which reuses a pick kept there for the same
-    selection mass instead of scanning; omitted, every round scans.
+    The stump pick (``train_stump``, or CSA's ``_csa_select``) reuses a
+    pick ``columns.picks`` keeps for the same selection mass instead of
+    scanning, and keeps a new one there.
     """
     if total_rounds < 1:
         raise ValueError("total_rounds must be >= 1")
     if columns is None:
         columns = sort_columns(features, labels)
     features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels).astype(int)
+    labels = np.asarray(labels, dtype=int)
     if rule is None:
         rule = _rule(algorithm, labels, costs, total_rounds)
     # every entry and the length are checked by the stump scan
@@ -563,9 +562,9 @@ def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rou
         w = scaled / scaled.sum()
 
     if rule.alpha == "loss":
-        stump, alpha = _csa_select(columns, w, costs, picks)
+        stump, alpha = _csa_select(columns, w, costs)
     else:
-        stump = train_stump(features, labels, w, rule.select, columns=columns, picks=picks)
+        stump = train_stump(features, labels, w, rule.select, columns=columns)
     pred = predict_matrix(stump, features)
     wrong = pred != labels
     agreement = labels * pred  # +1 correct, -1 wrong
@@ -643,13 +642,11 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int, *,
     equal key reads them back instead. The trace and ABT's threshold are
     derived from them at this call's costs either way.
 
-    Every round still runs, but its stump pick is memoized by the bytes
-    of its selection mass (``train_stump``'s ``picks``) in one dict per
-    ensemble, which holds at most ``rounds`` new keys and lives as long
-    as the call. It starts from ``columns.picks``, the first-round picks
-    of the earlier ensembles on ``columns``, and adds its own first-round
-    pick there: the first selection mass is the initial weights (times
-    the multiplier), which many cells of a sweep share.
+    Every round still runs, but its stump pick is memoized in
+    ``columns.picks`` (see ``train_stump``). Returned or raised, the
+    ensemble leaves only its first round's pick there: the first
+    selection mass is the initial weights (times the multiplier), which
+    many cells of a sweep share.
     A training set of one class raises ``ValueError`` before the first
     round, and so does an ensemble, after its rounds, whose summed
     absolute vote weights leave the float range: its staged scores would
@@ -660,7 +657,7 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int, *,
     if columns is None:
         columns = sort_columns(features, labels)
     features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels).astype(int)
+    labels = np.asarray(labels, dtype=int)
     # the trace's rates need both classes: fail before any round trains
     positive = labels > 0
     if positive.all() or not positive.any():
@@ -671,14 +668,19 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int, *,
     key = (rule.init.tobytes(), rounds) if cost_blind else None
     kept = columns.ensembles.get(key)  # None is never a key
     if kept is None:
-        weights, trained, picks = rule.init, [], dict(columns.picks)
-        for _ in range(rounds):
-            result = boost_round(algorithm, weights, features, labels, costs, rounds,
-                                 columns=columns, rule=rule, picks=picks)
-            weights = result.weights
-            trained.append((result.stump, result.alpha, result.z, result.degenerate))
-            if len(trained) == 1:  # the first round's pick, where it was new
-                columns.picks.update(picks)
+        weights, trained, keep = rule.init, [], len(columns.picks)
+        try:
+            for _ in range(rounds):
+                result = boost_round(algorithm, weights, features, labels, costs, rounds,
+                                     columns=columns, rule=rule)
+                weights = result.weights
+                trained.append((result.stump, result.alpha, result.z, result.degenerate))
+                if len(trained) == 1:  # the first round's pick, where it was new
+                    keep = len(columns.picks)
+        finally:
+            # a miss is appended, so the later rounds' picks are the last ones
+            for _ in range(len(columns.picks) - keep):
+                columns.picks.popitem()
         kept = tuple(zip(*trained))  # stumps, alphas, zs, degenerate flags
         if key is not None:
             columns.ensembles[key] = kept

@@ -760,5 +760,5 @@ def emit_report(store: RunStore, kind: str, out_dir) -> list:
 
 
 def _trim(value: float) -> str:
-    """Integer-looking costs print without a trailing .0."""
-    return str(int(value)) if value == int(value) else repr(value)
+    """A cost as ``repr`` prints it, less a trailing .0: 10, 2.5, 1e+23."""
+    return repr(float(value)).removesuffix(".0")

@@ -13,18 +13,17 @@ feature index, then lowest threshold, then polarity +1.
 
 The columns are sorted once per training set: ``sort_columns`` validates
 it and returns its one ``SortedColumns`` handle, which holds the sorted
-block, the buffers its scans write and the ensembles trained on it.
-Every round writes its selection mass into those buffers, and ``_sum``
-sums the block with it into the class mass below and above every cut of
-every column: each column's two class lanes are summed as the two
-components of one complex cumulative sum, and one gather spreads the
-lane sums back to every cut. ``train_stump`` scores that full table, its
-cuts between equal values masked by the block's ``pad``;
-``_class_block`` gathers the valid cuts into the (4, cuts) class-mass
-block, rows b_p, d_p, b_n, d_n, that CSA in ``boosting`` reads. A pick
-depends only on the handle and the mass's bytes, so a mass already
-scanned in the same ensemble, or in the first round of an earlier one,
-is not summed again (``train_stump``'s ``picks``).
+block, the buffers its scans write, the ensembles trained on it and its
+picks. Every round writes its selection mass into those buffers, and
+``_sum`` sums the block with it into the class mass below and above
+every cut of every column: each column's two class lanes are summed as
+the two components of one complex cumulative sum, and one gather
+spreads the lane sums back to every cut. ``train_stump`` scores that
+full table, its cuts between equal values masked by the block's
+``pad``; ``_class_block`` gathers the valid cuts into the (4, cuts)
+class-mass block, rows b_p, d_p, b_n, d_n, that CSA in ``boosting``
+reads. A pick depends only on the handle and the mass's bytes, so the
+handle's ``picks`` keeps it and a mass found there is not summed again.
 """
 
 from dataclasses import dataclass
@@ -112,7 +111,7 @@ def candidate_thresholds(values) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SortedColumns:
     """One training set, built by ``sort_columns``: its columns sorted once,
-    the buffers its scans write and the ensembles trained on it.
+    the buffers its scans write, the ensembles trained on it and its picks.
 
     Row f of ``xs`` holds the values of feature column f, sorted stably.
     Cut b of a column splits them between index b-1 and b (b = 0 lies
@@ -156,9 +155,9 @@ class SortedColumns:
 
     ``ensembles`` maps (initial-weight bytes, rounds) to the rounds of
     each cost-blind ensemble ``boosting.train_ensemble`` trained on this set.
-    ``picks`` holds the first-round picks of the ensembles trained on it,
-    keyed as ``train_stump``'s ``picks`` (CSA's as ``boosting._csa_select``'s):
-    at most one entry per ensemble, which seeds the next one's.
+    ``picks`` holds every pick made on this set, keyed as ``train_stump``
+    and ``boosting._csa_select`` key them; ``boosting.train_ensemble``
+    leaves at most one per ensemble.
     """
 
     xs: np.ndarray
@@ -225,13 +224,6 @@ def sort_columns(features, labels) -> SortedColumns:
                          sums[:, 1:].view(complex)[..., 0], mass_below, above, masses, {}, {})
 
 
-def _scan(columns: SortedColumns, weights, multiplier=None):
-    """Write the selection mass ``weights`` times ``multiplier`` (1 when
-    omitted) into ``columns.mass`` and ``_sum`` it."""
-    _selection_mass(weights, multiplier, columns.mass[:-1])
-    return _sum(columns)
-
-
 def _sum(columns: SortedColumns):
     """Fill ``columns.mass_below`` and ``columns.above`` for the selection
     mass in ``columns.mass`` and return them."""
@@ -271,14 +263,12 @@ def _class_block(columns: SortedColumns):
     return masses
 
 
-def _memo(picks, key, pick, *args):
-    """``pick(*args)``, or what it returned for ``key`` before: the dict
-    ``picks`` keeps every result under its key, and None keeps none."""
-    if picks is None:
-        return pick(*args)
-    found = picks.get(key)
+def _memo(columns: SortedColumns, key, pick, *args):
+    """``pick(columns, *args)``, or what it returned for ``key`` before,
+    kept in ``columns.picks``."""
+    found = columns.picks.get(key)
     if found is None:
-        found = picks[key] = pick(*args)
+        found = columns.picks[key] = pick(columns, *args)
     return found
 
 
@@ -298,7 +288,7 @@ def _cut_stump(columns: SortedColumns, index, polarity) -> Stump:
 
 
 def train_stump(features, labels, weights, per_sample_multiplier=None, *,
-                columns: SortedColumns | None = None, picks: dict | None = None) -> Stump:
+                columns: SortedColumns | None = None) -> Stump:
     """Exhaustively select the stump minimizing the weighted error.
 
     The objective is sum_i m_i * w_i * [h(x_i) != y_i] with m_i given by
@@ -308,17 +298,16 @@ def train_stump(features, labels, weights, per_sample_multiplier=None, *,
     ``columns`` is ``sort_columns(features, labels)``, built here when
     omitted.
 
-    The pick depends on ``columns`` and the selection mass alone.
-    ``picks``, a dict that belongs to ``columns``, maps the bytes of each
-    mass scanned with it to its stump: the mass is validated and written
-    into ``columns.mass`` every call, and only a mass not found there is
-    scanned, its stump added. Without ``picks`` every call scans.
+    The pick depends on ``columns`` and the selection mass alone: the
+    mass is validated and written into ``columns.mass`` every call, and
+    only a mass whose bytes ``columns.picks`` lacks is scanned, its stump
+    kept there.
     """
     if columns is None:
         columns = sort_columns(features, labels)
     mass = columns.mass[:-1]
     _selection_mass(weights, per_sample_multiplier, mass)
-    return _memo(picks, mass.tobytes(), _least_error, columns)
+    return _memo(columns, mass.tobytes(), _least_error)
 
 
 def _least_error(columns: SortedColumns) -> Stump:

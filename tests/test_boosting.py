@@ -970,16 +970,18 @@ log_uniform_costs = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).map(
     lambda exponents: CostPair(10.0 ** exponents[0], 10.0 ** exponents[1]))
 
 
-def chained_rounds(algorithm, features, labels, costs, rounds, picks):
+def chained_rounds(algorithm, features, labels, costs, rounds, shared):
     """``train_ensemble``'s loop over ``boost_round``, every round's result
-    kept; a ``ValueError`` comes back as its message."""
-    columns = sort_columns(features, labels)
+    kept; a ``ValueError`` comes back as its message. The rounds share one
+    handle, and so its picks, when ``shared``; otherwise each round builds
+    a fresh one, which has kept no pick."""
+    columns = sort_columns(features, labels) if shared else None
     rule = _rule(algorithm, labels, costs, rounds)
     weights, results = rule.init, []
     try:
         for _ in range(rounds):
             result = boost_round(algorithm, weights, features, labels, costs, rounds,
-                                 columns=columns, rule=rule, picks=picks)
+                                 columns=columns, rule=rule)
             weights = result.weights
             results.append(result)
     except ValueError as error:
@@ -1017,8 +1019,8 @@ class TestPickMemo:
     def test_memo_keeps_every_round_of_every_variant(self, data, costs, rounds):
         features, labels = data
         for algorithm in ALGORITHM_IDS:
-            plain = chained_rounds(algorithm, features, labels, costs, rounds, None)
-            memo = chained_rounds(algorithm, features, labels, costs, rounds, {})
+            plain = chained_rounds(algorithm, features, labels, costs, rounds, False)
+            memo = chained_rounds(algorithm, features, labels, costs, rounds, True)
             if isinstance(plain, str):
                 assert memo == plain
                 assert ensemble_bytes(algorithm, features, labels, costs, rounds, None) == plain
@@ -1067,7 +1069,7 @@ class TestPickMemo:
         calls = self.scans(monkeypatch)
         features, labels = fixed_instance(20, 3, seed=8)
         expected = [round_bytes(r.stump, r.alpha, r.z, r.degenerate, r.weights) for r in
-                    chained_rounds("CB0", features, labels, CostPair(1, 3), 4, None)]
+                    chained_rounds("CB0", features, labels, CostPair(1, 3), 4, False)]
         assert len(calls) == 4
         calls.clear()
         classifier, trace = train_ensemble("CB0", features, labels, CostPair(1, 3), 4)
@@ -1106,6 +1108,47 @@ class TestPickMemo:
         # AC1 on the same selection mass at a cost pair, CSA at unit costs
         # on ADA's uniform mass but under its own key
         assert len(columns.picks) < trained
+
+    @pytest.mark.parametrize("costs, n_pos, n_neg, seed, rounds, kept, message", [
+        # round 1 picks, then its weight update underflows
+        ((3.4e212, 1e308), 4, 6, 0, 1, 0, "CSA weight update underflows"),
+        # all 8 rounds train, each on a new selection mass, then the summed
+        # vote weights (each above 4e307) overflow
+        ((1e-308, 1e-308), 12, 12, 13, 8, 1, "CSA votes overflow"),
+    ], ids=["in-round-1", "after-round-8"])
+    def test_an_ensemble_that_raises_keeps_at_most_its_first_pick(
+            self, costs, n_pos, n_neg, seed, rounds, kept, message):
+        data = gen_bayes(n_pos, n_neg, seed=seed)
+        columns = sort_columns(data.features, data.labels)
+        train_ensemble("ADA", data.features, data.labels, UNIT, 3, columns=columns)
+        before = list(columns.picks.items())
+        sizes = []
+
+        def counted(*args, **kwargs):
+            try:
+                return boost_round(*args, **kwargs)
+            finally:
+                sizes.append(len(columns.picks))
+
+        with mock.patch.object(boosting, "boost_round", counted):
+            with pytest.raises(ValueError, match=message):
+                train_ensemble("CSA", data.features, data.labels, CostPair(*costs), 8,
+                               columns=columns)
+        # every round added a pick, which the ensemble took back but the first
+        assert sizes == list(range(len(before) + 1, len(before) + rounds + 1))
+        assert list(columns.picks.items())[:len(before)] == before
+        assert len(columns.picks) == len(before) + kept
+
+    @pytest.mark.parametrize("costs", [CostPair(1, 3), UNIT, CostPair(10, 1)])
+    def test_direct_rounds_on_one_handle_match_fresh_handles(self, costs):
+        # a direct boost_round call keeps every pick in the handle it is given
+        features, labels = fixed_instance(20, 3, seed=8)
+        for algorithm in ALGORITHM_IDS:
+            shared = chained_rounds(algorithm, features, labels, costs, 8, True)
+            fresh = chained_rounds(algorithm, features, labels, costs, 8, False)
+            assert ([round_bytes(r.stump, r.alpha, r.z, r.degenerate, r.weights) for r in shared]
+                    == [round_bytes(r.stump, r.alpha, r.z, r.degenerate, r.weights)
+                        for r in fresh])
 
 
 class TestPredictEnsemble:

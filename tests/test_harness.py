@@ -984,6 +984,23 @@ class TestEmitReport:
                 "7ff41f8aadcf88ae7a56d64f9db2fc96127645743b87a1a3496b1bd87910fb37",
         }
 
+    def test_large_costs_print_in_exponent_form(self, tmp_path):
+        # int() once printed 1e23 as 99999999999999991611392 and 1e300 as 301 digits
+        store = run_experiment(tiny_config(costs=((1, 1e23), (1e300, 1))))
+        assert not store.failures
+        columns = {"results_bayes.csv": lambda row: row[0][1:-1].split(";"),
+                   "delta_nec_by_cost.csv": lambda row: row[1:3],
+                   "delta_ce_by_cost.csv": lambda row: row[1:3],
+                   "ca_surface.csv": lambda row: row[2:4],
+                   "timing_by_cost.csv": lambda row: row[1:3]}
+        printed = {}
+        for kind in ("appendix_tables", "delta_by_cost", "ca_surface", "timing"):
+            for path in emit_report(store, kind, tmp_path):
+                if path.name in columns:
+                    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+                    printed[path.name] = {tuple(columns[path.name](row)) for row in rows}
+        assert printed == dict.fromkeys(columns, {("1", "1e+23"), ("1e+300", "1")})
+
     def test_unknown_kind_rejected(self, store, tmp_path):
         with pytest.raises(ValueError):
             emit_report(store, "everything", tmp_path)

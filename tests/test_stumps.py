@@ -7,7 +7,8 @@ from costboost.stumps import (
     Stump,
     _candidates,
     _cut_stump,
-    _scan,
+    _selection_mass,
+    _sum,
     candidate_thresholds,
     check_weights,
     class_masses,
@@ -346,8 +347,8 @@ class TestPairedLaneScan:
                 assert lo <= start < end <= hi, name
         weights, multiplier = rng.random(9), rng.random(9)
         kept = weights.copy(), multiplier.copy()
-        for scan in (*_scan(columns, weights, multiplier),
-                     _candidates(columns, weights, multiplier)):
+        _selection_mass(weights, multiplier, columns.mass[:-1])
+        for scan in (*_sum(columns), _candidates(columns, weights, multiplier)):
             assert lo <= bounds(scan)[0] < bounds(scan)[1] <= hi
         assert weights.tobytes() == kept[0].tobytes()
         assert multiplier.tobytes() == kept[1].tobytes()
@@ -378,7 +379,8 @@ class TestPairedLaneScan:
         features, labels = np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([-1, 1, -1, 1])
         weights, multiplier = np.array([1e308, 0.25, 0.5, 0.125]), np.array([4.0, 1, 1, 1])
         columns = sort_columns(features, labels)
-        below, _ = _scan(columns, weights, multiplier)
+        _selection_mass(weights, multiplier, columns.mass[:-1])
+        below, _ = _sum(columns)
         assert below[0, 0].tolist() == [0.0, 0.0, 0.25, 0.25, 0.375]
         assert below[1, 0].tolist() == [0.0, np.inf, np.inf, np.inf, np.inf]
 
@@ -463,11 +465,12 @@ class TestSortedColumns:
         columns = sort_columns(features, labels)
         weights = np.array(weights)
         planted = Stump(feature_index=0, threshold=0.5, polarity=1)
-        picks = {weights.tobytes(): planted, (1.0, 3.0, weights.tobytes()): (planted, 1.0)}
+        columns.picks.update({weights.tobytes(): planted,
+                              (1.0, 3.0, weights.tobytes()): (planted, 1.0)})
         with pytest.raises(ValueError):
-            train_stump(features, labels, weights, columns=columns, picks=picks)
+            train_stump(features, labels, weights, columns=columns)
         with pytest.raises(ValueError):
-            _csa_select(columns, weights, CostPair(1, 3), picks)
+            _csa_select(columns, weights, CostPair(1, 3))
 
     def test_a_kept_pick_is_returned_without_a_scan(self, monkeypatch):
         import costboost.stumps as stumps
@@ -476,32 +479,32 @@ class TestSortedColumns:
         labels = np.array([-1, 1, -1, 1])
         columns = sort_columns(features, labels)
         weights, multiplier = np.array([0.0, 0.25, 0.25, 0.5]), np.array([1.0, 2.0, 1.0, 2.0])
-        picks = {}
-        stump = train_stump(features, labels, weights, multiplier, columns=columns, picks=picks)
-        pick = _csa_select(columns, weights, CostPair(1, 3), picks)
+        stump = train_stump(features, labels, weights, multiplier, columns=columns)
+        pick = _csa_select(columns, weights, CostPair(1, 3))
         # the keys are the bytes of the selection mass, with the costs for CSA
-        assert picks == {(weights * multiplier).tobytes(): stump,
-                         (1.0, 3.0, weights.tobytes()): pick}
+        assert columns.picks == {(weights * multiplier).tobytes(): stump,
+                                 (1.0, 3.0, weights.tobytes()): pick}
 
         def unreachable(columns):
             raise AssertionError("scanned again")
 
         monkeypatch.setattr(stumps, "_sum", unreachable)
-        assert train_stump(features, labels, weights * 2.0, multiplier / 2.0, columns=columns,
-                           picks=picks) is stump
-        assert _csa_select(columns, weights, CostPair(1.0, 3.0), picks) is pick
+        assert train_stump(features, labels, weights * 2.0, multiplier / 2.0,
+                           columns=columns) is stump
+        assert _csa_select(columns, weights, CostPair(1.0, 3.0)) is pick
         # -0 scans as +0, so it finds the +0 mass's pick; other costs do not
         signed = np.array([-0.0, 0.25, 0.25, 0.5])
-        assert _csa_select(columns, signed, CostPair(1, 3), picks) is pick
-        assert train_stump(features, labels, signed, multiplier, columns=columns,
-                           picks=picks) is stump
+        assert _csa_select(columns, signed, CostPair(1, 3)) is pick
+        assert train_stump(features, labels, signed, multiplier, columns=columns) is stump
         with pytest.raises(AssertionError, match="scanned again"):
-            _csa_select(columns, weights, CostPair(3, 1), picks)
+            _csa_select(columns, weights, CostPair(3, 1))
 
-    def test_block_is_read_only(self):
+    @pytest.mark.parametrize("name", ["xs", "lanes", "spread", "below", "pad"])
+    def test_block_is_read_only(self, name):
         columns = sort_columns(np.array([[0.0], [1.0]]), np.array([-1, 1]))
+        array = getattr(columns, name)
         with pytest.raises(ValueError):
-            columns.lanes[0, 0, 0] = 1
+            array[(0,) * array.ndim] = 1
 
     @pytest.mark.parametrize("defect", ["short_weights", "long_weights", "short_multiplier"])
     def test_rejects_inputs_of_another_sample_count(self, defect):
