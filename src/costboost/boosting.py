@@ -597,12 +597,13 @@ def adjust_threshold(scores, labels, costs: CostPair) -> float:
     """Decision threshold minimizing the training NEC of sign(score - t),
     at equal priors like every NEC the sweep reports.
 
-    Candidates are the stump's cuts of the scores
-    (``stumps.candidate_thresholds``) plus one value above the maximum.
-    With each class's scores sorted once, the false negatives at t are
-    the positives below t and the false positives the negatives at or
-    above it, both one ``searchsorted``. Ties break on smallest |t|, then
-    smallest t.
+    Candidates are the stump's cuts of the scores, placed by the stump's
+    rule (``stumps.candidate_thresholds``) mirrored for the side t takes:
+    each lies in (lower, upper] of two distinct scores, or above the
+    maximum, plus the stump's cut below the minimum. With each class's
+    scores sorted once, the false negatives at t are the positives below
+    t and the false positives the negatives at or above it, both one
+    ``searchsorted``. Ties break on smallest |t|, then smallest t.
     """
     scores = np.asarray(scores, dtype=float)
     positive = np.asarray(labels) > 0
@@ -612,7 +613,8 @@ def adjust_threshold(scores, labels, costs: CostPair) -> float:
     neg = np.sort(scores[~positive])
     if pos.size == 0 or neg.size == 0:
         raise ValueError("both classes must be present")
-    candidates = np.append(candidate_thresholds(scores), scores.max() + 1.0)
+    # 0 - t mirrors t exactly, and a cut at +0 stays +0
+    candidates = np.append(candidate_thresholds(scores)[0], 0.0 - candidate_thresholds(-scores))
     # prediction is +1 iff score >= t, so scores strictly below t are negatives
     fn = np.searchsorted(pos, candidates, side="left")
     fp = neg.size - np.searchsorted(neg, candidates, side="left")

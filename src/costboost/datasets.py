@@ -264,14 +264,16 @@ _MISSING_TOKENS = {"", "?"}
 def load_csv_balanced(path, label_column: str, positive_label: str, seed: int = 0) -> Dataset:
     """Load a numeric CSV, map labels to +/-1 and balance the classes.
 
-    The header row is required; every column except ``label_column`` must
-    be numeric. Rows containing missing cells (empty or ``?``) are
-    dropped. Labels equal to ``positive_label`` (as text) become +1, all
-    others -1; the larger class is then subsampled uniformly (seeded) to
-    the size of the smaller one, keeping file order.
+    The file is UTF-8, with or without a leading byte-order mark (as
+    spreadsheets write "CSV UTF-8"). The header row is required; every
+    column except ``label_column`` must be numeric. Rows containing
+    missing cells (empty or ``?``) are dropped. Labels equal to
+    ``positive_label`` (as text) become +1, all others -1; the larger
+    class is then subsampled uniformly (seeded) to the size of the
+    smaller one, keeping file order.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -9,6 +9,7 @@ classification error) and summarized by conditional means and
 population variances.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +64,18 @@ def confusion_rates(predictions, labels) -> ConfusionRates:
 
 
 def pcf(costs, prior_pos: float) -> float:
-    """Probability cost function: P(+)*C_P / (P(+)*C_P + P(-)*C_N)."""
+    """Probability cost function: P(+)*C_P / (P(+)*C_P + P(-)*C_N).
+
+    Costs whose larger one is below 1 are first scaled by one power of two,
+    which is exact and leaves the ratio as it is, so that a subnormal cost
+    pair does not underflow the products to 0.
+    """
     if not 0.0 < prior_pos < 1.0:
         raise ValueError("prior_pos must lie strictly between 0 and 1")
-    num = prior_pos * costs.c_pos
-    return num / (num + (1.0 - prior_pos) * costs.c_neg)
+    top = max(costs.c_pos, costs.c_neg)
+    shift = -math.frexp(top)[1] if top < 1.0 else 0
+    num = prior_pos * math.ldexp(costs.c_pos, shift)
+    return num / (num + (1.0 - prior_pos) * math.ldexp(costs.c_neg, shift))
 
 
 def nec(rates: ConfusionRates, costs, prior_pos: float = 0.5) -> float:

@@ -4,18 +4,19 @@ A stump thresholds a single feature: the prediction is ``polarity`` for
 feature values strictly greater than ``threshold`` and ``-polarity``
 otherwise. Training searches every feature, every cut between
 consecutive distinct sorted values plus one below the minimum (so a
-feature can also cast a constant vote), and both polarities. A cut's
-threshold lies in [lower, upper) of its two sorted values: their
-midpoint, or the float below the upper one where that rounds onto it.
+feature can also cast a constant vote), and both polarities. One rule,
+``_thresholds``, places every cut's threshold in [lower, upper) of its
+two sorted values: their midpoint, or the float below the upper one where
+that rounds onto it.
 
 Ties are broken deterministically: lowest weighted error, then lowest
 feature index, then lowest threshold, then polarity +1.
 
 The columns are sorted once per training set: ``sort_columns`` validates
-it and returns its one ``SortedColumns`` handle, which holds the sorted
-block, the buffers its scans write, the ensembles trained on it and its
-picks. Every round writes its selection mass into those buffers, and
-``_sum`` sums the block with it into the class mass below and above
+it and returns its one ``SortedColumns`` handle, which holds the
+threshold of every cut, the buffers its scans write, the ensembles
+trained on it and its picks. Every round writes its selection mass into
+those buffers, and ``_sum`` sums it into the class mass below and above
 every cut of every column: each column's two class lanes are summed as
 the two components of one complex cumulative sum, and one gather
 spreads the lane sums back to every cut. ``train_stump`` scores that
@@ -97,26 +98,43 @@ def _selection_mass(weights, multiplier, out) -> None:
     np.add(out, 0.0, out=out)
 
 
-def candidate_thresholds(values) -> np.ndarray:
-    """Threshold candidates for one feature column.
+def _thresholds(xs) -> np.ndarray:
+    """The one rule that places a cut's threshold: the threshold of every
+    cut b < n of each row of ``xs``, n values sorted along its last axis.
 
-    Midpoints of consecutive distinct sorted values, preceded by one
-    threshold below the minimum so the stump can vote constantly.
+    Cut b lies in [xs[b-1], xs[b]), cut 0 below xs[0]. Its threshold is
+    xs[b-1]/2 + xs[b]/2, which cannot overflow, or xs[0] - 1 for cut 0;
+    where that rounds onto xs[b], the next float down stands in.
     """
-    distinct = np.unique(np.asarray(values, dtype=float))
-    mids = (distinct[:-1] + distinct[1:]) / 2.0
-    return np.concatenate(([distinct[0] - 1.0], mids))
+    halves = xs / 2.0
+    cuts = np.empty_like(halves)
+    cuts[..., 0] = xs[..., 0] - 1.0
+    np.add(halves[..., :-1], halves[..., 1:], out=cuts[..., 1:])
+    with np.errstate(over="ignore"):  # below -max lies only -inf
+        np.nextafter(xs, -np.inf, out=cuts, where=cuts >= xs)
+    return cuts
+
+
+def candidate_thresholds(values) -> np.ndarray:
+    """The thresholds ``train_stump`` can pick on one feature column.
+
+    ``_thresholds`` of its distinct sorted values: one below the minimum,
+    so the stump can vote constantly, then one between each two.
+    """
+    return _thresholds(np.unique(np.asarray(values, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
 class SortedColumns:
-    """One training set, built by ``sort_columns``: its columns sorted once,
-    the buffers its scans write, the ensembles trained on it and its picks.
+    """One training set, built by ``sort_columns``: the thresholds of its
+    columns' cuts, placed once, the buffers its scans write, the ensembles
+    trained on it and its picks.
 
-    Row f of ``xs`` holds the values of feature column f, sorted stably.
-    Cut b of a column splits them between index b-1 and b (b = 0 lies
-    below the minimum); a cut between equal values, or above the maximum
-    (b = n), is not a candidate. ``below`` holds, for each valid cut in
+    Cut b of feature column f splits its values, sorted stably, between
+    index b-1 and b (b = 0 lies below the minimum); a cut between equal
+    values, or above the maximum (b = n), is not a candidate.
+    ``thresholds`` (features, samples) holds the threshold ``_thresholds``
+    places at each cut b < n. ``below`` holds, for each valid cut in
     (feature, threshold) order, the flat index f * (n + 1) + b into a
     (features, samples + 1) table of the class mass below each cut;
     ``pad`` is that table with 0 at the valid cuts and +inf elsewhere.
@@ -160,7 +178,7 @@ class SortedColumns:
     leaves at most one per ensemble.
     """
 
-    xs: np.ndarray
+    thresholds: np.ndarray
     lanes: np.ndarray
     spread: np.ndarray
     below: np.ndarray
@@ -177,19 +195,21 @@ class SortedColumns:
     ensembles: dict
     picks: dict
 
-    @property
-    def n_samples(self) -> int:
-        return self.xs.shape[1]
-
 
 def sort_columns(features, labels) -> SortedColumns:
-    """Validate a training set, sort each of its columns once and allocate
-    the buffers its scans write, their zeros in place."""
+    """Validate a training set, sort each of its columns once, place the
+    threshold of each of their cuts and allocate the buffers its scans
+    write, their zeros in place."""
     features, labels = _check_features_labels(features, labels)
     order = np.argsort(features.T, axis=1, kind="stable")
     xs = np.take_along_axis(features.T, order, axis=1)
-    positive = (labels > 0)[order]
     f, n = xs.shape
+    valid = np.zeros((f, n + 1), dtype=bool)
+    valid[:, 0] = True
+    np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, 1:n])
+    thresholds = _thresholds(xs)
+    del xs  # freed before the lanes are built, so the sort's peak memory holds
+    positive = (labels > 0)[order]
     p = int(np.count_nonzero(labels > 0))
     m = max(p, n - p)
     lanes = np.full((f, m, 2), n, dtype=np.intp)
@@ -203,11 +223,8 @@ def sort_columns(features, labels) -> SortedColumns:
     np.left_shift(spread[0], 1, out=spread[0])
     np.subtract(np.arange(1, 2 * n + 3, 2), spread[0], out=spread[1])
     spread += np.arange(0, f * 2 * (m + 1), 2 * (m + 1))[:, None]
-    valid = np.zeros((f, n + 1), dtype=bool)
-    valid[:, 0] = True
-    np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, 1:n])
     below = np.flatnonzero(valid)
-    sort = (xs, lanes, spread, below, np.where(valid, 0.0, np.inf))
+    sort = (thresholds, lanes, spread, below, np.where(valid, 0.0, np.inf))
     for array in sort:
         array.setflags(write=False)
     # every part but the last has an even size, and the block is allocated
@@ -273,18 +290,11 @@ def _memo(columns: SortedColumns, key, pick, *args):
 
 
 def _cut_stump(columns: SortedColumns, index, polarity) -> Stump:
-    """Stump of the given polarity at the cut with flat index f * (n + 1)
-    + b, as ``columns.below`` holds it. Its threshold lies in [xs[b-1],
-    xs[b]), below xs[0] for b = 0: summed halves cannot overflow, and
-    where the midpoint or xs[0] - 1 rounds onto xs[b] the next float down
-    stands in."""
-    f, b = divmod(int(index), columns.n_samples + 1)
-    xs = columns.xs[f]
-    threshold = xs[0] - 1.0 if b == 0 else xs[b - 1] / 2.0 + xs[b] / 2.0
-    if not threshold < xs[b]:
-        with np.errstate(over="ignore"):  # below -max lies only -inf
-            threshold = np.nextafter(xs[b], -np.inf)
-    return Stump(feature_index=f, threshold=float(threshold), polarity=polarity)
+    """Stump of the given polarity at the valid cut with flat index
+    f * (n + 1) + b, as ``columns.below`` holds it; its threshold is
+    ``columns.thresholds[f, b]``."""
+    f, b = divmod(int(index), columns.pad.shape[1])
+    return Stump(feature_index=f, threshold=float(columns.thresholds[f, b]), polarity=polarity)
 
 
 def train_stump(features, labels, weights, per_sample_multiplier=None, *,

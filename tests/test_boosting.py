@@ -585,6 +585,19 @@ class TestAdjustThreshold:
         theta = adjust_threshold(scores, labels, UNIT)
         assert theta == 0.0
 
+    def test_separates_adjacent_floats(self):
+        # the plain midpoint rounds onto 1.0, where both score +1 (NEC 0.5);
+        # the cut lies in (lower, upper], as score >= t reads it
+        upper = np.nextafter(1.0, 2.0)
+        theta = adjust_threshold(np.array([1.0, upper]), np.array([-1, 1]), UNIT)
+        assert theta == upper
+
+    def test_cut_between_opposite_scores_is_positive_zero(self):
+        # the mirrored rule places this cut at -(+0); the pinned ensembles
+        # spell thresholds out by repr, where -0.0 and 0.0 differ
+        theta = adjust_threshold(np.array([-1.0, 1.0]), np.array([-1, 1]), UNIT)
+        assert repr(theta) == "0.0"
+
     def test_rejects_single_class(self):
         with pytest.raises(ValueError, match="classes"):
             adjust_threshold(np.array([1.0, 2.0]), np.array([1, 1]), UNIT)

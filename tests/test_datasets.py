@@ -189,6 +189,18 @@ class TestLoadCsvBalanced:
         assert sorted(data.labels) == [-1, -1, 1, 1]
         assert data.feature_names == ["f1", "f2"]
 
+    def test_byte_order_mark_reads_as_without(self, tmp_path):
+        # spreadsheets' "CSV UTF-8" starts with a BOM, here before the label
+        rows = ["yes,1,2", "no,3,4", "yes,5,6", "no,7,8"]
+        plain = load_csv_balanced(self.write(tmp_path, rows, "label,f1,f2"), "label", "yes")
+        path = tmp_path / "bom.csv"
+        path.write_text("\n".join(["label,f1,f2"] + rows) + "\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbflabel,")
+        data = load_csv_balanced(path, "label", "yes")
+        assert data.feature_names == plain.feature_names == ["f1", "f2"]
+        assert np.array_equal(data.features, plain.features)
+        assert np.array_equal(data.labels, plain.labels)
+
     def test_subsamples_larger_class(self, tmp_path):
         rows = [f"{i},0,pos" for i in range(300)] + [f"{i},1,neg" for i in range(700)]
         path = self.write(tmp_path, rows)

@@ -15,10 +15,11 @@ from costboost.boosting import ALGORITHM_IDS
 from costboost.harness import DEVIATION_STATISTICS, ExperimentConfig, RunStore, run_experiment
 
 # costs that once failed or mangled a cell, or sit at the float range's ends
-NAMED_COSTS = (1e-308, 1e-300, 1.0, 1e4, 1.5e210, 3.4e212, 6.2e213, 1e300, 1e308,
+NAMED_COSTS = (5e-324, 1e-308, 1e-300, 1.0, 1e4, 1.5e210, 3.4e212, 6.2e213, 1e300, 1e308,
                sys.float_info.max)
 NAMED_COST_PAIRS = ((3.4e212, 1e308), (6.2e213, 1.5e210), (1e308, 1e308), (1e300, 1e-300),
-                    (1e-300, 1e300), (1e-308, 1e-308), (1, 1e4))
+                    (1e-300, 1e300), (1e-308, 1e-308), (1, 1e4), (5e-324, 5e-324),
+                    (5e-324, 1e-323))
 # values near the float limit, and small ones that tie with each other
 CSV_VALUES = (0.0, 1.0, -1.0, 0.5, 1.7e308, -1.7e308, 1.69e308, -1.69e308,
               sys.float_info.max, -sys.float_info.max)

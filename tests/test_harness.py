@@ -469,6 +469,23 @@ class TestRunExperiment:
         assert all("CSA votes overflow" in f.message for f in store.failures)
         assert len(store.traces) == 2 * 3  # the other costs train in every fold
 
+    def test_subnormal_costs_complete_every_cell(self):
+        # 0.5 * 5e-324 rounds to 0: the PCF once divided 0 by 0 in the bayes
+        # reference records, outside any cell, and the sweep died storeless
+        costs = ((5e-324, 5e-324), (5e-324, 1e-323), (5e-324, 1))
+        datasets = (DatasetSpec(kind="bayes", n_pos=6, n_neg=6),
+                    DatasetSpec(kind="twoclouds", n_pos=6, n_neg=6))
+        store = run_experiment(tiny_config(datasets=datasets, algorithms=ALGORITHM_IDS,
+                                           costs=costs, rounds=6))
+        assert not store.failures
+        assert len(store.traces) == 2 * 3 * 3 * 12  # datasets x costs x folds x variants
+        # the folds and their average per cell, plus one bayes reference per cost
+        assert len(store.records) == 2 * 3 * 4 * 12 + 3
+        # a 1:2 pair weighs the FNR as 1:2 does, however small its costs
+        for record in store.records:
+            if record.cost == CostPair(5e-324, 1e-323):
+                assert record.nec == nec(record.rates, CostPair(1, 2))
+
     def test_extreme_costs_complete_and_round_trip(self, tmp_path):
         # every fold once failed here: an underflowed weight met an
         # overflowed exp in the update, and 0 * inf made z NaN

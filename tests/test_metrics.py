@@ -29,6 +29,22 @@ class TestPcf:
     def test_general_prior(self):
         assert pcf(CostPair(2, 1), 0.25) == pytest.approx(0.5 / (0.5 + 0.75))
 
+    @pytest.mark.parametrize("costs, expected", [
+        ((5e-324, 5e-324), 0.5),
+        ((5e-324, 1e-323), 1 / 3),
+        ((1e-323, 5e-324), 2 / 3),
+    ], ids=["equal", "one-to-two", "two-to-one"])
+    def test_subnormal_costs_keep_their_ratio(self, costs, expected):
+        # 0.5 * 5e-324 rounds to 0: unscaled, the first divides 0 by 0
+        assert pcf(CostPair(*costs), 0.5) == expected
+
+    def test_scaling_small_costs_changes_no_bit(self):
+        rng = np.random.default_rng(4)
+        for c_pos, c_neg, prior in zip(rng.uniform(0.01, 0.99, 200),
+                                       rng.uniform(0.01, 0.99, 200), rng.uniform(0.01, 0.99, 200)):
+            num = prior * c_pos
+            assert pcf(CostPair(c_pos, c_neg), prior) == num / (num + (1.0 - prior) * c_neg)
+
     def test_rejects_degenerate_prior(self):
         with pytest.raises(ValueError):
             pcf(CostPair(1, 1), 0.0)

@@ -19,6 +19,25 @@ from costboost.stumps import (
 )
 
 
+MAX = np.finfo(float).max
+# values a column draws from: few levels force threshold and polarity ties;
+# adjacent floats, values whose sums overflow and subnormals test where
+# each cut's threshold lands
+LEVELS = {
+    "quantized": np.array([0.0, 1.0, 2.0]),
+    "adjacent": np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+                          np.nextafter(np.nextafter(1.0, 2.0), 2.0)]),
+    "extreme": np.array([-MAX, np.nextafter(-MAX, 0.0), -1.7e308, 1e308, 1.7e308,
+                         np.nextafter(MAX, 0.0), MAX]),
+    "subnormal": np.array([-5e-324, 0.0, 5e-324, 1e-323, 1.5e-323, 2e-323]),
+}
+
+
+def drawn_features(rng, values, shape):
+    """Normal features, or features drawn from ``LEVELS[values]``."""
+    return rng.normal(size=shape) if values == "normal" else rng.choice(LEVELS[values], shape)
+
+
 def brute_force_candidates(features, labels, mass):
     """Every (feature, threshold, polarity) stump with its weighted error."""
     out = []
@@ -198,16 +217,12 @@ class TestTrainStump:
         n=st.integers(min_value=2, max_value=16),
         n_features=st.integers(min_value=1, max_value=4),
         seed=st.integers(min_value=0, max_value=10_000),
-        quantized=st.booleans(),
+        values=st.sampled_from(["normal", *LEVELS]),
         dyadic=st.booleans(),
     )
-    def test_never_beaten_by_any_candidate(self, n, n_features, seed, quantized, dyadic):
+    def test_never_beaten_by_any_candidate(self, n, n_features, seed, values, dyadic):
         rng = np.random.default_rng(seed)
-        if quantized:
-            # few distinct values force threshold and polarity ties
-            features = rng.integers(0, 3, size=(n, n_features)).astype(float)
-        else:
-            features = rng.normal(size=(n, n_features))
+        features = drawn_features(rng, values, (n, n_features))
         labels = rng.choice([-1, 1], size=n)
         if dyadic:
             # multiples of 1/64 sum exactly in any order, so equal errors
@@ -499,7 +514,7 @@ class TestSortedColumns:
         with pytest.raises(AssertionError, match="scanned again"):
             _csa_select(columns, weights, CostPair(3, 1))
 
-    @pytest.mark.parametrize("name", ["xs", "lanes", "spread", "below", "pad"])
+    @pytest.mark.parametrize("name", ["thresholds", "lanes", "spread", "below", "pad"])
     def test_block_is_read_only(self, name):
         columns = sort_columns(np.array([[0.0], [1.0]]), np.array([-1, 1]))
         array = getattr(columns, name)
@@ -613,6 +628,49 @@ class TestClassMassColumn:
 
 
 class TestCandidateThresholds:
+    @pytest.mark.parametrize("values", [
+        # adjacent floats: their midpoints round onto the upper value
+        LEVELS["adjacent"],
+        # the sums overflow, and nothing but -inf lies below -max
+        LEVELS["extreme"],
+        [1e308, 1.7e308],
+    ], ids=["adjacent_floats", "near_max", "overflow"])
+    def test_each_cut_lies_between_its_values(self, values):
+        thresholds = candidate_thresholds(values)
+        distinct = np.unique(values)
+        assert thresholds.size == distinct.size
+        assert np.all(thresholds < distinct)
+        assert np.all(thresholds[1:] >= distinct[:-1])
+        assert np.all(np.isfinite(thresholds) | (distinct == -MAX))
+
+    def test_oracle_has_the_stump_between_adjacent_floats(self):
+        # the plain midpoint of the two values rounds onto 1.0, which splits nothing
+        below = np.nextafter(1.0, 0.0)
+        features, labels = np.array([[below], [1.0], [1.0]]), np.array([-1, 1, 1])
+        weights = np.full(3, 1 / 3)
+        assert train_stump(features, labels, weights) == Stump(0, below, 1)
+        assert min(brute_force_candidates(features, labels, weights)) == (0.0, 0, below, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=12),
+        n_features=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=10_000),
+        values=st.sampled_from(["normal", *LEVELS]),
+    )
+    def test_are_the_cuts_train_stump_can_pick(self, n, n_features, seed, values):
+        rng = np.random.default_rng(seed)
+        features = drawn_features(rng, values, (n, n_features))
+        columns = sort_columns(features, rng.choice([-1, 1], size=n))
+        for f in range(n_features):
+            column = np.sort(features[:, f])
+            index = columns.below[columns.below // (n + 1) == f]
+            picked = [_cut_stump(columns, j, 1).threshold for j in index]
+            assert np.array(picked).tobytes() == candidate_thresholds(column).tobytes()
+            # cut b leaves the b smallest values at or below its threshold
+            for j, threshold in zip(index, picked):
+                assert np.count_nonzero(column <= threshold) == j % (n + 1)
+
     def test_includes_below_minimum(self):
         thresholds = candidate_thresholds(np.array([3.0, 1.0, 2.0]))
         assert thresholds[0] == 0.0
