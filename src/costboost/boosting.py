@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .metrics import confusion_rates, classification_asymmetry, nec, pcf
-from .stumps import (SortedColumns, Stump, _class_block, _cut_stump, _memo, _selection_mass,
+from .stumps import (SortedColumns, Stump, _class_block, _cut_stump, _forget_picks, _pick,
                      candidate_thresholds, predict_matrix, sort_columns, train_stump)
 
 __all__ = [
@@ -505,12 +505,10 @@ def _csa_select(columns: SortedColumns, weights, costs: CostPair):
     weighted error, feature, threshold, polarity +1) -- the candidates
     come in (feature, threshold) order, so the first index among tied
     candidates realizes that hierarchy. ``columns`` is the training set's
-    handle, whose ``picks`` keeps each pick, as in ``train_stump``, under
-    (c_pos, c_neg, the bytes of the selection mass).
+    handle; the pick goes through ``stumps._pick``, keyed by (c_pos,
+    c_neg) and the bytes of the selection mass.
     """
-    mass = columns.mass[:-1]
-    _selection_mass(weights, None, mass)
-    return _memo(columns, (costs.c_pos, costs.c_neg, mass.tobytes()), _csa_pick, costs)
+    return _pick(columns, weights, None, (costs.c_pos, costs.c_neg), _csa_pick, costs)
 
 
 def _csa_pick(columns: SortedColumns, costs: CostPair):
@@ -541,9 +539,9 @@ def boost_round(algorithm, weights, features, labels, costs: CostPair, total_rou
     variant's terms of the module docstring's table, is ``_rule(algorithm,
     labels, costs, total_rounds)`` and ``columns`` is
     ``sort_columns(features, labels)``, each built here when omitted.
-    The stump pick (``train_stump``, or CSA's ``_csa_select``) reuses a
-    pick ``columns.picks`` keeps for the same selection mass instead of
-    scanning, and keeps a new one there.
+    The stump pick (``train_stump``, or CSA's ``_csa_select``) goes
+    through ``stumps._pick``, which returns a pick ``columns`` keeps for
+    the same selection mass instead of scanning.
     """
     if total_rounds < 1:
         raise ValueError("total_rounds must be >= 1")
@@ -644,9 +642,9 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int, *,
     equal key reads them back instead. The trace and ABT's threshold are
     derived from them at this call's costs either way.
 
-    Every round still runs, but its stump pick is memoized in
-    ``columns.picks`` (see ``train_stump``). Returned or raised, the
-    ensemble leaves only its first round's pick there: the first
+    Every round still runs, but its stump pick is kept in ``columns``
+    (see ``stumps._pick``). Returned or raised, the ensemble leaves only
+    its first round's pick there (``stumps._forget_picks``): the first
     selection mass is the initial weights (times the multiplier), which
     many cells of a sweep share.
     A training set of one class raises ``ValueError`` before the first
@@ -680,9 +678,7 @@ def train_ensemble(algorithm, features, labels, costs: CostPair, rounds: int, *,
                 if len(trained) == 1:  # the first round's pick, where it was new
                     keep = len(columns.picks)
         finally:
-            # a miss is appended, so the later rounds' picks are the last ones
-            for _ in range(len(columns.picks) - keep):
-                columns.picks.popitem()
+            _forget_picks(columns, keep)
         kept = tuple(zip(*trained))  # stumps, alphas, zs, degenerate flags
         if key is not None:
             columns.ensembles[key] = kept

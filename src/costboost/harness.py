@@ -108,17 +108,19 @@ class DatasetSpec:
         # type(), not isinstance(): JSON true/false would pass as int 1/0
         if type(self.n_pos) is not int or type(self.n_neg) is not int:
             raise ValueError("class counts n_pos and n_neg must be integers")
-        for key, value in (("name", self.name), ("path", self.path)):
-            if type(value) is not str:
-                raise ValueError(f"dataset {key} must be a string, not {value!r}")
+        # a CSV label is compared as text: 1.0 or true would never match
+        for key in ("name", "path", "label_column", "positive_label"):
+            if type(getattr(self, key)) is not str:
+                raise ValueError(f"dataset {key} must be a string, not {getattr(self, key)!r}")
         if self.kind in ("bayes", "twoclouds") and (self.n_pos <= 0 or self.n_neg <= 0):
             raise ValueError("generator specs need positive class counts")
         if type(self.rounds) is not int or self.rounds < 0:
             raise ValueError("per-dataset rounds must be a nonnegative integer")
-        # the name is a CSV field and part of every trace file name
-        if set(self.resolved_name()) & set(",/\\\n\r"):
-            raise ValueError(f"dataset name {self.resolved_name()!r} may not contain "
-                             "a comma, a path separator or a line break")
+        # the name is a CSV field and part of every trace file name, both
+        # written as UTF-8, which has no encoding for a lone surrogate
+        if any(ch in ",/\\\n\r\0" or "\ud800" <= ch <= "\udfff" for ch in self.resolved_name()):
+            raise ValueError(f"dataset name {self.resolved_name()!r} may not contain a comma, "
+                             "a path separator, a line break, a NUL or a lone surrogate")
         if self.kind == "csv" and not (self.path and self.label_column and self.positive_label):
             raise ValueError("csv specs need a path, a label_column and a positive_label")
 
@@ -216,6 +218,14 @@ class ExperimentConfig:
             raise ValueError("seed must be a nonnegative integer")
         if self.rounds != "dataset-size" and (type(self.rounds) is not int or self.rounds < 1):
             raise ValueError("rounds must be 'dataset-size' or a positive integer")
+        # a file name takes at most 255 bytes; the highest fold label is the longest
+        for name in names:
+            longest = max(len(_trace_name((name, algorithm, pair.c_pos, pair.c_neg,
+                                           str(self.folds - 1))).encode("utf-8"))
+                          for algorithm in self.algorithms for pair in pairs)
+            if longest > 255:
+                raise ValueError(f"dataset name {name!r} gives a trace file name of {longest} "
+                                 "bytes, over the 255 a file name may take")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

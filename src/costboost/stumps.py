@@ -15,16 +15,17 @@ feature index, then lowest threshold, then polarity +1.
 The columns are sorted once per training set: ``sort_columns`` validates
 it and returns its one ``SortedColumns`` handle, which holds the
 threshold of every cut, the buffers its scans write, the ensembles
-trained on it and its picks. Every round writes its selection mass into
-those buffers, and ``_sum`` sums it into the class mass below and above
-every cut of every column: each column's two class lanes are summed as
-the two components of one complex cumulative sum, and one gather
-spreads the lane sums back to every cut. ``train_stump`` scores that
-full table, its cuts between equal values masked by the block's
-``pad``; ``_class_block`` gathers the valid cuts into the (4, cuts)
-class-mass block, rows b_p, d_p, b_n, d_n, that CSA in ``boosting``
-reads. A pick depends only on the handle and the mass's bytes, so the
-handle's ``picks`` keeps it and a mass found there is not summed again.
+trained on it and its picks. Every pick, ``train_stump``'s and CSA's in
+``boosting``, goes through ``_pick``: it writes the round's selection
+mass into those buffers and returns the pick the handle keeps for the
+mass's bytes, scanning only a mass it lacks. A scan is ``_sum``, which
+sums the mass into the class mass below and above every cut of every
+column: each column's two class lanes are summed as the two components
+of one complex cumulative sum, and one gather spreads the lane sums back
+to every cut. ``train_stump`` scores that full table, its cuts between
+equal values masked by the block's ``pad``; ``_class_block`` gathers the
+valid cuts into the (4, cuts) class-mass block, rows b_p, d_p, b_n, d_n,
+that CSA reads.
 """
 
 from dataclasses import dataclass
@@ -160,7 +161,7 @@ class SortedColumns:
     gets wrong, in row p: the negatives in row 0, the positives in row 1.
     ``train_stump`` adds ``mass_below`` into it in place, giving each
     cut's weighted error. ``masses`` is the (4, cuts) block
-    ``_candidates`` returns. A scan is done with ``sides`` once ``sums``
+    ``_class_block`` returns. A scan is done with ``sides`` once ``sums``
     is summed and with ``sums`` once ``mass_below`` is spread, so
     ``sides`` shares the memory of ``mass_below`` and ``sums`` that of
     ``above``.
@@ -173,9 +174,9 @@ class SortedColumns:
 
     ``ensembles`` maps (initial-weight bytes, rounds) to the rounds of
     each cost-blind ensemble ``boosting.train_ensemble`` trained on this set.
-    ``picks`` holds every pick made on this set, keyed as ``train_stump``
-    and ``boosting._csa_select`` key them; ``boosting.train_ensemble``
-    leaves at most one per ensemble.
+    ``picks`` holds the picks made on this set, each under the key
+    ``_pick`` gives it; ``boosting.train_ensemble`` leaves at most one per
+    ensemble, through ``_forget_picks``.
     """
 
     thresholds: np.ndarray
@@ -256,21 +257,12 @@ def _sum(columns: SortedColumns):
     return below, above
 
 
-def _candidates(columns: SortedColumns, weights, multiplier=None):
-    """Polarity +1 class masses of every valid cut of ``columns``.
-
-    The selection mass is ``weights`` times ``multiplier`` (1 when
-    omitted). Returns the block of rows b_p, d_p, b_n, d_n over the valid
-    cuts in (feature, threshold) order: the polarity +1 stump errs on the
-    positives at or below the cut and the negatives above; -1 swaps b, d.
-    The block lives in ``columns`` until its next scan.
-    """
-    _selection_mass(weights, multiplier, columns.mass[:-1])
-    return _class_block(columns)
-
-
 def _class_block(columns: SortedColumns):
-    """The ``_candidates`` block of the selection mass in ``columns.mass``."""
+    """Polarity +1 class masses of every valid cut for the selection mass
+    in ``columns.mass``: rows b_p, d_p, b_n, d_n over the valid cuts in
+    (feature, threshold) order, in ``columns.masses`` until the next scan.
+    The polarity +1 stump errs on the positives at or below the cut and
+    the negatives above; -1 swaps b, d."""
     below, above = _sum(columns)
     index, masses = columns.below, columns.masses
     # rows d_p and b_n lie below the cut, b_p and d_n above it
@@ -280,13 +272,28 @@ def _class_block(columns: SortedColumns):
     return masses
 
 
-def _memo(columns: SortedColumns, key, pick, *args):
-    """``pick(columns, *args)``, or what it returned for ``key`` before,
-    kept in ``columns.picks``."""
+def _pick(columns: SortedColumns, weights, multiplier, key, choose, *args):
+    """The one path from weights to a pick: ``choose(columns, *args)`` for
+    the selection mass ``weights`` times ``multiplier`` (1 when None).
+
+    Every call validates the mass and writes it into ``columns.mass``. A
+    pick depends only on ``columns`` and the mass's bytes, so
+    ``columns.picks`` keeps it under them, after ``key`` where that is
+    nonempty (CSA's costs); ``choose`` runs, its pick appended, on a miss.
+    """
+    mass = columns.mass[:-1]
+    _selection_mass(weights, multiplier, mass)
+    key = (*key, mass.tobytes()) if key else mass.tobytes()
     found = columns.picks.get(key)
     if found is None:
-        found = columns.picks[key] = pick(columns, *args)
+        found = columns.picks[key] = choose(columns, *args)
     return found
+
+
+def _forget_picks(columns: SortedColumns, keep) -> None:
+    """Drop the picks ``columns.picks`` appended after its first ``keep``."""
+    for _ in range(len(columns.picks) - keep):
+        columns.picks.popitem()
 
 
 def _cut_stump(columns: SortedColumns, index, polarity) -> Stump:
@@ -306,18 +313,12 @@ def train_stump(features, labels, weights, per_sample_multiplier=None, *,
     vectorized pass over all (feature, cut, polarity) candidates built
     from per-feature cumulative sums; deterministic for fixed inputs.
     ``columns`` is ``sort_columns(features, labels)``, built here when
-    omitted.
-
-    The pick depends on ``columns`` and the selection mass alone: the
-    mass is validated and written into ``columns.mass`` every call, and
-    only a mass whose bytes ``columns.picks`` lacks is scanned, its stump
-    kept there.
+    omitted. The pick goes through ``_pick``, keyed by the selection
+    mass's bytes alone.
     """
     if columns is None:
         columns = sort_columns(features, labels)
-    mass = columns.mass[:-1]
-    _selection_mass(weights, per_sample_multiplier, mass)
-    return _memo(columns, mass.tobytes(), _least_error)
+    return _pick(columns, weights, per_sample_multiplier, (), _least_error)
 
 
 def _least_error(columns: SortedColumns) -> Stump:
@@ -353,7 +354,7 @@ def class_masses(stump: Stump, features, labels, weights) -> np.ndarray:
     per-sample predictions: the array [b_p, d_p, b_n, d_n] of correct and
     wrong positive mass, then correct and wrong negative mass. For a
     polarity +1 stump at a valid cut it is that cut's column of the
-    ``_candidates`` block, in the same row order."""
+    ``_class_block`` block, in the same row order."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
     weights = check_weights(weights)

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 from hashlib import sha256
@@ -30,8 +31,8 @@ from costboost.boosting import (
 )
 from costboost.datasets import gen_bayes, gen_two_clouds
 from costboost.metrics import pcf
-from costboost.stumps import (Stump, _candidates, _cut_stump, predict_matrix, sort_columns,
-                              stump_predict, train_stump)
+from costboost.stumps import (Stump, _class_block, _cut_stump, _selection_mass, class_masses,
+                              predict_matrix, sort_columns, stump_predict, train_stump)
 
 ERR_FLOOR = 1e-10
 UNIT = CostPair(1, 1)
@@ -62,6 +63,74 @@ class TestInitWeights:
             init_weights("ADA", np.array([]), UNIT)
 
 
+def reference_round(algorithm, stump, alpha, weights, features, labels, costs, total_rounds):
+    """One round of ``algorithm`` as the module docstring's table gives it,
+    in plain floats, one sample at a time, for the round's ``stump``.
+
+    Returns (lo, hi, degenerate, z, new weights). The table's alpha lies
+    in [lo, hi]: its statistic, or CSA's class masses, moved by 2n ulps
+    of the sums they come from, as the scan may sum them in another order.
+    Where a CSA side's mass is within that of 0, the side may be floored
+    or not, and any alpha goes. z and the new weights are the update at
+    ``alpha``, the round's own, so a statistic's rounding does not move
+    them.
+    """
+    n = len(weights)
+    ulps = 2 * n * 2.0**-52
+    y = [int(v) for v in labels]
+    h = [stump_predict(stump, row) for row in features]
+    wrong = [h[i] != y[i] for i in range(n)]
+    c = [costs.c_pos if y[i] > 0 else costs.c_neg for i in range(n)]
+    cn = [v / max(costs.c_pos, costs.c_neg) for v in c]
+    w = list(weights)
+    if algorithm == "ASB":  # pre-scaled by sqrt(k)^(y/T), k = c_pos / c_neg
+        shift = math.log(math.sqrt(costs.c_pos / costs.c_neg)) / total_rounds
+        w = [w[i] * math.exp(y[i] * shift) for i in range(n)]
+        w = [v / sum(w) for v in w]
+    beta = [(1.0 + cn[i]) / 2.0 if wrong[i] else (1.0 - cn[i]) / 2.0 for i in range(n)]
+    ones = [1.0] * n
+    if algorithm == "CSA":
+        masses = class_masses(stump, features, labels, w)
+        slack = ulps * np.repeat([masses[:2].sum(), masses[2:].sum()], 2)
+        sides = (masses[0] + masses[2], masses[1] + masses[3])
+        lo, hi = -math.inf, math.inf
+        if min(sides) > 2.0 * slack.max():  # alpha grows with b_p and b_n, falls with d_p and d_n
+            lo, hi = (solve_csa_alpha(np.maximum(masses + sign * slack, 0.0), costs)
+                      for sign in (np.array([-1, 1, -1, 1]), np.array([1, -1, 1, -1])))
+        degenerate = min(sum(w[i] for i in range(n) if not wrong[i]),
+                         sum(w[i] for i in range(n) if wrong[i])) <= ERR_FLOOR
+    else:
+        v = {"ADC": beta, "AC1": cn, "AC2": cn, "AC3": [x * x for x in cn]}.get(algorithm, ones)
+        norm = sum(cn[i] * w[i] for i in range(n)) if algorithm in ("AC2", "AC3") else 1.0
+        if algorithm in ("ADC", "AC1", "AC3"):  # r, clamped into [-1 + 1e-10, 1 - 1e-10]
+            terms = [v[i] * w[i] * y[i] * h[i] for i in range(n)]
+            floor, odds = -(1.0 - ERR_FLOOR), lambda r: (1.0 + r) / (1.0 - r)
+        else:  # err, clamped into [1e-10, 1 - 1e-10]
+            terms = [v[i] * w[i] for i in range(n) if wrong[i]]
+            floor, odds = ERR_FLOOR, lambda err: (1.0 - err) / err
+        stat = sum(terms) / norm
+        slack = ulps * sum(abs(t) for t in terms) / norm
+        clamped = [min(max(x, floor), 1.0 - ERR_FLOOR) for x in (stat, stat - slack, stat + slack)]
+        lo, hi = sorted(0.5 * math.log(odds(x)) for x in clamped[1:])
+        degenerate = clamped[0] != stat
+    step = {"CB0": 0.0, "CB1": 1.0}.get(algorithm, alpha)
+    mistakes_only = [c[i] if wrong[i] else 1.0 for i in range(n)]
+    factor = {"CB0": mistakes_only, "CB1": mistakes_only, "CB2": mistakes_only,
+              "AC2": cn}.get(algorithm, ones)
+    scale = {"ADC": beta, "AC1": cn, "AC3": cn, "CSA": c}.get(algorithm, ones)
+    # a zero mass gives 0, whatever its exponent
+    unnorm = [factor[i] * w[i] * math.exp(-step * scale[i] * y[i] * h[i])
+              if factor[i] * w[i] > 0.0 else 0.0 for i in range(n)]
+    z = sum(unnorm)
+    return lo, hi, degenerate, z, [u / z for u in unnorm]
+
+
+def assert_close(got, expected, where):
+    """Equal within 1e-12 relative, or 1e-15 absolute near 0."""
+    for a, b in zip(got, expected, strict=True):
+        assert abs(a - b) <= max(1e-12 * max(abs(a), abs(b)), 1e-15), (where, a, b)
+
+
 class TestBoostRound:
     def test_unit_cost_round_matches_plain(self):
         features, labels = fixed_instance(12, 3, seed=2)
@@ -79,20 +148,45 @@ class TestBoostRound:
         assert result.degenerate
         assert result.alpha == 0.5 * np.log((1 - ERR_FLOOR) / ERR_FLOOR)
 
-    def test_update_matches_per_sample_recomputation(self):
-        features, labels = fixed_instance(6, 2, seed=5)
-        weights = np.array([0.1, 0.3, 0.15, 0.2, 0.05, 0.2])
-        result = boost_round("ADA", weights, features, labels, UNIT, 3)
-
-        # independent recomputation, one sample at a time
-        raw = []
-        for i in range(6):
-            h = stump_predict(result.stump, features[i])
-            raw.append(weights[i] * np.exp(-result.alpha * labels[i] * h))
-        z = sum(raw)
-        assert result.z == pytest.approx(z, rel=1e-12)
-        for i in range(6):
-            assert result.weights[i] == pytest.approx(raw[i] / z, rel=1e-12)
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 12), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           exponents=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+           rounds=st.integers(1, 5))
+    @example(n=9, d=2, seed=3, exponents=(0.0, 0.0), rounds=5)
+    @example(n=12, d=3, seed=8, exponents=(2.0, 2.0), rounds=5)
+    def test_update_matches_per_sample_recomputation(self, n, d, seed, exponents, rounds):
+        """Chained rounds of every variant against ``reference_round``, the
+        module docstring's table recomputed one sample at a time, given
+        each round's stump. The table rescales the costs as cn = c /
+        max(c_pos, c_neg); that is an assumption of the table, not of Part I."""
+        rng = np.random.default_rng(seed)
+        # each column normal or drawn from three values, so cuts tie
+        features = np.where(rng.random(d) < 0.5, rng.normal(size=(n, d)),
+                            rng.integers(0, 3, size=(n, d)))
+        labels = rng.choice([-1, 1], size=n)
+        labels[:2] = (1, -1)
+        costs = CostPair(10.0 ** exponents[0], 10.0 ** exponents[1])
+        columns = sort_columns(features, labels)
+        for algorithm in ALGORITHM_IDS:
+            c = [costs.c_pos if y > 0 else costs.c_neg for y in labels.tolist()]
+            init = c if algorithm == "CGA" else [1.0] * n
+            weights = init_weights(algorithm, labels, costs)
+            assert_close(weights, [v / sum(init) for v in init], algorithm)
+            for t in range(1, rounds + 1):
+                try:
+                    got = boost_round(algorithm, weights, features, labels, costs, rounds,
+                                      columns=columns)
+                except ValueError as error:  # the update leaves the float range: the chain ends
+                    assert re.search("weight update (over|under)flows", str(error)), error
+                    break
+                lo, hi, degenerate, z, expected = reference_round(
+                    algorithm, got.stump, got.alpha, weights.tolist(), features, labels, costs,
+                    rounds)
+                where = (algorithm, t, lo, got.alpha, hi)
+                assert got.degenerate == degenerate, where
+                assert_close([min(max(got.alpha, lo), hi)], [got.alpha], where)
+                assert_close([got.z, *got.weights], [z, *expected], where)
+                weights = got.weights
 
     def test_rejects_zero_total_rounds(self):
         features, labels = fixed_instance(4, 1, seed=0)
@@ -305,7 +399,8 @@ def full_batch_alphas(b_p, d_p, b_n, d_n, costs):
 def full_batch_csa_select(columns, weights, costs):
     """``_csa_select`` over the full batch, with its (loss, plain error,
     feature, threshold, polarity +1) tie-break."""
-    masses = _candidates(columns, weights)
+    _selection_mass(weights, None, columns.mass[:-1])
+    masses = _class_block(columns)
     floored = _floor_mass_groups(masses)
     alphas = full_batch_alphas(*floored, costs)[0]
     losses = csa_loss(alphas, floored, costs)

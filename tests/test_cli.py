@@ -9,6 +9,7 @@ import pytest
 
 import costboost
 import costboost.cli as cli
+import costboost.harness as harness
 from costboost.cli import main
 from costboost.datasets import load_csv_balanced
 from costboost.harness import REPORT_KINDS
@@ -217,6 +218,32 @@ def test_run_reports_bad_configs_without_traceback(tmp_path, capsys, config, mes
     assert err.startswith("usage: costboost")
     assert "costboost: error: " in err and message in err
     assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "bayes", "name": "a\x00b"}, "a NUL"),
+    ({"kind": "bayes", "name": "a\udc80b"}, "a lone surrogate"),
+    ({"kind": "bayes", "name": "x" * 225}, "256 bytes, over the 255"),
+    ({"kind": "csv", "path": "spam.csv", "label_column": "label", "positive_label": 0},
+     "dataset positive_label must be a string, not 0"),
+], ids=["nul", "surrogate", "long", "int-label"])
+def test_run_rejects_what_save_cannot_write_before_any_dataset_is_built(
+        tmp_path, capsys, monkeypatch, spec, message):
+    # each of these once ran the whole sweep, then failed in RunStore.save
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a dataset was built")
+
+    monkeypatch.setattr(harness, "_build_dataset", unreachable)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"datasets": [dict({"n_pos": 6, "n_neg": 6}, **spec)],
+                                "algorithms": ["ADA"], "costs": [[1, 100]], "folds": 3,
+                                "rounds": 2}), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(path), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "costboost: error: " in err and message in err
     assert not (tmp_path / "run").exists()
 
 

@@ -227,11 +227,44 @@ class TestExperimentConfig:
             tiny_config(costs=((1, 5), (1.0, 5.0)))
 
     def test_rejects_names_that_break_the_run_directory(self):
-        for name in ("a,b", "a/b", "a\\b", "a\nb"):
+        # a NUL fails every file name, a lone surrogate every UTF-8 write
+        for name in ("a,b", "a/b", "a\\b", "a\nb", "a\x00b", "a\udc80b"):
             with pytest.raises(ValueError, match="name"):
                 DatasetSpec(kind="bayes", name=name, n_pos=6, n_neg=6)
-        with pytest.raises(ValueError, match="name"):
-            DatasetSpec(kind="csv", path="data/a,b.csv")
+            raw = tiny_config().to_dict()
+            raw["datasets"][0]["name"] = name
+            with pytest.raises(ValueError, match="name"):
+                ExperimentConfig.from_dict(raw)
+        for path in ("data/a,b.csv", "data/a\x00b.csv", "data/a\udc80b.csv"):
+            with pytest.raises(ValueError, match="name"):
+                DatasetSpec(kind="csv", path=path, label_column="label", positive_label="1")
+
+    def test_longest_trace_file_name_fits_255_bytes(self, tmp_path):
+        # "<name>__ADA__cp1.0_cn100.0__fold2.csv" is the name plus 31 bytes
+        def config(name):
+            return tiny_config(datasets=[DatasetSpec(kind="bayes", name=name, n_pos=6,
+                                                     n_neg=6)],
+                               algorithms=["ADA"], costs=[[1, 100]], rounds=2)
+
+        with pytest.raises(ValueError, match="256 bytes, over the 255"):
+            config("x" * 225)
+        with pytest.raises(ValueError, match="256 bytes"):  # two bytes each in UTF-8
+            config("\u00e9" * 112 + "x")
+        store = run_experiment(config("x" * 224))
+        store.save(tmp_path)
+        assert len(list((tmp_path / "traces").iterdir())) == 3
+        assert RunStore.load(tmp_path) == store
+
+    @pytest.mark.parametrize("key", ["label_column", "positive_label"])
+    @pytest.mark.parametrize("value", [0, 1, 1.0, True], ids=["0", "1", "1.0", "true"])
+    def test_rejects_csv_labels_that_are_not_strings(self, key, value):
+        # 0 once read as missing; 1.0 and true passed and matched no row as
+        # "1.0" and "True"; 1 matched only through str(1) == "1"
+        raw = tiny_config().to_dict()
+        spec = dict(kind="csv", path="data/spam.csv", label_column="label", positive_label="1")
+        raw["datasets"] = [dict(spec, **{key: value})]
+        with pytest.raises(ValueError, match=f"{key} must be a string, not {value!r}"):
+            ExperimentConfig.from_dict(raw)
 
     def test_from_dict_rejects_non_string_name_and_path(self):
         for key in ("name", "path"):

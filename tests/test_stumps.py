@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from costboost.boosting import CostPair, _csa_select
 from costboost.stumps import (
     Stump,
-    _candidates,
+    _class_block,
     _cut_stump,
     _selection_mass,
     _sum,
@@ -50,11 +50,17 @@ def brute_force_candidates(features, labels, mass):
     return out
 
 
+def scan_block(columns, weights, multiplier=None):
+    """The class-mass block, rows b_p, d_p, b_n, d_n, of one selection mass."""
+    _selection_mass(weights, multiplier, columns.mass[:-1])
+    return _class_block(columns)
+
+
 def compacted_pick(columns, weights, multiplier=None):
     """The stump pick before the full-table scan: the valid cuts' class
     masses gathered into one block, then the first minimum of their
     (cuts, 2) errors in (feature, threshold, polarity +1 first) order."""
-    b_p, d_p, b_n, d_n = _candidates(columns, weights, multiplier)
+    b_p, d_p, b_n, d_n = scan_block(columns, weights, multiplier)
     errs = np.stack((d_p + d_n, b_n + b_p), axis=1)
     j, minus = divmod(int(np.argmin(errs)), 2)
     return _cut_stump(columns, columns.below[j], -1 if minus else 1)
@@ -64,7 +70,7 @@ def two_row_scan(columns, features, labels, mass):
     """The class-mass tables as the scan summed them before its lanes: each
     sorted column's masses times each class's mask, one float cumulative
     sum along every column, then the total minus the mass below. Returns
-    ``mass_below``, ``above`` and the ``_candidates`` block."""
+    ``mass_below``, ``above`` and the ``_class_block`` block."""
     order = np.argsort(features.T, axis=1, kind="stable")
     positive = (labels > 0)[order]
     sides = mass[order] * np.stack((positive, ~positive))
@@ -346,7 +352,7 @@ class TestPairedLaneScan:
 
         scans = []
         for _ in range(2):  # a reused handle scans as a fresh one does
-            masses = _candidates(columns, weights, multiplier)
+            masses = scan_block(columns, weights, multiplier)
             scans.append([a.tobytes() for a in (columns.mass_below, columns.above, masses)])
         assert scans[0] == scans[1] == [a.tobytes() for a in expected]
 
@@ -363,7 +369,7 @@ class TestPairedLaneScan:
         weights, multiplier = rng.random(9), rng.random(9)
         kept = weights.copy(), multiplier.copy()
         _selection_mass(weights, multiplier, columns.mass[:-1])
-        for scan in (*_sum(columns), _candidates(columns, weights, multiplier)):
+        for scan in (*_sum(columns), scan_block(columns, weights, multiplier)):
             assert lo <= bounds(scan)[0] < bounds(scan)[1] <= hi
         assert weights.tobytes() == kept[0].tobytes()
         assert multiplier.tobytes() == kept[1].tobytes()
@@ -383,9 +389,9 @@ class TestPairedLaneScan:
         weights = np.array([0.5, 0.0, 0.25])
         for signed, multiplier in ((np.array([0.5, -0.0, 0.25]), None),
                                    (weights, np.array([1.0, -0.0, 1.0]))):
-            expected = _candidates(sort_columns(features, labels), weights).copy()
-            assert _candidates(sort_columns(features, labels), signed,
-                               multiplier).tobytes() == expected.tobytes()
+            expected = scan_block(sort_columns(features, labels), weights).copy()
+            assert scan_block(sort_columns(features, labels), signed,
+                              multiplier).tobytes() == expected.tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -423,12 +429,12 @@ class TestSortedColumns:
         costs = CostPair(1.0, 2.5)
         # every scan of the one block first, so stale state would show; a
         # scan's block lives only until the next scan, so each is copied
-        scans = [_candidates(columns, w, m).copy() for w, m in inputs]
+        scans = [scan_block(columns, w, m).copy() for w, m in inputs]
         stumps = [train_stump(features, labels, w, m, columns=columns) for w, m in inputs]
         picks = [_csa_select(columns, w, costs) for w, _ in inputs[::2]]
 
         for (weights, multiplier), scan, stump in zip(inputs, scans, stumps):
-            fresh = _candidates(sort_columns(features, labels), weights, multiplier)
+            fresh = scan_block(sort_columns(features, labels), weights, multiplier)
             assert [a.tobytes() for a in scan] == [a.tobytes() for a in fresh]
             assert stump == train_stump(features, labels, weights, multiplier)
             mass = weights if multiplier is None else weights * multiplier
@@ -459,9 +465,9 @@ class TestSortedColumns:
         for multiplier in (None, c_norm, c_norm * c_norm, None, c_norm * c_norm, c_norm):
             weights = rng.random(n)
             weights /= weights.sum()
-            scan = _candidates(columns, weights, multiplier)
+            scan = scan_block(columns, weights, multiplier)
             assert np.shares_memory(scan, columns.block)
-            fresh = _candidates(sort_columns(features, labels), weights, multiplier)
+            fresh = scan_block(sort_columns(features, labels), weights, multiplier)
             assert scan.tobytes() == fresh.tobytes()
             assert (train_stump(features, labels, weights, multiplier, columns=columns)
                     == train_stump(features, labels, weights, multiplier))
@@ -535,7 +541,7 @@ class TestSortedColumns:
         else:
             multiplier = np.ones(5)
         with pytest.raises(ValueError):
-            _candidates(columns, weights, multiplier)
+            scan_block(columns, weights, multiplier)
         with pytest.raises(ValueError):
             train_stump(features, labels, weights, multiplier, columns=columns)
         if multiplier is None:
