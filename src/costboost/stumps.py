@@ -146,7 +146,11 @@ class SortedColumns:
     column's sorted order, the shorter lane padded with index n.
     ``spread`` (2, features, samples + 1) holds, for every cut, the flat
     index into the (features, m + 1, 2) lane sums of the positive (row
-    0) and the negative (row 1) mass below it. These arrays are read-only.
+    0) and the negative (row 1) mass below it. These fields are read-only
+    views: numpy's ``take`` copies an index that is not writeable on every
+    call, so the scans gather through the writeable arrays behind the
+    index fields, ``lanes.base``, ``spread.base`` and ``below.base``, which
+    no field holds.
 
     The scan buffers are views of ``block``, one allocation, every part
     16-byte aligned. ``mass`` holds the selection masses and a 0 at index
@@ -224,8 +228,11 @@ def sort_columns(features, labels) -> SortedColumns:
     np.left_shift(spread[0], 1, out=spread[0])
     np.subtract(np.arange(1, 2 * n + 3, 2), spread[0], out=spread[1])
     spread += np.arange(0, f * 2 * (m + 1), 2 * (m + 1))[:, None]
-    below = np.flatnonzero(valid)
-    sort = (thresholds, lanes, spread, below, np.where(valid, 0.0, np.inf))
+    # copied, as flatnonzero's result views a larger array: each field's
+    # base is then the writeable array of its shape that the scans gather through
+    below = np.flatnonzero(valid).copy()
+    sort = tuple(array.view() for array in
+                 (thresholds, lanes, spread, below, np.where(valid, 0.0, np.inf)))
     for array in sort:
         array.setflags(write=False)
     # every part but the last has an even size, and the block is allocated
@@ -246,13 +253,14 @@ def _sum(columns: SortedColumns):
     """Fill ``columns.mass_below`` and ``columns.above`` for the selection
     mass in ``columns.mass`` and return them."""
     sums = columns.sums
-    # the indices are valid: "clip" spares the copy "raise" makes of ``out``
-    np.take(columns.mass, columns.lanes, out=columns.sides, mode="clip")
+    # the indices are valid: "clip" spares the copy "raise" makes of ``out``,
+    # and gathering through the writeable base the copy of the index
+    np.take(columns.mass, columns.lanes.base, out=columns.sides, mode="clip")
     np.cumsum(columns.lane_sides, axis=1, out=columns.lane_sums)
     sums[:, 0] = 0.0
     # column b holds the class mass below cut b; the last column the total
     below, above = columns.mass_below, columns.above
-    np.take(sums, columns.spread, out=below, mode="clip")
+    np.take(sums, columns.spread.base, out=below, mode="clip")
     np.subtract(below[::-1, :, -1:], below[::-1], out=above)
     return below, above
 
@@ -264,7 +272,7 @@ def _class_block(columns: SortedColumns):
     The polarity +1 stump errs on the positives at or below the cut and
     the negatives above; -1 swaps b, d."""
     below, above = _sum(columns)
-    index, masses = columns.below, columns.masses
+    index, masses = columns.below.base, columns.masses  # the writeable base, as in ``_sum``
     # rows d_p and b_n lie below the cut, b_p and d_n above it
     np.take(below.reshape(2, -1), index, axis=1, out=masses[1:3], mode="clip")
     np.take(above[1].reshape(-1), index, out=masses[0], mode="clip")

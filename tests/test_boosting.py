@@ -31,8 +31,9 @@ from costboost.boosting import (
 )
 from costboost.datasets import gen_bayes, gen_two_clouds
 from costboost.metrics import pcf
-from costboost.stumps import (Stump, _class_block, _cut_stump, _selection_mass, class_masses,
-                              predict_matrix, sort_columns, stump_predict, train_stump)
+from costboost.stumps import (Stump, _class_block, _cut_stump, _selection_mass,
+                              candidate_thresholds, class_masses, predict_matrix, sort_columns,
+                              stump_predict, train_stump)
 
 ERR_FLOOR = 1e-10
 UNIT = CostPair(1, 1)
@@ -259,6 +260,130 @@ class TestBoostRound:
         assert digest.hexdigest() == (
             "21664d6d729670d0d84f7ef4b251f57af3c8dda63810ceb9bd6c0f0ee83a125d"
         )
+
+
+def selection_bounds(algorithm, candidates, predictions, features, labels, weights, costs,
+                     total_rounds):
+    """What the module docstring's table has each round's stump pick
+    minimize, for every stump of ``candidates``, whose ``predictions``
+    list one +-1 per sample, as a range [lo, hi] that holds the scan's value.
+
+    The scan sums a candidate's masses in another order, and may round a
+    tiny one to 0; its value lies within 2n ulps of the class totals of
+    the per-sample sums. A plain pick minimizes sum(m w [h != y]). CSA
+    scores one (feature, threshold) cut for both polarities, as the
+    polarity -1 twin swaps b and d, which leaves the least loss: the
+    loss ``csa_loss`` gives at ``solve_csa_alpha``'s alpha, each side of
+    zero mass floored as that solve floors it. A side that may round to
+    0 may be floored or left tiny, so its loss lies anywhere from 0 to
+    the floored one. For CSA the ranges are per cut, with the polarity
+    each cut's plain weighted errors (d side, b side) pick, or 0 where
+    those lie within rounding of each other.
+    """
+    n = len(weights)
+    ulps = 2 * n * 2.0**-52
+    y = np.asarray(labels)
+    c = np.where(y > 0, costs.c_pos, costs.c_neg)
+    cn = c / max(costs.c_pos, costs.c_neg)
+    w = np.array(weights)
+    if algorithm == "ASB":  # pre-scaled by sqrt(k)^(y/T), k = c_pos / c_neg
+        w = w * np.exp(y * math.log(math.sqrt(costs.c_pos / costs.c_neg)) / total_rounds)
+        w = w / w.sum()
+    if algorithm != "CSA":
+        wrong = np.array(predictions) != y
+        mass = w * {"AC1": cn, "AC2": cn, "AC3": cn * cn}.get(algorithm, 1.0)
+        errors = np.array([math.fsum(mass[row]) for row in wrong])
+        slack = ulps * mass.sum()
+        return errors - slack, errors + slack, None
+
+    def least_loss(masses):
+        return float(csa_loss(solve_csa_alpha(masses, costs), _floor_mass_groups(masses[:, None]),
+                              costs)[0])
+
+    lo, hi, polarity = [], [], []
+    for stump in candidates[::2]:  # polarity +1: b_p, d_p, b_n, d_n
+        masses = class_masses(stump, features, labels, w)
+        slack = ulps * np.repeat([masses[:2].sum(), masses[2:].sum()], 2)
+        # an exact 0 sums no mass, in the scan too; a positive mass may round to 0
+        down = np.where(masses > 0.0, np.maximum(masses - slack, 0.0), 0.0)
+        up = np.where(masses > 0.0, masses + slack, 0.0)
+        sides, low_sides = masses[:2] + masses[2:], down[:2] + down[2:]
+        # a side that may round to 0 may also stay tiny, where the least loss tends to 0
+        tiny = ((sides > 0.0) & (low_sides <= 0.0)).any()
+        lo.append(0.0 if tiny else least_loss(down))
+        hi.append(max(least_loss(up), least_loss(np.where(np.tile(low_sides <= 0.0, 2), 0.0, up))))
+        err_plus, err_minus = sides[1], sides[0]
+        polarity.append(0 if abs(err_plus - err_minus) <= 2.0 * (slack[0] + slack[2]) else
+                        1 if err_plus < err_minus else -1)
+    return np.array(lo), np.array(hi), polarity
+
+
+def assert_least(pick, lo, hi, where):
+    """The candidate ``pick`` can have the least objective of all the
+    ranges [lo, hi], and is the first least wherever that one lies below
+    every other by more than 1e-9 relative; returns whether it did."""
+    best = int(np.argmin(hi))
+    assert lo[pick] <= hi[best] * (1.0 + 1e-9), (where, pick, best)
+    apart = bool(np.delete(lo, best).min(initial=np.inf) > hi[best] * (1.0 + 1e-9))
+    if apart:
+        assert pick == best, (where, pick, best)
+    return apart
+
+
+class TestStumpEnumeration:
+    """ROADMAP item 6's stump oracle: every round's stump against all
+    candidates enumerated one sample at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 12), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           exponents=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+           rounds=st.integers(1, 5))
+    @example(n=12, d=3, seed=8, exponents=(2.0, -1.0), rounds=5)
+    def test_every_round_picks_the_enumerated_minimizer(self, n, d, seed, exponents, rounds):
+        """Each variant's ``train_ensemble`` stumps against every (feature,
+        ``candidate_thresholds`` value, polarity) stump, predicted through
+        ``stump_predict`` and listed in the documented tie order: feature,
+        then threshold, then polarity +1 first. Each round's weights are
+        ``reference_round``'s, from the round's own stump and alpha, and
+        each candidate's objective is ``selection_bounds``'s. The pick
+        must be the first least wherever the best two differ by more than
+        1e-9 relative beyond rounding, and one that can be least
+        elsewhere. The table rescales the costs as cn = c / max(c_pos,
+        c_neg); that is an assumption of the table, not of Part I."""
+        rng = np.random.default_rng(seed)
+        # each column normal or drawn from three values, so cuts tie
+        features = np.where(rng.random(d) < 0.5, rng.normal(size=(n, d)),
+                            rng.integers(0, 3, size=(n, d)))
+        labels = rng.choice([-1, 1], size=n)
+        labels[:2] = (1, -1)
+        costs = CostPair(10.0 ** exponents[0], 10.0 ** exponents[1])
+        candidates = [Stump(f, float(t), polarity) for f in range(d)
+                      for t in candidate_thresholds(features[:, f]) for polarity in (1, -1)]
+        predictions = [[stump_predict(s, row) for row in features] for s in candidates]
+        columns = sort_columns(features, labels)  # shared, as a sweep's cells share it
+        c = [costs.c_pos if y > 0 else costs.c_neg for y in labels.tolist()]
+        for algorithm in ALGORITHM_IDS:
+            try:
+                classifier, _ = train_ensemble(algorithm, features, labels, costs, rounds,
+                                               columns=columns)
+            except ValueError as error:  # the update or the votes leave the float range
+                assert re.search("(weight update (over|under)flows|votes overflow)",
+                                 str(error)), error
+                continue
+            init = c if algorithm == "CGA" else [1.0] * n
+            weights = [v / sum(init) for v in init]
+            for t, (stump, alpha) in enumerate(zip(classifier.stumps, classifier.alphas), 1):
+                where = (algorithm, t, stump)
+                assert stump in candidates, where
+                pick = candidates.index(stump)
+                lo, hi, polarity = selection_bounds(algorithm, candidates, predictions, features,
+                                                    labels, weights, costs, rounds)
+                if polarity is None:
+                    assert_least(pick, lo, hi, where)
+                elif assert_least(pick // 2, lo, hi, where) and polarity[pick // 2]:
+                    assert stump.polarity == polarity[pick // 2], where
+                weights = reference_round(algorithm, stump, alpha, weights, features, labels,
+                                          costs, rounds)[4]
 
 
 class TestSolveCsaAlpha:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from costboost.stumps import (
     Stump,
     _class_block,
     _cut_stump,
+    _least_error,
     _selection_mass,
     _sum,
     candidate_thresholds,
@@ -373,6 +376,40 @@ class TestPairedLaneScan:
             assert lo <= bounds(scan)[0] < bounds(scan)[1] <= hi
         assert weights.tobytes() == kept[0].tobytes()
         assert multiplier.tobytes() == kept[1].tobytes()
+
+    def test_a_scan_copies_no_index(self):
+        # numpy's take copies an index that is not writeable, so gathering
+        # through the handle's read-only fields would allocate each index
+        # again on every scan, spread the largest. What is left is the
+        # ufunc buffer of the broadcast total-minus-below subtract, 8192
+        # floats at most, under half of spread at this size
+        rng = np.random.default_rng(11)
+        columns = sort_columns(rng.normal(size=(300, 40)), rng.choice([-1, 1], size=300))
+        _selection_mass(rng.random(300), None, columns.mass[:-1])
+        _least_error(columns)
+        _class_block(columns)
+        tracemalloc.start()
+        try:
+            _least_error(columns)
+            _class_block(columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < columns.spread.nbytes / 2
+
+    @pytest.mark.parametrize("name", ["lanes", "spread", "below"])
+    def test_gathers_through_a_writeable_owner_of_each_index(self, name):
+        rng = np.random.default_rng(2)
+        features = rng.integers(0, 4, size=(12, 3)).astype(float)
+        columns = sort_columns(features, rng.choice([-1, 1], size=12))
+        field = getattr(columns, name)
+        owner = field.base  # what the scans gather through
+        assert owner.flags.writeable and owner.flags.c_contiguous and owner.flags.owndata
+        assert owner.dtype == np.intp
+        assert owner.shape == field.shape
+        assert owner.tobytes() == field.tobytes()
+        # no field holds it: test_block_is_read_only writes each field in vain
+        assert not any(value is owner for value in vars(columns).values())
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8])
     def test_complex_views_are_aligned(self, n):
