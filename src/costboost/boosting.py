@@ -57,8 +57,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .metrics import confusion_rates, classification_asymmetry, nec, pcf
-from .stumps import (SortedColumns, Stump, _class_block, _cut_stump, _forget_picks, _pick,
-                     candidate_thresholds, predict_matrix, sort_columns, train_stump)
+from .stumps import (SortedColumns, Stump, _check_class_totals, _class_block, _cut_stump,
+                     _forget_picks, _pick, candidate_thresholds, predict_matrix, sort_columns,
+                     train_stump)
 
 __all__ = [
     "ALGORITHM_IDS",
@@ -514,6 +515,7 @@ def _csa_select(columns: SortedColumns, weights, costs: CostPair):
 def _csa_pick(columns: SortedColumns, costs: CostPair):
     """``_csa_select``'s (stump, alpha) for the selection mass in ``columns.mass``."""
     masses = _class_block(columns)
+    _check_class_totals(masses)
     floored = _floor_mass_groups(masses)
     kept, alphas = _csa_alpha_arrays(floored, costs)
     losses = csa_loss(alphas, floored[:, kept], costs)

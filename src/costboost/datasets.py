@@ -17,6 +17,7 @@ dropped and the larger class is subsampled to match the smaller one.
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -337,6 +338,8 @@ def stratified_kfold(labels, k: int = 3, seed: int = 0) -> FoldAssignment:
     assigned before negatives).
     """
     labels = np.asarray(labels)
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, not {k!r}")
     if k < 2:
         raise ValueError("k must be >= 2")
     fold_of = np.empty(labels.size, dtype=int)

@@ -19,11 +19,13 @@ trained on it and its picks. Every pick, ``train_stump``'s and CSA's in
 ``boosting``, goes through ``_pick``: it writes the round's selection
 mass into those buffers and returns the pick the handle keeps for the
 mass's bytes, scanning only a mass it lacks. A scan is ``_sum``, which
-sums the mass into the class mass below and above every cut of every
-column: each column's two class lanes are summed as the two components
-of one complex cumulative sum, and one gather spreads the lane sums back
-to every cut. ``train_stump`` scores that full table, its cuts between
-equal values masked by the block's ``pad``; ``_class_block`` gathers the
+sums the mass into one table of the class masses on each side of every
+cut of every column: each column's two class lanes are summed as the two
+components of one complex cumulative sum, one gather spreads the lane
+sums back to every cut, and one subtract takes the mass above from the
+column's total. A cut between equal values reads the sums of the valid
+cut that opens its run, so every column of the table is a stump's:
+``train_stump`` scores the whole table, and ``_class_block`` gathers its
 valid cuts into the (4, cuts) class-mass block, rows b_p, d_p, b_n, d_n,
 that CSA reads.
 """
@@ -136,9 +138,8 @@ class SortedColumns:
     values, or above the maximum (b = n), is not a candidate.
     ``thresholds`` (features, samples) holds the threshold ``_thresholds``
     places at each cut b < n. ``below`` holds, for each valid cut in
-    (feature, threshold) order, the flat index f * (n + 1) + b into a
-    (features, samples + 1) table of the class mass below each cut;
-    ``pad`` is that table with 0 at the valid cuts and +inf elsewhere.
+    (feature, threshold) order, the flat index f * (n + 1) + b into the
+    (features, samples + 1) rows of ``table``.
 
     Each column is split by class into two lanes, m long, m the larger
     class count: ``lanes`` (features, m, 2) lists the samples of class +1
@@ -146,29 +147,31 @@ class SortedColumns:
     column's sorted order, the shorter lane padded with index n.
     ``spread`` (2, features, samples + 1) holds, for every cut, the flat
     index into the (features, m + 1, 2) lane sums of the positive (row
-    0) and the negative (row 1) mass below it. These fields are read-only
-    views: numpy's ``take`` copies an index that is not writeable on every
-    call, so the scans gather through the writeable arrays behind the
-    index fields, ``lanes.base``, ``spread.base`` and ``below.base``, which
-    no field holds.
+    0) and the negative (row 1) mass below it; a cut between equal values
+    holds the indices of the valid cut that opens its run. These fields
+    are read-only views: numpy's ``take`` copies an index that is not
+    writeable on every call, so the scans gather through the writeable
+    arrays behind the index fields, ``lanes.base``, ``spread.base`` and
+    ``below.base``, which no field holds.
 
-    The scan buffers are views of ``block``, one allocation, every part
-    16-byte aligned. ``mass`` holds the selection masses and a 0 at index
-    n. ``sides`` (features, m, 2) holds them gathered into the lanes and
-    ``sums`` (features, m + 1, 2) each lane's running sums after a row of
-    0s, which every scan writes again. ``lane_sides`` and ``lane_sums``
-    are their complex views, ``lane_sums`` from row 1 on, so one complex
-    ``cumsum`` sums both lanes, a lane per component.
-    ``mass_below`` is the (2, features, samples + 1) class mass below each
-    cut, row 0 positive, row 1 negative, spread from ``sums``. ``above``
-    is the mass above each cut that the stump of polarity (+1, -1)[p]
-    gets wrong, in row p: the negatives in row 0, the positives in row 1.
-    ``train_stump`` adds ``mass_below`` into it in place, giving each
-    cut's weighted error. ``masses`` is the (4, cuts) block
-    ``_class_block`` returns. A scan is done with ``sides`` once ``sums``
-    is summed and with ``sums`` once ``mass_below`` is spread, so
-    ``sides`` shares the memory of ``mass_below`` and ``sums`` that of
-    ``above``.
+    The scan buffers are views of one allocation, ``mass.base``. ``mass``
+    holds the selection masses and a 0 at index n. ``sides`` (features,
+    m, 2) holds them gathered into the lanes and ``sums`` (features, m +
+    1, 2) each lane's running sums after a row of 0s, which every scan
+    writes again. ``lane_sides`` and ``lane_sums`` are their complex views,
+    ``lane_sums`` from row 1 on, so one complex ``cumsum`` sums both lanes,
+    a lane per component. ``table`` (4, features, samples + 1) holds, for
+    every cut, the class masses of the polarity +1 stump there in rows
+    b_p, d_p, b_n, d_n: rows 1 and 2 are the positive and the negative
+    mass below the cut, spread from ``sums``, rows 0 and 3 the masses
+    above it, so cut n holds (0, P, N, 0), P and N the class totals, and
+    a cut between equal values the column of its run's valid first cut.
+    The polarity -1 stump swaps b and d. ``train_stump`` adds rows 2 and 3
+    into rows 0 and 1 in place, giving each cut's weighted error.
+    ``masses`` is the (4, cuts) block ``_class_block`` returns. A scan is
+    done with ``sides`` once ``sums`` is summed and with ``sums`` once
+    rows 1 and 2 are spread, so ``sides`` lies in rows 1 and 2 and the
+    tail of ``sums`` is row 0.
 
     The sums carry the bits of a per-class cumulative sum over each
     whole sorted column, the other class's samples counted as 0: each
@@ -187,15 +190,12 @@ class SortedColumns:
     lanes: np.ndarray
     spread: np.ndarray
     below: np.ndarray
-    pad: np.ndarray
-    block: np.ndarray
     mass: np.ndarray
     sides: np.ndarray
     sums: np.ndarray
     lane_sides: np.ndarray
     lane_sums: np.ndarray
-    mass_below: np.ndarray
-    above: np.ndarray
+    table: np.ndarray
     masses: np.ndarray
     ensembles: dict
     picks: dict
@@ -214,6 +214,10 @@ def sort_columns(features, labels) -> SortedColumns:
     np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, 1:n])
     thresholds = _thresholds(xs)
     del xs  # freed before the lanes are built, so the sort's peak memory holds
+    # copied, as flatnonzero's result views a larger array: each field's
+    # base is then the writeable array of its shape that the scans gather through
+    below = np.flatnonzero(valid).copy()
+    valid[:, n] = True  # cut n keeps its own sums, the column's totals
     positive = (labels > 0)[order]
     p = int(np.count_nonzero(labels > 0))
     m = max(p, n - p)
@@ -221,63 +225,72 @@ def sort_columns(features, labels) -> SortedColumns:
     lanes[:, :p, 0] = np.compress(positive.reshape(-1), order).reshape(f, p)
     lanes[:, :n - p, 1] = np.compress(~positive.reshape(-1), order).reshape(f, n - p)
     # cut b of column f has c positives below it and b - c negatives: its
-    # lane sums lie at flat index 2c and 2(b - c) + 1 past column f's start
+    # lane sums lie at flat index 2c and 2(b - c) + 1 past column f's start.
+    # Both only grow along a column, so zeroing them at the invalid cuts and
+    # taking the running max gives each of those its run's valid first cut
     spread = np.empty((2, f, n + 1), dtype=np.intp)
     spread[0, :, 0] = 0
     np.cumsum(positive, axis=1, out=spread[0, :, 1:])
     np.left_shift(spread[0], 1, out=spread[0])
     np.subtract(np.arange(1, 2 * n + 3, 2), spread[0], out=spread[1])
+    np.multiply(spread, valid, out=spread)
+    np.maximum.accumulate(spread, axis=2, out=spread)
     spread += np.arange(0, f * 2 * (m + 1), 2 * (m + 1))[:, None]
-    # copied, as flatnonzero's result views a larger array: each field's
-    # base is then the writeable array of its shape that the scans gather through
-    below = np.flatnonzero(valid).copy()
-    sort = tuple(array.view() for array in
-                 (thresholds, lanes, spread, below, np.where(valid, 0.0, np.inf)))
+    sort = tuple(array.view() for array in (thresholds, lanes, spread, below))
     for array in sort:
         array.setflags(write=False)
-    # every part but the last has an even size, and the block is allocated
-    # as complex, so each part starts 16-byte aligned for a complex view
-    shapes = ((n + 1 + (n + 1) % 2,), (2, f, n + 1), (2, f, n + 1), (4, below.size))
-    sizes = [int(np.prod(shape)) for shape in shapes]
-    block = np.empty(sum(sizes) // 2, dtype=complex).view(float)
-    mass, mass_below, above, masses = (part.reshape(shape) for part, shape
-                                       in zip(np.split(block, np.cumsum(sizes)[:-1]), shapes))
+    # one allocation: mass, then sums, whose last f(n + 1) floats are table
+    # row 0, then table rows 1-3, then masses. It is allocated as complex
+    # and sums and row 1 start at an even offset, so both, and sides in
+    # row 1, start 16-byte aligned for a complex view
+    cells, summed = f * (n + 1), f * (m + 1) * 2
+    start = n + 1 + (n + 1) % 2
+    ends = np.cumsum((start, summed - cells, 4 * cells, 4 * below.size))
+    block = np.empty((ends[-1] + 1) // 2, dtype=complex).view(float)
+    mass, _, table, masses, _ = np.split(block, ends)
     mass[n:] = 0.0
-    sides = mass_below.reshape(-1)[:f * m * 2].reshape(f, m, 2)
-    sums = above.reshape(-1)[:f * (m + 1) * 2].reshape(f, m + 1, 2)
-    return SortedColumns(*sort, block, mass[:n + 1], sides, sums, sides.view(complex)[..., 0],
-                         sums[:, 1:].view(complex)[..., 0], mass_below, above, masses, {}, {})
+    sums = block[start:start + summed].reshape(f, m + 1, 2)
+    table = table.reshape(4, f, n + 1)
+    sides = table[1:3].reshape(-1)[:f * m * 2].reshape(f, m, 2)
+    return SortedColumns(*sort, mass[:n + 1], sides, sums, sides.view(complex)[..., 0],
+                         sums[:, 1:].view(complex)[..., 0], table, masses.reshape(4, -1), {}, {})
 
 
 def _sum(columns: SortedColumns):
-    """Fill ``columns.mass_below`` and ``columns.above`` for the selection
-    mass in ``columns.mass`` and return them."""
-    sums = columns.sums
+    """Fill ``columns.table`` for the selection mass in ``columns.mass``
+    and return it."""
+    sums, table = columns.sums, columns.table
     # the indices are valid: "clip" spares the copy "raise" makes of ``out``,
     # and gathering through the writeable base the copy of the index
     np.take(columns.mass, columns.lanes.base, out=columns.sides, mode="clip")
     np.cumsum(columns.lane_sides, axis=1, out=columns.lane_sums)
-    sums[:, 0] = 0.0
-    # column b holds the class mass below cut b; the last column the total
-    below, above = columns.mass_below, columns.above
-    np.take(sums, columns.spread.base, out=below, mode="clip")
-    np.subtract(below[::-1, :, -1:], below[::-1], out=above)
-    return below, above
+    sums[:, 0] = 0.0  # row 0 of the table overwrote them
+    # rows d_p and b_n, the mass below; then b_p and d_n, the total (cut n) minus it
+    np.take(sums, columns.spread.base, out=table[1:3], mode="clip")
+    np.subtract(table[1:3, :, -1:], table[1:3], out=table[::3])
+    return table
 
 
 def _class_block(columns: SortedColumns):
     """Polarity +1 class masses of every valid cut for the selection mass
     in ``columns.mass``: rows b_p, d_p, b_n, d_n over the valid cuts in
-    (feature, threshold) order, in ``columns.masses`` until the next scan.
-    The polarity +1 stump errs on the positives at or below the cut and
-    the negatives above; -1 swaps b, d."""
-    below, above = _sum(columns)
-    index, masses = columns.below.base, columns.masses  # the writeable base, as in ``_sum``
-    # rows d_p and b_n lie below the cut, b_p and d_n above it
-    np.take(below.reshape(2, -1), index, axis=1, out=masses[1:3], mode="clip")
-    np.take(above[1].reshape(-1), index, out=masses[0], mode="clip")
-    np.take(above[0].reshape(-1), index, out=masses[3], mode="clip")
-    return masses
+    (feature, threshold) order, ``columns.table``'s columns at
+    ``columns.below``, in ``columns.masses`` until the next scan. The
+    polarity +1 stump errs on the positives at or below the cut and the
+    negatives above; -1 swaps b, d."""
+    # through the writeable base, as in ``_sum``
+    return np.take(_sum(columns).reshape(4, -1), columns.below.base, axis=1,
+                   out=columns.masses, mode="clip")
+
+
+def _check_class_totals(masses) -> None:
+    """Raise where a class's selection mass sums to inf, as then a side of
+    some cut is inf - inf. ``masses`` is ``columns.table`` or the
+    ``_class_block`` block: the first column of either, cut 0 of feature
+    0, is (P, 0, 0, N), P and N the class totals, the first entries of
+    rows 0 and 3."""
+    if max(masses.item(0), masses.item(masses.size // 4 * 3)) == np.inf:
+        raise ValueError("the selection mass of a class overflows: its sum is inf")
 
 
 def _pick(columns: SortedColumns, weights, multiplier, key, choose, *args):
@@ -305,10 +318,11 @@ def _forget_picks(columns: SortedColumns, keep) -> None:
 
 
 def _cut_stump(columns: SortedColumns, index, polarity) -> Stump:
-    """Stump of the given polarity at the valid cut with flat index
-    f * (n + 1) + b, as ``columns.below`` holds it; its threshold is
-    ``columns.thresholds[f, b]``."""
-    f, b = divmod(int(index), columns.pad.shape[1])
+    """Stump of the given polarity at the cut with flat index f * (n + 1)
+    + b, b < n, into the rows of ``columns.table``; its threshold is
+    ``columns.thresholds[f, b]``. The picks pass valid cuts, as
+    ``columns.below`` holds them."""
+    f, b = divmod(int(index), columns.table.shape[2])
     return Stump(feature_index=f, threshold=float(columns.thresholds[f, b]), polarity=polarity)
 
 
@@ -331,16 +345,16 @@ def train_stump(features, labels, weights, per_sample_multiplier=None, *,
 
 def _least_error(columns: SortedColumns) -> Stump:
     """The stump of least weighted error for the selection mass in ``columns.mass``."""
-    below, errs = _sum(columns)
-    # row p: the error of polarity (+1, -1)[p] at every cut, +inf where
-    # the cut is no candidate; the pad goes first, so no sum at such a cut
-    # can overflow where no valid cut's sum does
-    np.add(errs, columns.pad, out=errs)
-    np.add(below, errs, out=errs)
-    errs = errs.reshape(2, -1)
-    plus, minus = np.argmin(errs, axis=1)
-    # ties: lowest feature, then threshold (both the flat index), then +1
-    if (errs[1, minus], minus) < (errs[0, plus], plus):
+    table = _sum(columns)
+    _check_class_totals(table)
+    # row 0: the error of polarity -1 at every cut, b_p + b_n; row 1 of +1
+    errs = np.add(table[:2], table[2:], out=table[:2]).reshape(2, -1)
+    minus, plus = np.argmin(errs, axis=1)
+    # ties: lowest feature, then threshold (both the flat index), then +1.
+    # Neither pick is an invalid cut: one between equal values repeats the
+    # error of its run's valid first cut, at a lower index in its row, and
+    # cut n's error in one row, P or N, is cut 0's in the other, at a lower index
+    if (errs[0, minus], minus) < (errs[1, plus], plus):
         return _cut_stump(columns, minus, -1)
     return _cut_stump(columns, plus, 1)
 
@@ -361,8 +375,8 @@ def class_masses(stump: Stump, features, labels, weights) -> np.ndarray:
     """The weight mass of a stump by (class, correctness), summed from its
     per-sample predictions: the array [b_p, d_p, b_n, d_n] of correct and
     wrong positive mass, then correct and wrong negative mass. For a
-    polarity +1 stump at a valid cut it is that cut's column of the
-    ``_class_block`` block, in the same row order."""
+    polarity +1 stump that ``_cut_stump`` places at a cut it is that cut's
+    column of the table, at any cut b < n, in the same row order."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
     weights = check_weights(weights)

@@ -287,6 +287,16 @@ class TestStratifiedKfold:
         with pytest.raises(ValueError):
             stratified_kfold(np.array([1, 1, -1, -1]), k=3, seed=0)
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, True], ids=["fraction", "float", "bool"])
+    def test_rejects_a_k_that_is_not_an_integer(self, k):
+        with pytest.raises(ValueError, match="k must be"):
+            stratified_kfold(np.array([1] * 6 + [-1] * 6), k=k, seed=0)
+
+    def test_accepts_a_numpy_integer_k(self):
+        labels = np.array([1] * 6 + [-1] * 6)
+        folds = stratified_kfold(labels, k=np.int64(3), seed=4)
+        assert np.array_equal(folds.fold_of, stratified_kfold(labels, k=3, seed=4).fold_of)
+
     def test_train_test_partition(self):
         labels = np.array([1] * 12 + [-1] * 12)
         folds = stratified_kfold(labels, k=3, seed=2)

@@ -70,21 +70,23 @@ def compacted_pick(columns, weights, multiplier=None):
 
 
 def two_row_scan(columns, features, labels, mass):
-    """The class-mass tables as the scan summed them before its lanes: each
+    """The class-mass table as the scan summed it before its lanes: each
     sorted column's masses times each class's mask, one float cumulative
-    sum along every column, then the total minus the mass below. Returns
-    ``mass_below``, ``above`` and the ``_class_block`` block."""
+    sum along every column, then the total minus the mass below, in rows
+    b_p, d_p, b_n, d_n. Each cut b < n then takes the column of the first
+    cut below its upper value, which opens the run of that value. Returns
+    the table and the ``_class_block`` block."""
     order = np.argsort(features.T, axis=1, kind="stable")
     positive = (labels > 0)[order]
     sides = mass[order] * np.stack((positive, ~positive))
     f, n = order.shape
     below = np.zeros((2, f, n + 1))
     np.cumsum(sides, axis=2, out=below[:, :, 1:])
-    above = below[::-1, :, -1:] - below[::-1]
-    index = columns.below
-    masses = np.stack((above[1].reshape(-1)[index], *below.reshape(2, -1)[:, index],
-                       above[0].reshape(-1)[index]))
-    return below, above, masses
+    above = below[:, :, -1:] - below
+    table = np.stack((above[0], *below, above[1]))
+    opening = [np.append(np.searchsorted(x, x), n) for x in np.sort(features.T, axis=1)]
+    table = np.stack([table[:, g, opening[g]] for g in range(f)], axis=1)
+    return table, table.reshape(4, -1)[:, columns.below]
 
 
 def bounds(array):
@@ -253,8 +255,9 @@ class TestTrainStump:
 
 
 class TestFullTablePick:
-    """``train_stump`` scores every cut of the full table, the invalid ones
-    padded to +inf, and picks what the compacted valid-cut scan picks."""
+    """``train_stump`` scores every cut of the full table, each invalid one
+    a repeat of its run's valid first cut, and picks what the compacted
+    valid-cut scan picks."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -300,16 +303,38 @@ class TestFullTablePick:
         expected = compacted_pick(sort_columns(features, labels), weights)
         assert train_stump(features, labels, weights) == expected
 
-    def test_pad_masks_exactly_the_invalid_cuts(self):
-        features = np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 2.0]])
-        columns = sort_columns(features, np.array([1, -1, 1]))
-        pad = columns.pad.reshape(-1)
-        assert columns.pad.shape == (2, 4)
-        assert np.array_equal(np.flatnonzero(pad == 0.0), columns.below)
+    def test_an_invalid_cut_repeats_its_runs_valid_first_cut(self):
+        features, labels = np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 2.0]]), np.array([1, -1, 1])
+        weights = np.array([0.5, 0.25, 0.125])
+        columns = sort_columns(features, labels)
         assert np.array_equal(columns.below, [0, 2, 4, 5])
-        assert np.isinf(np.delete(pad, columns.below)).all()
-        with pytest.raises(ValueError):
-            columns.pad[0, 0] = 1.0
+        _selection_mass(weights, None, columns.mass[:-1])
+        table = _sum(columns)
+        assert table.shape == (4, 2, 4)
+        table = table.reshape(4, -1)
+        # cut 1 lies between the two 0s of feature 0, cut 6 between the two 2s of feature 1
+        assert table[:, 1].tolist() == table[:, 0].tolist() == [0.625, 0.0, 0.0, 0.25]
+        assert table[:, 6].tolist() == table[:, 5].tolist() == [0.125, 0.5, 0.0, 0.25]
+        # cut n of each feature: (0, P_f, N_f, 0)
+        assert table[:, 3].tolist() == table[:, 7].tolist() == [0.0, 0.625, 0.25, 0.0]
+        # each cut b < n is the column of the stump _cut_stump places there
+        for j in (0, 1, 2, 4, 5, 6):
+            stump = _cut_stump(columns, j, 1)
+            assert class_masses(stump, features, labels, weights).tolist() == table[:, j].tolist()
+
+    @pytest.mark.parametrize("weights", [[1e308, 1e308, 1.0, 1.0], [1.0, 1.0, 1e308, 1e308]],
+                             ids=["positives", "negatives"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_a_class_mass_summing_to_inf_raises(self, weights):
+        # the stump (0, 1.5, -1) errs on nothing, but no scan can tell with
+        # a class total of inf: each side of a cut is inf minus the mass below
+        features = np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 6.0], [3.0, 7.0]])
+        labels, weights = np.array([1, 1, -1, -1]), np.array(weights)
+        with pytest.raises(ValueError, match="overflows"):
+            train_stump(features, labels, weights)
+        with pytest.raises(ValueError, match="overflows"):
+            _csa_select(sort_columns(features, labels), weights, CostPair(1, 2))
 
 
 class TestPairedLaneScan:
@@ -356,14 +381,14 @@ class TestPairedLaneScan:
         scans = []
         for _ in range(2):  # a reused handle scans as a fresh one does
             masses = scan_block(columns, weights, multiplier)
-            scans.append([a.tobytes() for a in (columns.mass_below, columns.above, masses)])
+            scans.append([a.tobytes() for a in (columns.table, masses)])
         assert scans[0] == scans[1] == [a.tobytes() for a in expected]
 
     def test_writes_only_inside_its_block(self):
         rng = np.random.default_rng(5)
         features, labels = rng.normal(size=(9, 3)), np.array([1, -1, -1, 1, -1, -1, 1, -1, -1])
         columns = sort_columns(features, labels)
-        lo, hi = bounds(columns.block)
+        lo, hi = bounds(columns.mass.base)
         # every other array of the handle is read-only or lies in the block
         for name, value in vars(columns).items():
             if isinstance(value, np.ndarray) and value.flags.writeable:
@@ -372,7 +397,7 @@ class TestPairedLaneScan:
         weights, multiplier = rng.random(9), rng.random(9)
         kept = weights.copy(), multiplier.copy()
         _selection_mass(weights, multiplier, columns.mass[:-1])
-        for scan in (*_sum(columns), scan_block(columns, weights, multiplier)):
+        for scan in (_sum(columns), scan_block(columns, weights, multiplier)):
             assert lo <= bounds(scan)[0] < bounds(scan)[1] <= hi
         assert weights.tobytes() == kept[0].tobytes()
         assert multiplier.tobytes() == kept[1].tobytes()
@@ -413,13 +438,18 @@ class TestPairedLaneScan:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8])
     def test_complex_views_are_aligned(self, n):
-        labels = np.where(np.arange(n) % 3 == 0, 1, -1)
-        columns = sort_columns(np.arange(2.0 * n).reshape(n, 2), labels)
-        for view in (columns.lane_sides, columns.lane_sums):
-            assert view.dtype == complex
-            assert view.flags.aligned
-            assert view.ctypes.data % 16 == 0
-            assert np.shares_memory(view, columns.block)
+        for labels in (np.where(np.arange(n) % 3 == 0, 1, -1), np.ones(n, dtype=int)):
+            columns = sort_columns(np.arange(2.0 * n).reshape(n, 2), labels)
+            for view in (columns.lane_sides, columns.lane_sums):
+                assert view.dtype == complex
+                assert view.flags.aligned
+                assert view.ctypes.data % 16 == 0
+                assert np.shares_memory(view, columns.mass.base)
+            # the spread gather reads sums and writes table rows 1 and 2
+            table, sums, sides = columns.table, columns.sums, columns.sides
+            assert [np.shares_memory(sums, row) for row in table] == [True, False, False, False]
+            start, end = bounds(table[1:3])
+            assert start <= bounds(sides)[0] < bounds(sides)[1] <= end
 
     def test_negative_zero_mass_scans_as_positive_zero(self):
         features, labels = np.array([[0.0], [1.0], [2.0]]), np.array([-1, 1, 1])
@@ -438,7 +468,7 @@ class TestPairedLaneScan:
         weights, multiplier = np.array([1e308, 0.25, 0.5, 0.125]), np.array([4.0, 1, 1, 1])
         columns = sort_columns(features, labels)
         _selection_mass(weights, multiplier, columns.mass[:-1])
-        below, _ = _sum(columns)
+        below = _sum(columns)[1:3]
         assert below[0, 0].tolist() == [0.0, 0.0, 0.25, 0.25, 0.375]
         assert below[1, 0].tolist() == [0.0, np.inf, np.inf, np.inf, np.inf]
 
@@ -503,7 +533,7 @@ class TestSortedColumns:
             weights = rng.random(n)
             weights /= weights.sum()
             scan = scan_block(columns, weights, multiplier)
-            assert np.shares_memory(scan, columns.block)
+            assert np.shares_memory(scan, columns.mass.base)
             fresh = scan_block(sort_columns(features, labels), weights, multiplier)
             assert scan.tobytes() == fresh.tobytes()
             assert (train_stump(features, labels, weights, multiplier, columns=columns)
@@ -557,7 +587,7 @@ class TestSortedColumns:
         with pytest.raises(AssertionError, match="scanned again"):
             _csa_select(columns, weights, CostPair(3, 1))
 
-    @pytest.mark.parametrize("name", ["thresholds", "lanes", "spread", "below", "pad"])
+    @pytest.mark.parametrize("name", ["thresholds", "lanes", "spread", "below"])
     def test_block_is_read_only(self, name):
         columns = sort_columns(np.array([[0.0], [1.0]]), np.array([-1, 1]))
         array = getattr(columns, name)
