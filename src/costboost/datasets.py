@@ -338,6 +338,8 @@ def stratified_kfold(labels, k: int = 3, seed: int = 0) -> FoldAssignment:
     assigned before negatives).
     """
     labels = np.asarray(labels)
+    if not np.all(np.isin(labels, (-1, 1))):  # another label would fall in no fold
+        raise ValueError("labels must be -1 or +1")
     if isinstance(k, bool) or not isinstance(k, numbers.Integral):
         raise ValueError(f"k must be an integer, not {k!r}")
     if k < 2:

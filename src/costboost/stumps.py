@@ -20,10 +20,11 @@ trained on it and its picks. Every pick, ``train_stump``'s and CSA's in
 mass into those buffers and returns the pick the handle keeps for the
 mass's bytes, scanning only a mass it lacks. A scan is ``_sum``, which
 sums the mass into one table of the class masses on each side of every
-cut of every column: each column's two class lanes are summed as the two
-components of one complex cumulative sum, one gather spreads the lane
-sums back to every cut, and one subtract takes the mass above from the
-column's total. A cut between equal values reads the sums of the valid
+cut of every column: one gather writes each column's two class lanes,
+each led by a 0, and they are summed in place as the two components of
+one complex cumulative sum; one gather spreads the lane sums back to
+every cut, and one subtract takes the mass above from the column's
+total. A cut between equal values reads the sums of the valid
 cut that opens its run, so every column of the table is a stump's:
 ``train_stump`` scores the whole table, and ``_class_block`` gathers its
 valid cuts into the (4, cuts) class-mass block, rows b_p, d_p, b_n, d_n,
@@ -141,10 +142,11 @@ class SortedColumns:
     (feature, threshold) order, the flat index f * (n + 1) + b into the
     (features, samples + 1) rows of ``table``.
 
-    Each column is split by class into two lanes, m long, m the larger
-    class count: ``lanes`` (features, m, 2) lists the samples of class +1
-    in lane 0 and the others, the negatives, in lane 1, each in the
-    column's sorted order, the shorter lane padded with index n.
+    Each column is split by class into two lanes, m + 1 long, m the larger
+    class count: ``lanes`` (features, m + 1, 2) lists the samples of class
+    +1 in lane 0 and the others, the negatives, in lane 1, each in the
+    column's sorted order after a leading pad entry, the shorter lane
+    padded at its end too. A pad is index n, where ``mass`` holds a 0.
     ``spread`` (2, features, samples + 1) holds, for every cut, the flat
     index into the (features, m + 1, 2) lane sums of the positive (row
     0) and the negative (row 1) mass below it; a cut between equal values
@@ -154,30 +156,29 @@ class SortedColumns:
     arrays behind the index fields, ``lanes.base``, ``spread.base`` and
     ``below.base``, which no field holds.
 
-    The scan buffers are views of one allocation, ``mass.base``. ``mass``
-    holds the selection masses and a 0 at index n. ``sides`` (features,
-    m, 2) holds them gathered into the lanes and ``sums`` (features, m +
-    1, 2) each lane's running sums after a row of 0s, which every scan
-    writes again. ``lane_sides`` and ``lane_sums`` are their complex views,
-    ``lane_sums`` from row 1 on, so one complex ``cumsum`` sums both lanes,
-    a lane per component. ``table`` (4, features, samples + 1) holds, for
-    every cut, the class masses of the polarity +1 stump there in rows
-    b_p, d_p, b_n, d_n: rows 1 and 2 are the positive and the negative
-    mass below the cut, spread from ``sums``, rows 0 and 3 the masses
-    above it, so cut n holds (0, P, N, 0), P and N the class totals, and
-    a cut between equal values the column of its run's valid first cut.
-    The polarity -1 stump swaps b and d. ``train_stump`` adds rows 2 and 3
-    into rows 0 and 1 in place, giving each cut's weighted error.
-    ``masses`` is the (4, cuts) block ``_class_block`` returns. A scan is
-    done with ``sides`` once ``sums`` is summed and with ``sums`` once
-    rows 1 and 2 are spread, so ``sides`` lies in rows 1 and 2 and the
-    tail of ``sums`` is row 0.
+    ``mass`` holds the selection masses and a 0 at index n. ``sums``
+    (features, m + 1, 2) holds them gathered into the lanes, which every
+    scan writes whole, zero row included, and then sums in place as
+    ``lane_sums``, its complex view: one complex ``cumsum`` sums both
+    lanes, a lane per component. ``table`` (4, features, samples + 1)
+    holds, for every cut, the class masses of the polarity +1 stump there
+    in rows b_p, d_p, b_n, d_n: rows 1 and 2 are the positive and the
+    negative mass below the cut, spread from ``sums``, rows 0 and 3 the
+    masses above it, so cut n holds (0, P, N, 0), P and N the class
+    totals, and a cut between equal values the column of its run's valid
+    first cut. The polarity -1 stump swaps b and d. ``train_stump`` adds
+    rows 2 and 3 into rows 0 and 1 in place, giving each cut's weighted
+    error. ``masses`` is the (4, cuts) block ``_class_block`` returns.
+    ``sums`` and ``table`` are views of one allocation, ``lane_sums.base``:
+    a scan is done with ``sums`` once rows 1 and 2 are spread, so the tail
+    of ``sums`` is row 0.
 
     The sums carry the bits of a per-class cumulative sum over each
     whole sorted column, the other class's samples counted as 0: each
-    lane adds the same masses in the same order, and those zeros change
-    no sum, as x + 0 = x for every x >= +0 (the scan stores a -0 mass as
-    +0). Complex addition is the IEEE addition of each component.
+    lane adds the same masses in the same order, and the leading pad and
+    those zeros change no sum, as 0 + x = x for every x >= +0 (the scan
+    stores a -0 mass as +0). Complex addition is the IEEE addition of
+    each component.
 
     ``ensembles`` maps (initial-weight bytes, rounds) to the rounds of
     each cost-blind ensemble ``boosting.train_ensemble`` trained on this set.
@@ -191,9 +192,7 @@ class SortedColumns:
     spread: np.ndarray
     below: np.ndarray
     mass: np.ndarray
-    sides: np.ndarray
     sums: np.ndarray
-    lane_sides: np.ndarray
     lane_sums: np.ndarray
     table: np.ndarray
     masses: np.ndarray
@@ -221,9 +220,9 @@ def sort_columns(features, labels) -> SortedColumns:
     positive = (labels > 0)[order]
     p = int(np.count_nonzero(labels > 0))
     m = max(p, n - p)
-    lanes = np.full((f, m, 2), n, dtype=np.intp)
-    lanes[:, :p, 0] = np.compress(positive.reshape(-1), order).reshape(f, p)
-    lanes[:, :n - p, 1] = np.compress(~positive.reshape(-1), order).reshape(f, n - p)
+    lanes = np.full((f, m + 1, 2), n, dtype=np.intp)  # row 0 and the pad read mass[n], 0
+    lanes[:, 1:p + 1, 0] = np.compress(positive.reshape(-1), order).reshape(f, p)
+    lanes[:, 1:n - p + 1, 1] = np.compress(~positive.reshape(-1), order).reshape(f, n - p)
     # cut b of column f has c positives below it and b - c negatives: its
     # lane sums lie at flat index 2c and 2(b - c) + 1 past column f's start.
     # Both only grow along a column, so zeroing them at the invalid cuts and
@@ -239,32 +238,28 @@ def sort_columns(features, labels) -> SortedColumns:
     sort = tuple(array.view() for array in (thresholds, lanes, spread, below))
     for array in sort:
         array.setflags(write=False)
-    # one allocation: mass, then sums, whose last f(n + 1) floats are table
-    # row 0, then table rows 1-3, then masses. It is allocated as complex
-    # and sums and row 1 start at an even offset, so both, and sides in
-    # row 1, start 16-byte aligned for a complex view
-    cells, summed = f * (n + 1), f * (m + 1) * 2
-    start = n + 1 + (n + 1) % 2
-    ends = np.cumsum((start, summed - cells, 4 * cells, 4 * below.size))
-    block = np.empty((ends[-1] + 1) // 2, dtype=complex).view(float)
-    mass, _, table, masses, _ = np.split(block, ends)
-    mass[n:] = 0.0
-    sums = block[start:start + summed].reshape(f, m + 1, 2)
-    table = table.reshape(4, f, n + 1)
-    sides = table[1:3].reshape(-1)[:f * m * 2].reshape(f, m, 2)
-    return SortedColumns(*sort, mass[:n + 1], sides, sums, sides.view(complex)[..., 0],
-                         sums[:, 1:].view(complex)[..., 0], table, masses.reshape(4, -1), {}, {})
+    # one allocation: sums, whose last f(n + 1) floats are table row 0, then
+    # table rows 1-3; summed >= cells as m >= n/2. It is allocated as complex,
+    # so sums starts 16-byte aligned for its complex view
+    summed, cells = 2 * f * (m + 1), f * (n + 1)
+    block = np.empty((summed + 3 * cells + 1) // 2, dtype=complex)
+    lane_sums = block[:f * (m + 1)].reshape(f, m + 1)
+    table = block.view(float)[summed - cells:summed + 3 * cells].reshape(4, f, n + 1)
+    return SortedColumns(*sort, np.zeros(n + 1), lane_sums.view(float).reshape(f, m + 1, 2),
+                         lane_sums, table, np.empty((4, below.size)), {}, {})
 
 
 def _sum(columns: SortedColumns):
     """Fill ``columns.table`` for the selection mass in ``columns.mass``
-    and return it."""
+    and return it, in four calls: gather the lanes into ``columns.sums``,
+    whose every float the gather writes, sum them in place, spread the
+    mass below each cut into rows 1 and 2, and subtract it from the
+    column's total into rows 0 and 3."""
     sums, table = columns.sums, columns.table
     # the indices are valid: "clip" spares the copy "raise" makes of ``out``,
     # and gathering through the writeable base the copy of the index
-    np.take(columns.mass, columns.lanes.base, out=columns.sides, mode="clip")
-    np.cumsum(columns.lane_sides, axis=1, out=columns.lane_sums)
-    sums[:, 0] = 0.0  # row 0 of the table overwrote them
+    np.take(columns.mass, columns.lanes.base, out=sums, mode="clip")
+    np.cumsum(columns.lane_sums, axis=1, out=columns.lane_sums)
     # rows d_p and b_n, the mass below; then b_p and d_n, the total (cut n) minus it
     np.take(sums, columns.spread.base, out=table[1:3], mode="clip")
     np.subtract(table[1:3, :, -1:], table[1:3], out=table[::3])

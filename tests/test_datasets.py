@@ -292,6 +292,12 @@ class TestStratifiedKfold:
         with pytest.raises(ValueError, match="k must be"):
             stratified_kfold(np.array([1] * 6 + [-1] * 6), k=k, seed=0)
 
+    @pytest.mark.parametrize("other", [0, 2], ids=["zero", "two"])
+    def test_rejects_labels_other_than_plus_or_minus_one(self, other):
+        # such rows would get no fold id, so no test set, and train in every fold
+        with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+            stratified_kfold(np.array([other] * 3 + [1] * 3 + [-1] * 3), k=3, seed=0)
+
     def test_accepts_a_numpy_integer_k(self):
         labels = np.array([1] * 6 + [-1] * 6)
         folds = stratified_kfold(labels, k=np.int64(3), seed=4)

@@ -388,19 +388,39 @@ class TestPairedLaneScan:
         rng = np.random.default_rng(5)
         features, labels = rng.normal(size=(9, 3)), np.array([1, -1, -1, 1, -1, -1, 1, -1, -1])
         columns = sort_columns(features, labels)
-        lo, hi = bounds(columns.mass.base)
-        # every other array of the handle is read-only or lies in the block
+        lo, hi = bounds(columns.lane_sums.base)
+        # every other array of the handle is read-only, mass, masses or lies in the block
         for name, value in vars(columns).items():
             if isinstance(value, np.ndarray) and value.flags.writeable:
+                if name in ("mass", "masses"):
+                    assert value.flags.owndata, name
+                    continue
                 start, end = bounds(value)
                 assert lo <= start < end <= hi, name
         weights, multiplier = rng.random(9), rng.random(9)
         kept = weights.copy(), multiplier.copy()
         _selection_mass(weights, multiplier, columns.mass[:-1])
-        for scan in (_sum(columns), scan_block(columns, weights, multiplier)):
-            assert lo <= bounds(scan)[0] < bounds(scan)[1] <= hi
+        mass = columns.mass.copy()
+        table = _sum(columns)
+        assert lo <= bounds(table)[0] < bounds(table)[1] <= hi
+        assert scan_block(columns, weights, multiplier) is columns.masses
+        assert columns.mass.tobytes() == mass.tobytes()
         assert weights.tobytes() == kept[0].tobytes()
         assert multiplier.tobytes() == kept[1].tobytes()
+
+    def test_a_scan_writes_every_lane_sum(self):
+        # the lanes gather writes the whole lane-sum buffer, its zero row and
+        # table row 0 at its tail included, so nothing left there reaches a scan
+        rng = np.random.default_rng(8)
+        features = rng.integers(0, 3, size=(10, 3)).astype(float)
+        labels = np.array([1, -1, -1, 1, -1, -1, 1, -1, -1, -1])
+        weights = rng.random(10)
+        columns, fresh = sort_columns(features, labels), sort_columns(features, labels)
+        columns.sums.fill(np.nan)
+        for handle in (columns, fresh):
+            _selection_mass(weights, None, handle.mass[:-1])
+            _sum(handle)
+        assert columns.table.tobytes() == fresh.table.tobytes()
 
     def test_a_scan_copies_no_index(self):
         # numpy's take copies an index that is not writeable, so gathering
@@ -440,16 +460,14 @@ class TestPairedLaneScan:
     def test_complex_views_are_aligned(self, n):
         for labels in (np.where(np.arange(n) % 3 == 0, 1, -1), np.ones(n, dtype=int)):
             columns = sort_columns(np.arange(2.0 * n).reshape(n, 2), labels)
-            for view in (columns.lane_sides, columns.lane_sums):
-                assert view.dtype == complex
-                assert view.flags.aligned
-                assert view.ctypes.data % 16 == 0
-                assert np.shares_memory(view, columns.mass.base)
+            view = columns.lane_sums
+            assert view.dtype == complex
+            assert view.flags.aligned
+            assert view.ctypes.data % 16 == 0
+            assert np.shares_memory(view, columns.sums)
             # the spread gather reads sums and writes table rows 1 and 2
-            table, sums, sides = columns.table, columns.sums, columns.sides
+            table, sums = columns.table, columns.sums
             assert [np.shares_memory(sums, row) for row in table] == [True, False, False, False]
-            start, end = bounds(table[1:3])
-            assert start <= bounds(sides)[0] < bounds(sides)[1] <= end
 
     def test_negative_zero_mass_scans_as_positive_zero(self):
         features, labels = np.array([[0.0], [1.0], [2.0]]), np.array([-1, 1, 1])
@@ -533,7 +551,7 @@ class TestSortedColumns:
             weights = rng.random(n)
             weights /= weights.sum()
             scan = scan_block(columns, weights, multiplier)
-            assert np.shares_memory(scan, columns.mass.base)
+            assert np.shares_memory(scan, columns.masses)
             fresh = scan_block(sort_columns(features, labels), weights, multiplier)
             assert scan.tobytes() == fresh.tobytes()
             assert (train_stump(features, labels, weights, multiplier, columns=columns)
